@@ -2,7 +2,6 @@ package overcast
 
 import (
 	"fmt"
-	"time"
 
 	"overcast/internal/core"
 	"overcast/internal/graph"
@@ -30,9 +29,27 @@ func (id SessionID) String() string {
 	return fmt.Sprintf("session(%d)", id.n-1)
 }
 
+// PlaneMode selects how the solvers share per-member shortest-path work
+// across sessions: PlaneSubtree (the default), PlaneFull or PlaneOff.
+// Outputs are bit-identical in every mode. It implements flag.Value with the
+// spellings subtree, full and off.
+type PlaneMode = overlay.PlaneMode
+
+// The plane modes; see overlay.PlaneMode for what each one does.
+const (
+	// PlaneSubtree keeps a persistent shortest-path plane and repairs only
+	// the affected subtrees of a row whose stored paths were touched.
+	PlaneSubtree = overlay.PlaneSubtree
+	// PlaneFull keeps the persistent plane but refills a touched row in
+	// full; it wins on small (≤100-node) instances.
+	PlaneFull = overlay.PlaneFull
+	// PlaneOff runs every session's own Dijkstras (the reference mode).
+	PlaneOff = overlay.PlaneOff
+)
+
 // AllocatorOptions configures an Allocator. The zero value is usable: hop- or
 // delay-based fixed IP routing, mu=30, epsilon=0.1, GOMAXPROCS workers,
-// shared SSSP plane and cross-round repair on, unbounded repair budget.
+// PlaneSubtree, unbounded repair budget.
 type AllocatorOptions struct {
 	// Mu is the online step size (Table VI); 0 means 30, negative is an
 	// error. Values near the expected per-session rate work well.
@@ -46,27 +63,15 @@ type AllocatorOptions struct {
 	// Workers sets the solver worker-pool size (0 = GOMAXPROCS). Outputs
 	// are bit-identical for every worker count.
 	Workers int
-	// DisablePlane turns off the shared SSSP plane; DisableRepair turns off
-	// its cross-round dirty-source repair; DisableSubtreeRepair turns off
-	// repair's incremental subtree path, leaving the original
-	// skip-or-full-refill behavior. Outputs are bit-identical either way;
-	// the toggles exist for the determinism gate and perf comparisons.
-	DisablePlane         bool
-	DisableRepair        bool
-	DisableSubtreeRepair bool
+	// Plane selects the shared SSSP plane mode (the zero value is
+	// PlaneSubtree). Outputs are bit-identical in every mode; an undeclared
+	// value is rejected by NewAllocator.
+	Plane PlaneMode
 	// RepairPhaseBudget bounds the warm repair work per Snapshot/Rebalance,
 	// in session-phases: 0 = unbounded (a warm refresh always completes),
 	// positive = fall back to a cold re-solve when exceeded, negative =
 	// always re-solve cold (the baseline warm-start is measured against).
 	RepairPhaseBudget int
-	// Shards runs Snapshot/Rebalance oracle rounds on that many solver
-	// shards behind an explicit price-exchange boundary, partitioned by the
-	// network's AS labels when it has them (two-level topologies) and by
-	// contiguous node ranges otherwise. 0 = unsharded. Outputs are
-	// bit-identical for every shard count; the boundary exists for memory
-	// locality and for a future distributed transport. Workers sizes each
-	// shard's oracle pool.
-	Shards int
 }
 
 // OverlayTree is an immutable view of one overlay tree with its allocated
@@ -176,36 +181,6 @@ func (p PlaneStats) RepairRate() float64 {
 	return float64(resolved) / float64(resolved+p.Repaired)
 }
 
-// ShardStats exposes the sharded solver's price-exchange counters (zero when
-// AllocatorOptions.Shards is 0). All counters accumulate over the allocator's
-// lifetime.
-type ShardStats struct {
-	// Shards is the configured shard count.
-	Shards int
-	// Rounds[s] counts the oracle-evaluation rounds shard s actually ran
-	// (rounds where at least one of its homed sessions was in the batch).
-	Rounds []int
-	// ExchangeRounds counts price-synchronization rounds (one per oracle
-	// batch).
-	ExchangeRounds int
-	// Msgs counts price messages applied to shard replicas; CutMsgs is the
-	// subset concerning partition-cut edges — the messages a distributed
-	// transport would actually have to ship.
-	Msgs, CutMsgs int
-	// ExchangeBytes estimates the encoded size of the cut-edge traffic.
-	ExchangeBytes int64
-	// Resyncs counts full-snapshot replica rebuilds.
-	Resyncs int
-	// FaultResyncs is the subset of Resyncs forced by journal window loss: a
-	// mutation burst (e.g. an underlay fault sweep) outran the ledger journal
-	// between exchange rounds, so the diff was unreplayable and replicas were
-	// rebuilt from full snapshots.
-	FaultResyncs int
-	// ReduceTime is the time spent merging shard results back into
-	// canonical (shard, session-id) order.
-	ReduceTime time.Duration
-}
-
 // AllocatorStats counts an Allocator's work.
 type AllocatorStats struct {
 	// Joins and Leaves count successfully processed events.
@@ -230,9 +205,6 @@ type AllocatorStats struct {
 	// Plane aggregates the shared-SSSP-plane counters across anchors, warm
 	// repair, and online joins.
 	Plane PlaneStats
-	// Shards aggregates the sharded solver's price-exchange counters (zero
-	// when sharding is off).
-	Shards ShardStats
 }
 
 // Allocator is the v2 session-handle surface over the online + warm-start
@@ -277,6 +249,9 @@ func NewAllocator(net *Network, opts AllocatorOptions) (*Allocator, error) {
 	if opts.Epsilon < 0 || opts.Epsilon > 0.5 {
 		return nil, fmt.Errorf("overcast: epsilon %v outside (0, 0.5]", opts.Epsilon)
 	}
+	if err := opts.Plane.Valid(); err != nil {
+		return nil, fmt.Errorf("overcast: %w", err)
+	}
 	online, err := core.NewOnline(net.inner.Graph, opts.Mu)
 	if err != nil {
 		return nil, err
@@ -290,11 +265,9 @@ func NewAllocator(net *Network, opts AllocatorOptions) (*Allocator, error) {
 		mode = core.RoutingArbitrary
 	}
 	warm, err := core.NewWarm(net.inner.Graph, mode, weights, core.WarmOptions{
-		Epsilon: opts.Epsilon, Workers: opts.Workers,
-		DisablePlane: opts.DisablePlane, DisableRepair: opts.DisableRepair,
-		DisableSubtreeRepair: opts.DisableSubtreeRepair,
-		RepairPhaseBudget:    opts.RepairPhaseBudget,
-		Shards:               opts.Shards, ShardLabels: net.inner.ASOf,
+		Epsilon:           opts.Epsilon,
+		SolverOptions:     core.SolverOptions{Workers: opts.Workers, Plane: opts.Plane},
+		RepairPhaseBudget: opts.RepairPhaseBudget,
 	})
 	if err != nil {
 		return nil, err
@@ -606,14 +579,6 @@ func (a *Allocator) Stats() AllocatorStats {
 			SubtreeNodes:       ws.Plane.PlaneSubtreeNodes,
 			TreeHits:           ws.Plane.PlaneTreeHits,
 			NonMonotoneRefills: ws.Plane.PlaneNonMonotone,
-		},
-		Shards: ShardStats{
-			Shards: ws.Shards.Shards, Rounds: append([]int(nil), ws.Shards.Rounds...),
-			ExchangeRounds: ws.Shards.ExchangeRounds,
-			Msgs:           ws.Shards.Msgs, CutMsgs: ws.Shards.CutMsgs,
-			ExchangeBytes: ws.Shards.ExchangeBytes, Resyncs: ws.Shards.Resyncs,
-			FaultResyncs: ws.Shards.FaultResyncs,
-			ReduceTime:   time.Duration(ws.Shards.ReduceNanos),
 		},
 	}
 }

@@ -353,6 +353,56 @@ func TestWarmChurnReplayQualityAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestPlaneModeValidation pins the plane-mode contract at the public surface:
+// the zero value is PlaneSubtree, every declared mode round-trips through its
+// flag spelling and is accepted by NewAllocator, and an unknown spelling or
+// an out-of-range value is rejected with an error by PlaneMode.Set and
+// NewAllocator respectively.
+func TestPlaneModeValidation(t *testing.T) {
+	var zero overcast.PlaneMode
+	if zero != overcast.PlaneSubtree {
+		t.Fatalf("zero PlaneMode is %v, want subtree", zero)
+	}
+	if (overcast.AllocatorOptions{}).Plane != overcast.PlaneSubtree {
+		t.Fatal("zero AllocatorOptions does not default to PlaneSubtree")
+	}
+	net := testAllocNet(t, 3)
+	for _, tc := range []struct {
+		spelling string // "" = skip the Set half
+		mode     overcast.PlaneMode
+		ok       bool
+	}{
+		{"subtree", overcast.PlaneSubtree, true},
+		{"full", overcast.PlaneFull, true},
+		{"off", overcast.PlaneOff, true},
+		{"repair", 0, false},
+		{"Subtree", 0, false},
+		{"", overcast.PlaneMode(-1), false},
+		{"", overcast.PlaneOff + 1, false},
+	} {
+		if tc.spelling != "" {
+			var m overcast.PlaneMode
+			err := m.Set(tc.spelling)
+			if (err == nil) != tc.ok {
+				t.Fatalf("Set(%q) error = %v, want ok=%v", tc.spelling, err, tc.ok)
+			}
+			if !tc.ok {
+				continue
+			}
+			if m != tc.mode || m.String() != tc.spelling {
+				t.Fatalf("Set(%q) = %v (%d), want %d", tc.spelling, m, int(m), int(tc.mode))
+			}
+		}
+		a, err := overcast.NewAllocator(net, overcast.AllocatorOptions{Plane: tc.mode})
+		if (err == nil) != tc.ok {
+			t.Fatalf("NewAllocator(Plane=%d) error = %v, want ok=%v", int(tc.mode), err, tc.ok)
+		}
+		if a != nil {
+			a.Close()
+		}
+	}
+}
+
 // TestAllocatorFaultSurface covers the public underlay-fault entry point:
 // fail → capacity collapse and cold re-solve, recover → exact restore, drift
 // composition, no-op and error contracts, and the new stats counters.

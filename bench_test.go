@@ -13,6 +13,7 @@ import (
 	"overcast/internal/core"
 	"overcast/internal/experiments"
 	"overcast/internal/graph"
+	"overcast/internal/overlay"
 	"overcast/internal/routing"
 	"overcast/internal/stats"
 )
@@ -565,7 +566,7 @@ func benchScaleParallelMCF(b *testing.B, scenario string, nodes, sessions, worke
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := core.MaxConcurrentFlow(si.Problem, core.MaxConcurrentFlowOptions{
-			Epsilon: 0.3, Parallel: true, Workers: workers,
+			Epsilon: 0.3, Parallel: true, SolverOptions: core.SolverOptions{Workers: workers},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -597,41 +598,6 @@ func BenchmarkScaleParallelMCFHeavytail10k(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleShardedMCF sweeps the AS-shard count over the two-level
-// 10,000-node tier: 100 ASes of 100 routers each (the paper's two-level
-// construction at the largest tier size) with 256 competing sessions,
-// sessions homed to shards by the topology's AS labels. Outputs are
-// bit-identical across the sweep (the determinism gate diffs detdump over
-// -shards 1/2/4), so the ns/op trajectory is pure wall-clock: it prices the
-// distribution boundary — per-round price-message diffing, replica Raise
-// application, and per-shard plane fills — against the fan-out win. shards=1
-// still crosses the message boundary (one shard goroutine + replica), so the
-// 1-vs-2-vs-4 trajectory separates boundary overhead from parallel speedup;
-// like the worker sweeps, real speedup needs real cores.
-func BenchmarkScaleShardedMCF(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			si := scaleInstance(b, experiments.ScaleConfig{
-				Nodes: 10000, Sessions: 256, SessionSize: 6, TwoLevelASes: 100,
-			})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := core.MaxConcurrentFlow(si.Problem, core.MaxConcurrentFlowOptions{
-					Epsilon: 0.3, Parallel: true, Workers: 2,
-					Shards: shards, ShardLabels: si.Net.ASOf,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Lambda <= 0 {
-					b.Fatalf("lambda %v", res.Lambda)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkScaleZipfHotPlane measures the round-level shared SSSP plane on
 // the workloads it was built for: Zipf-hot arbitrary-routing scenarios where
 // many sessions share popular member nodes, so a MaxFlow iteration's batch
@@ -654,9 +620,11 @@ func BenchmarkScaleZipfHotPlane(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sol, err := core.MaxFlow(si.Problem, core.MaxFlowOptions{
-						Epsilon: 0.35, Parallel: true, DisablePlane: !plane,
-					})
+					opts := core.MaxFlowOptions{Epsilon: 0.35, Parallel: true}
+					if !plane {
+						opts.Plane = overlay.PlaneOff
+					}
+					sol, err := core.MaxFlow(si.Problem, opts)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -798,91 +766,72 @@ func BenchmarkFaultChurn(b *testing.B) {
 // cross-round dirty-source repair: the solve-scoped plane keeps its SSSP
 // rows alive between batches and refills only sources whose read paths
 // intersect the edges the ledger journaled since the row was filled. The
-// repair on/off pairs solve identical instances to bit-identical outputs
+// subtree/full pairs solve identical instances to bit-identical outputs
 // (the determinism gate pins this), so the ns/op ratio is a pure measure of
-// the Dijkstras (and cached whole trees) the repair avoids; the effect is
-// algorithmic, so it shows on any core count.
-//
-// The cdn instance is the acceptance configuration (>= 1.5x: ~1.6x measured
-// — small Zipf-hot sessions whose read paths cover little of the denser
-// degree-3 fabric, so most rows survive the one routed tree per iteration).
-// The livestream instance pins the adversarial floor the README documents:
-// its sessions are so large that every row reads a constant fraction of the
-// graph, the skip rate sits in the low percent, and the ratio hovers near
-// 1.0x — repair must never *cost* measurably even when it cannot win.
+// the Dijkstra work subtree repair avoids over whole-row refills; the effect
+// is algorithmic, so it shows on any core count. Plane-off comparisons live
+// in BenchmarkScaleZipfHotPlane.
 
-// benchPlaneRepair runs one scenario at one repair mode: "off" (every row
-// refills every round), "full" (dirty rows refill whole, the pre-subtree
-// shape), or "subtree" (dirty rows resume Dijkstra over the dirty subtrees
-// when the exactness + scale-separation certificate holds). The three modes
-// solve bit-identical outputs, so the ns/op ratios isolate the avoided work.
+// planeRepairModes are the persistent-plane modes the repair sweeps compare,
+// by sub-benchmark name.
+var planeRepairModes = []string{"subtree", "full"}
+
+// benchPlaneRepair runs one scenario at one plane mode: "full" (dirty rows
+// refill whole) or "subtree" (dirty rows resume Dijkstra over the dirty
+// subtrees when the exactness + scale-separation certificate holds). Both
+// modes solve bit-identical outputs, so the ns/op ratio isolates the avoided
+// work.
 func benchPlaneRepair(b *testing.B, scenario string, degree int, mode string) {
 	b.Helper()
 	si := scaleInstance(b, experiments.ScaleConfig{
 		Nodes: 200, Sessions: 48, Degree: degree, Scenario: scenario, Arbitrary: true,
 	})
+	opts := core.MaxFlowOptions{Epsilon: 0.35, Parallel: true}
+	if err := opts.Plane.Set(mode); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := core.MaxFlow(si.Problem, core.MaxFlowOptions{
-			Epsilon: 0.35, Parallel: true,
-			DisableRepair:        mode == "off",
-			DisableSubtreeRepair: mode != "subtree",
-		})
+		sol, err := core.MaxFlow(si.Problem, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if sol.OverallThroughput() <= 0 {
 			b.Fatal("zero throughput")
 		}
-		switch mode {
-		case "off":
-			if sol.Plane.PlaneSkipped != 0 || sol.Plane.PlaneRepaired != 0 {
-				b.Fatalf("repair disabled but counters fired: %+v", sol.Plane)
-			}
-		case "full":
-			if sol.Plane.PlaneSkipped == 0 {
-				b.Fatal("repair never skipped a refill")
-			}
-			if sol.Plane.PlaneSubtreeRepaired != 0 {
-				b.Fatalf("subtree disabled but fired: %+v", sol.Plane)
-			}
-		case "subtree":
-			if sol.Plane.PlaneSkipped == 0 {
-				b.Fatal("repair never skipped a refill")
-			}
-			if sol.Plane.PlaneSubtreeRepaired == 0 {
-				b.Fatal("subtree repair never fired on the benchmark instance")
-			}
+		if sol.Plane.PlaneSkipped == 0 {
+			b.Fatal("repair never skipped a refill")
+		}
+		if subtree := sol.Plane.PlaneSubtreeRepaired; (opts.Plane == overlay.PlaneSubtree) != (subtree > 0) {
+			b.Fatalf("plane=%v: %d subtree repairs (%+v)", opts.Plane, subtree, sol.Plane)
 		}
 	}
 }
 
-// BenchmarkScalePlaneRepairCDN sweeps repair on/off over the Zipf-hot cdn
-// mix (48 arbitrary-routing sessions, degree-4 fabric) — the acceptance
-// instance for dirty-source repair. Degree 4 because the skip probability
-// decays like exp(-touched x read-path edges / |E|): the denser fabric
-// shortens member paths and grows |E|, which is exactly the regime
-// row-granular repair targets (measured ~1.6-1.7x repair-off/on).
+// BenchmarkScalePlaneRepairCDN sweeps subtree vs full-refill repair over the
+// Zipf-hot cdn mix (48 arbitrary-routing sessions, degree-4 fabric) — the
+// acceptance instance for dirty-source repair. Degree 4 because the skip
+// probability decays like exp(-touched x read-path edges / |E|): the denser
+// fabric shortens member paths and grows |E|, which is exactly the regime
+// row-granular repair targets.
 func BenchmarkScalePlaneRepairCDN(b *testing.B) {
-	for _, mode := range []string{"subtree", "full", "off"} {
+	for _, mode := range planeRepairModes {
 		b.Run("repair="+mode, func(b *testing.B) {
 			benchPlaneRepair(b, "cdn", 4, mode)
 		})
 	}
 }
 
-// BenchmarkScalePlaneRepairLivestream sweeps all three repair modes over the
+// BenchmarkScalePlaneRepairLivestream sweeps both repair modes over the
 // livestream mix: huge sessions whose member paths blanket the topology, the
 // documented worst case for *row-granular* repair — nearly every row has a
-// dirty read path, so mode "full" refills almost everything and its ratio
-// over "off" hovers near 1.0x. Subtree repair is built to break exactly this
-// floor: a dirty read path usually means a few touched tree edges whose
-// subtrees cover a small fraction of the row, so "subtree" resettles that
-// fraction instead of the whole row (measured ~1.5x off/subtree on this
-// instance, vs ~1.0x off/full).
+// dirty read path, so mode "full" refills almost everything. Subtree repair
+// is built to break exactly this floor: a dirty read path usually means a
+// few touched tree edges whose subtrees cover a small fraction of the row,
+// so "subtree" resettles that fraction instead of the whole row.
 func BenchmarkScalePlaneRepairLivestream(b *testing.B) {
-	for _, mode := range []string{"subtree", "full", "off"} {
+	for _, mode := range planeRepairModes {
 		b.Run("repair="+mode, func(b *testing.B) {
 			benchPlaneRepair(b, "livestream", 3, mode)
 		})
@@ -890,34 +839,36 @@ func BenchmarkScalePlaneRepairLivestream(b *testing.B) {
 }
 
 // BenchmarkScalePlaneRepairMCF10k runs the 10,000-node arbitrary-routing
-// MCF with repair on and off: the batched beta prestep shares one seed
-// plane across its same-delta subproblems (PrestepPlane.PlaneSeeded rows
-// copied instead of Dijkstra'd) and every subproblem plus the phase loop
-// repairs across rounds (PlaneSkipped). The heaviest tier configuration, so
+// MCF in both repair modes: the batched beta prestep shares one seed plane
+// across its same-delta subproblems (PrestepPlane.PlaneSeeded rows copied
+// instead of Dijkstra'd) and every subproblem plus the phase loop repairs
+// across rounds (PlaneSkipped). The heaviest tier configuration, so
 // it skips under -short like the other 10k benches; run it via
 // `make bench-scale` without BENCHFLAGS overrides.
 func BenchmarkScalePlaneRepairMCF10k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("heavy scale benchmark skipped in -short mode")
 	}
-	for _, repair := range []bool{true, false} {
-		b.Run(fmt.Sprintf("repair=%v", repair), func(b *testing.B) {
+	for _, mode := range planeRepairModes {
+		b.Run("repair="+mode, func(b *testing.B) {
 			si := scaleInstance(b, experiments.ScaleConfig{
 				Nodes: 10000, Sessions: 8, Degree: 3, Scenario: "cdn", Arbitrary: true,
 			})
+			opts := core.MaxConcurrentFlowOptions{Epsilon: 0.5, Parallel: true}
+			if err := opts.Plane.Set(mode); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.MaxConcurrentFlow(si.Problem, core.MaxConcurrentFlowOptions{
-					Epsilon: 0.5, Parallel: true, DisableRepair: !repair,
-				})
+				res, err := core.MaxConcurrentFlow(si.Problem, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if res.Lambda <= 0 {
 					b.Fatalf("lambda %v", res.Lambda)
 				}
-				if repair && (res.PrestepPlane.PlaneSeeded == 0 || res.PrestepPlane.PlaneSkipped == 0) {
+				if res.PrestepPlane.PlaneSeeded == 0 || res.PrestepPlane.PlaneSkipped == 0 {
 					b.Fatalf("prestep seeding/repair never fired: %+v", res.PrestepPlane)
 				}
 			}

@@ -1,5 +1,6 @@
 // Command benchjson converts `go test -bench` output into a stable JSON
-// document (benchmark name -> ns/op, B/op, allocs/op) and optionally
+// document (benchmark name -> ns/op, B/op, allocs/op, plus every custom
+// b.ReportMetric column such as ops/s or coldsolves) and optionally
 // compares it against a previous document, so CI can upload every run's
 // numbers as an artifact and print the perf trajectory against the
 // committed baseline.
@@ -43,12 +44,15 @@ import (
 )
 
 // Result holds one benchmark's figures. Zero-valued fields were absent from
-// the input (e.g. no -benchmem).
+// the input (e.g. no -benchmem). Metrics keeps every other value/unit column
+// the benchmark reported (b.ReportMetric), keyed by unit; the regression gate
+// reads ns/op only.
 type Result struct {
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"b_per_op,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	Iterations  int64              `json:"iterations"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  float64            `json:"b_per_op,omitempty"`
+	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Document is the BENCH_*.json schema. Cores records the recording machine's
@@ -170,8 +174,9 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// parse extracts `BenchmarkName-N  iters  1234 ns/op [5678 B/op 9 allocs/op]`
-// lines, ignoring everything else (goos/pkg headers, PASS, test log output).
+// parse extracts `BenchmarkName-N  iters  1234 ns/op [5678 B/op 9 allocs/op]
+// [v unit ...]` lines, ignoring everything else (goos/pkg headers, PASS, test
+// log output).
 func parse(r io.Reader) (*Document, error) {
 	doc := &Document{Schema: "overcast-bench/v1", Benchmarks: map[string]Result{}}
 	sc := bufio.NewScanner(r)
@@ -199,6 +204,11 @@ func parse(r io.Reader) (*Document, error) {
 				res.BytesPerOp = v
 			case "allocs/op":
 				res.AllocsPerOp = v
+			default:
+				if res.Metrics == nil {
+					res.Metrics = map[string]float64{}
+				}
+				res.Metrics[fields[i+1]] = v
 			}
 		}
 		if !ok {

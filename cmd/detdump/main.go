@@ -1,16 +1,13 @@
 // Command detdump prints a full-precision fingerprint of solver outputs on
 // deterministic instances, used to verify that refactors keep solutions
 // bit-identical for fixed seeds. The CI determinism gate runs it at worker
-// counts 1, 2, and 8, at solver shard counts 1, 2, and 4 (-shards), with
-// the shared SSSP plane enabled and disabled (-plane=false) and the plane's
-// cross-round dirty-source repair enabled and disabled (-repair=false), and
-// repair's incremental subtree path enabled and disabled (-subtree=false), and
-// diffs the outputs: solver results must be a function of the seed only,
-// never of the worker-pool size, goroutine scheduling, how oracle rounds
-// were partitioned across price-exchanging shards, whether per-member
-// Dijkstras were batched on the plane, or whether ledger-clean plane rows
-// were repaired instead of recomputed. Perf refactors additionally diff it
-// against the dump from the pre-change tree.
+// counts 1, 2, and 8 (-workers) in every shared SSSP plane mode (-plane
+// subtree|full|off) and diffs the outputs: solver results must be a
+// function of the seed only, never of the worker-pool size, goroutine
+// scheduling, whether per-member Dijkstras were batched on the plane, or
+// whether ledger-clean plane rows were skipped, subtree-repaired or
+// refilled. Perf refactors additionally diff it against the dump from the
+// pre-change tree.
 //
 // The fingerprint covers the paper's Setting-A instances under both routing
 // modes, grid-Waxman workload-scenario instances (heterogeneous
@@ -20,8 +17,8 @@
 // path (anchor / warm-join / warm-leave snapshots, a rebalance, the
 // deprecated v1 wrapper, and an end-to-end churn replay), and a seeded
 // underlay fault-trace replay whose non-monotone capacity shrinks force
-// the plane's full-refill degradation and the shard group's snapshot
-// resyncs — the degraded paths must stay bit-identical too.
+// the plane's full-refill degradation and whose fault storm outruns the
+// ledger journal — the degraded paths must stay bit-identical too.
 package main
 
 import (
@@ -34,15 +31,9 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "oracle worker-pool size (0 = GOMAXPROCS); output must not depend on it")
-	shards := flag.Int("shards", 0, "solver shard count behind the price-exchange boundary (0 = unsharded); output must not depend on it")
-	plane := flag.Bool("plane", true, "enable the solve-scoped shared SSSP plane; output must not depend on it")
-	repair := flag.Bool("repair", true, "enable the plane's cross-round dirty-source repair; output must not depend on it")
-	subtree := flag.Bool("subtree", true, "enable repair's incremental subtree path; output must not depend on it")
+	var solver core.SolverOptions
+	solver.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	disablePlane := !*plane
-	disableRepair := !*repair
-	disableSubtree := !*subtree
 
 	for _, arb := range []bool{false, true} {
 		a, err := experiments.NewSettingA(7, experiments.SettingAConfig{
@@ -51,15 +42,12 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		a.SolverWorkers = *workers
-		a.SolverDisablePlane = disablePlane
-		a.SolverDisableRepair = disableRepair
-		a.SolverDisableSubtreeRepair = disableSubtree
+		a.SolverOptions = solver
 		p := a.ProblemIP
 		if arb {
 			p = a.ProblemArb
 		}
-		mf, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.08, Parallel: true, Workers: *workers, DisablePlane: disablePlane, DisableRepair: disableRepair, DisableSubtreeRepair: disableSubtree, Shards: *shards})
+		mf, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.08, Parallel: true, SolverOptions: solver})
 		if err != nil {
 			panic(err)
 		}
@@ -73,9 +61,7 @@ func main() {
 			}
 		}
 		mcf, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
-			Epsilon: 0.1, Parallel: true, SurplusPass: true, Workers: *workers,
-			DisablePlane: disablePlane, DisableRepair: disableRepair,
-			DisableSubtreeRepair: disableSubtree, Shards: *shards,
+			Epsilon: 0.1, Parallel: true, SurplusPass: true, SolverOptions: solver,
 		})
 		if err != nil {
 			panic(err)
@@ -98,9 +84,7 @@ func main() {
 
 	for _, scenario := range []string{"heavytail", "cdn"} {
 		si, err := experiments.NewScaleInstance(2026, experiments.ScaleConfig{
-			Nodes: 300, Sessions: 10, Scenario: scenario,
-			Workers: *workers, DisablePlane: disablePlane, DisableRepair: disableRepair,
-			DisableSubtreeRepair: disableSubtree, Shards: *shards,
+			Nodes: 300, Sessions: 10, Scenario: scenario, SolverOptions: solver,
 		})
 		if err != nil {
 			panic(err)
@@ -131,7 +115,7 @@ func main() {
 	// leak into the sequential replay's outputs.
 	for _, scenario := range []string{"conferencing", "livestream"} {
 		rep, err := experiments.ChurnRun(2027, experiments.ChurnConfig{
-			Nodes: 300, Scenario: scenario, Workers: *workers, DisablePlane: disablePlane,
+			Nodes: 300, Scenario: scenario, SolverOptions: solver,
 		})
 		if err != nil {
 			panic(err)
@@ -145,9 +129,7 @@ func main() {
 	// member nodes is exactly the regime the shared SSSP plane rebatches, so
 	// pin a fingerprint where the plane serves most per-member Dijkstras.
 	si, err := experiments.NewScaleInstance(2028, experiments.ScaleConfig{
-		Nodes: 150, Sessions: 12, Scenario: "cdn", Arbitrary: true,
-		Workers: *workers, DisablePlane: disablePlane, DisableRepair: disableRepair,
-		DisableSubtreeRepair: disableSubtree, Shards: *shards,
+		Nodes: 150, Sessions: 12, Scenario: "cdn", Arbitrary: true, SolverOptions: solver,
 	})
 	if err != nil {
 		panic(err)
@@ -166,14 +148,10 @@ func main() {
 		}
 	}
 
-	// Two-level AS topology with the AS partition as the shard labels: the
-	// sections above shard flat Waxman graphs by contiguous node ranges, so
-	// pin one fingerprint where -shards exercises the per-AS partition (cut
-	// edges = inter-AS links) the sharded solver is designed around.
+	// Two-level AS topology (the paper's Sec. VI construction): the sections
+	// above all run on flat Waxman graphs.
 	tli, err := experiments.NewScaleInstance(2031, experiments.ScaleConfig{
-		Nodes: 240, Sessions: 8, SessionSize: 6, TwoLevelASes: 6,
-		Workers: *workers, DisablePlane: disablePlane, DisableRepair: disableRepair,
-		DisableSubtreeRepair: disableSubtree, Shards: *shards,
+		Nodes: 240, Sessions: 8, SessionSize: 6, TwoLevelASes: 6, SolverOptions: solver,
 	})
 	if err != nil {
 		panic(err)
@@ -200,8 +178,7 @@ func main() {
 	// MF-vs-MCF report fingerprint (small tier only, all scenarios): the
 	// "which allocation wins where" table must be a pure function of the
 	// seed, like everything above it.
-	rows, err := experiments.MFvsMCFReport(2029, 0.3,
-		experiments.ReportSolverOptions{Workers: *workers, DisablePlane: disablePlane, DisableRepair: disableRepair, DisableSubtreeRepair: disableSubtree, Shards: *shards},
+	rows, err := experiments.MFvsMCFReport(2029, 0.3, solver,
 		nil, []experiments.ReportTier{{Name: "small", Nodes: 300, Sessions: 12}})
 	if err != nil {
 		panic(err)
@@ -214,16 +191,13 @@ func main() {
 	// Warm-start churn path (Allocator v2): the warm repair phases run on the
 	// same BatchRunner machinery as the cold solves, so every snapshot —
 	// anchor, warm-join catch-up, warm-leave re-grow — must be bit-identical
-	// across worker counts and plane/repair toggles, and the warm/cold
+	// across worker counts and plane modes, and the warm/cold
 	// refresh split itself must be deterministic.
 	warmNet, err := overcast.WaxmanNetwork(60, 100, 41)
 	if err != nil {
 		panic(err)
 	}
-	wa, err := overcast.NewAllocator(warmNet, overcast.AllocatorOptions{
-		Workers: *workers, DisablePlane: disablePlane, DisableRepair: disableRepair,
-		DisableSubtreeRepair: disableSubtree, Shards: *shards,
-	})
+	wa, err := overcast.NewAllocator(warmNet, overcast.AllocatorOptions{Workers: solver.Workers, Plane: solver.Plane})
 	if err != nil {
 		panic(err)
 	}
@@ -298,8 +272,7 @@ func main() {
 	// End-to-end warm churn replay fingerprint (counters and final
 	// allocation only — the per-event trace is huge).
 	wrep, err := experiments.WarmChurnRun(2030, experiments.WarmChurnConfig{
-		Nodes: 80, Workers: *workers, DisablePlane: disablePlane, DisableRepair: disableRepair,
-		DisableSubtreeRepair: disableSubtree, Shards: *shards,
+		Nodes: 80, SolverOptions: solver,
 	})
 	if err != nil {
 		panic(err)
@@ -311,21 +284,17 @@ func main() {
 	// Fault-trace replay: a seeded underlay fault scenario (link-down growth,
 	// recovery shrink, capacity drift, and a journal-flooding fault storm)
 	// replayed through the persistent-ledger runner path. The non-monotone
-	// shrinks degrade plane rows to full refills and the storm forces sharded
-	// replicas onto snapshot resyncs, and those degradation paths must stay
-	// bit-identical to the never-degraded code shape. The fingerprint hashes
-	// tree identities, lengths, and the final ledger only — the robustness
-	// counters are toggle-dependent by design and excluded.
+	// shrinks degrade plane rows to full refills and the storm outruns the
+	// ledger journal, and those degradation paths must stay bit-identical to
+	// the never-degraded code shape. The fingerprint hashes tree identities,
+	// lengths, and the final ledger only — the robustness counters are
+	// mode-dependent by design and excluded.
 	for _, fc := range []experiments.FaultSolveConfig{
 		{Nodes: 48, Sessions: 4, SessionSize: 4, TwoLevelASes: 4,
 			Rounds: 8, FailRound: 2, RecoverRound: 4, DriftRound: 5, FaultStorm: true},
 		{Nodes: 72, Sessions: 5, Rounds: 9, DriftFactor: 0.4},
 	} {
-		fc.Workers = *workers
-		fc.Shards = *shards
-		fc.DisablePlane = disablePlane
-		fc.DisableRepair = disableRepair
-		fc.DisableSubtreeRepair = disableSubtree
+		fc.SolverOptions = solver
 		frep, err := experiments.FaultSolveRun(2032, fc)
 		if err != nil {
 			panic(err)

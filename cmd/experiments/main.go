@@ -5,7 +5,7 @@
 //
 //	experiments [-scale small|paper|large] [-seed N] [-trials N] [-maxpts N]
 //	            [-nodes N -sessions K -sessionsize S] [-scenario names]
-//	            [-workers W] [exp ...]
+//	            [-workers W] [-plane subtree|full|off] [exp ...]
 //
 // where each exp is one of table2, fig2, table4, fig3, fig4, fig5, fig6,
 // table7, fig7, table8, fig8, fig9, fig10, fig11, fig12, fig13, fig14,
@@ -17,11 +17,10 @@
 // -workers sets the solvers' oracle worker-pool size (0 = GOMAXPROCS for
 // the scale tier, sequential solves for the sweep tiers, which already
 // parallelize across rows/cells/trials). Solver outputs are bit-identical
-// for every worker count — the knob moves wall-clock only. -plane=false
-// disables the shared SSSP plane on the scale/churn/report tiers, and
-// -repair=false its cross-round dirty-source repair (outputs are
-// plane- and repair-independent too; scale/churn rows print the plane's
-// dedup factor and repair skip rate when they fired).
+// for every worker count — the knob moves wall-clock only. -plane selects
+// the shared SSSP plane mode: subtree (the default), full (refill dirty rows
+// whole) or off (outputs are mode-independent too; scale/churn rows print the
+// plane's dedup factor and repair skip rate when they fired).
 //
 // The report experiment prints the per-scenario MF-vs-MCF comparison table
 // (overall throughput, demand-satisfaction floor, mean link utilization,
@@ -94,6 +93,7 @@ import (
 	"strings"
 	"time"
 
+	"overcast/internal/core"
 	"overcast/internal/experiments"
 	"overcast/internal/stats"
 	"overcast/internal/workload"
@@ -108,11 +108,8 @@ func main() {
 	sessions := flag.Int("sessions", 64, "scale experiment: custom session count")
 	sessionSize := flag.Int("sessionsize", 6, "scale experiment: custom members per session")
 	scenario := flag.String("scenario", "", "scale experiment: workload scenarios, comma-separated (all | list | names)")
-	workers := flag.Int("workers", 0, "solver oracle worker-pool size (0 = auto); outputs are worker-count independent")
-	shards := flag.Int("shards", 0, "solver shard count behind the price-exchange boundary (settingB/scale/warmchurn/report tiers; 0 = unsharded); outputs are shard-count independent")
-	plane := flag.Bool("plane", true, "enable the solve-scoped shared SSSP plane (scale/churn/report tiers); outputs are plane-independent")
-	repair := flag.Bool("repair", true, "enable the plane's cross-round dirty-source repair; outputs are repair-independent")
-	subtree := flag.Bool("subtree", true, "enable repair's incremental subtree path; outputs are subtree-independent")
+	var solver core.SolverOptions
+	solver.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *scenario == "list" {
@@ -143,8 +140,7 @@ func main() {
 
 	r := runner{scale: *scale, seed: *seed, trials: *trials, maxpts: *maxpts,
 		nodes: *nodes, sessions: *sessions, sessionSize: *sessionSize, scenario: *scenario,
-		workers: *workers, shards: *shards, disablePlane: !*plane, disableRepair: !*repair,
-		disableSubtree: !*subtree}
+		solver: solver}
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "sessionsize" {
 			r.sessionSizeSet = true
@@ -170,11 +166,7 @@ type runner struct {
 	sessionSize    int
 	sessionSizeSet bool // -sessionsize given explicitly (conflicts with -scenario)
 	scenario       string
-	workers        int
-	shards         int
-	disablePlane   bool
-	disableRepair  bool
-	disableSubtree bool
+	solver         core.SolverOptions
 
 	settingA *experiments.SettingA
 	settingB *experiments.SettingB
@@ -221,7 +213,7 @@ func (r *runner) a() (*experiments.SettingA, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.SolverWorkers = r.workers
+	a.SolverOptions = r.solver
 	r.settingA = a
 	return a, nil
 }
@@ -238,8 +230,7 @@ func (r *runner) b() (*experiments.SettingB, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.SolverWorkers = r.workers
-	b.SolverShards = r.shards
+	b.SolverOptions = r.solver
 	r.settingB = b
 	return b, nil
 }
@@ -500,11 +491,7 @@ func (r *runner) run(exp string) error {
 			cfgs = experiments.SmallScaleSuite()
 		}
 		for ci := range cfgs {
-			cfgs[ci].Workers = r.workers
-			cfgs[ci].Shards = r.shards
-			cfgs[ci].DisablePlane = r.disablePlane
-			cfgs[ci].DisableRepair = r.disableRepair
-			cfgs[ci].DisableSubtreeRepair = r.disableSubtree
+			cfgs[ci].SolverOptions = r.solver
 		}
 		rows, err := experiments.ScaleSuite(r.seed, 0.3, true, cfgs)
 		if err != nil {
@@ -522,10 +509,7 @@ func (r *runner) run(exp string) error {
 				return err
 			}
 		}
-		rows, err := experiments.MFvsMCFReport(r.seed, 0.3, experiments.ReportSolverOptions{
-			Workers: r.workers, DisablePlane: r.disablePlane, DisableRepair: r.disableRepair,
-			DisableSubtreeRepair: r.disableSubtree, Shards: r.shards,
-		}, names, nil)
+		rows, err := experiments.MFvsMCFReport(r.seed, 0.3, r.solver, names, nil)
 		if err != nil {
 			return err
 		}
@@ -539,11 +523,7 @@ func (r *runner) run(exp string) error {
 				nodes = 600
 			}
 		}
-		cfg := experiments.WarmChurnConfig{
-			Nodes: nodes, Workers: r.workers, Shards: r.shards,
-			DisablePlane: r.disablePlane, DisableRepair: r.disableRepair,
-			DisableSubtreeRepair: r.disableSubtree,
-		}
+		cfg := experiments.WarmChurnConfig{Nodes: nodes, SolverOptions: r.solver}
 		warm, cold, err := experiments.WarmChurnPair(r.seed, cfg)
 		if err != nil {
 			return err
@@ -567,9 +547,7 @@ func (r *runner) run(exp string) error {
 				nodes = 600
 			}
 		}
-		cfg := experiments.FaultChurnConfig{
-			Nodes: nodes, Workers: r.workers, Shards: r.shards,
-		}
+		cfg := experiments.FaultChurnConfig{Nodes: nodes, SolverOptions: r.solver}
 		undamped, damped, err := experiments.FaultChurnPair(r.seed, cfg)
 		if err != nil {
 			return err
@@ -592,7 +570,7 @@ func (r *runner) run(exp string) error {
 			}
 		}
 		rep, err := experiments.DaemonChurnRun(r.seed, experiments.DaemonChurnConfig{
-			Nodes: nodes, Workers: r.workers,
+			Nodes: nodes, Workers: r.solver.Workers,
 		})
 		if err != nil {
 			return err
@@ -614,7 +592,7 @@ func (r *runner) run(exp string) error {
 				nodes = 2000
 			}
 		}
-		reports, err := experiments.ChurnSuite(r.seed, nodes, r.workers, r.disablePlane, names)
+		reports, err := experiments.ChurnSuite(r.seed, nodes, r.solver, names)
 		if err != nil {
 			return err
 		}

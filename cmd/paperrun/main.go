@@ -1,7 +1,7 @@
-// Command paperrun executes the paper-scale Setting A/B sweeps used to fill
-// EXPERIMENTS.md, printing every table and the summary statistics of every
-// figure. It is separated from cmd/experiments so the long-running
-// record-keeping pass has a stable, minimal surface.
+// Command paperrun executes the paper-scale Setting A/B sweeps behind the
+// README's "Reproducing the paper" section, printing every table and the
+// summary statistics of every figure. It is separated from cmd/experiments
+// so the long-running record-keeping pass has a stable, minimal surface.
 package main
 
 import (
@@ -32,7 +32,7 @@ func runA(seed uint64, workers int) {
 	if err != nil {
 		panic(err)
 	}
-	a.SolverWorkers = workers
+	a.Workers = workers
 	fmt.Printf("# Setting A: %s, sessions %d+%d members, seed %d\n",
 		a.Net.Name, a.Sessions[0].Size(), a.Sessions[1].Size(), seed)
 
@@ -99,7 +99,7 @@ func runB(seed uint64, workers int) {
 	if err != nil {
 		panic(err)
 	}
-	b.SolverWorkers = workers
+	b.Workers = workers
 	fmt.Printf("# Setting B: %s (scaled: 5 AS x 20 routers; paper: 10x100), seed %d\n", b.Net.Name, seed)
 	cfg := experiments.GridConfig{
 		SessionCounts: []int{1, 3, 5, 7, 9},

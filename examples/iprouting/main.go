@@ -4,8 +4,8 @@
 //
 // This example runs MaxFlow under both routing models on the same network
 // and sessions and reports the gap. (On our BRITE-style instances the gap
-// is substantial, unlike the <1% the paper reports — see EXPERIMENTS.md for
-// the full analysis.)
+// is substantial, unlike the <1% the paper reports — see the README's
+// "Reproducing the paper" section.)
 //
 // Run with: go run ./examples/iprouting
 package main
@@ -62,5 +62,6 @@ func main() {
 	gain := results[1].alloc.OverallThroughput() / results[0].alloc.OverallThroughput()
 	fmt.Printf("\ndynamic routing gain over fixed IP routes: %.2fx\n", gain)
 	fmt.Println("(the paper reports <1% on its instance; our measured gap is the")
-	fmt.Println(" honest result on reproducible BRITE-style topologies — see EXPERIMENTS.md)")
+	fmt.Println(" honest result on reproducible BRITE-style topologies — see the README,")
+	fmt.Println(" \"Reproducing the paper\")")
 }

@@ -48,18 +48,8 @@ func PrometheusText(st *StatsResult) string {
 	gauge("overcastd_plane_dedup_ratio", "Member reads served per Dijkstra computed.", p.Dedup())
 	gauge("overcastd_plane_repair_skip_ratio", "Fraction of row revalidations resolved without a Dijkstra.", p.RepairRate())
 
-	sh := a.Shards
-	gauge("overcastd_shards", "AS shards behind the price-exchange boundary (0 = unsharded).", float64(sh.Shards))
-	counter("overcastd_shard_exchange_rounds_total", "Solver rounds that shipped a price batch to the shards.", float64(sh.ExchangeRounds))
-	counter("overcastd_shard_price_msgs_total", "Price messages delivered to shard replicas.", float64(sh.Msgs))
-	counter("overcastd_shard_cut_price_msgs_total", "Price messages for cut edges (inter-AS exchange traffic).", float64(sh.CutMsgs))
-	counter("overcastd_shard_exchange_bytes_total", "Wire-equivalent bytes of delivered price messages.", float64(sh.ExchangeBytes))
-	counter("overcastd_shard_resyncs_total", "Full ledger-snapshot resyncs (journal window lost or ledger swapped).", float64(sh.Resyncs))
-	counter("overcastd_shard_reduce_seconds_total", "Time spent in the coordinator's sequential reduce.", sh.ReduceTime.Seconds())
-
 	counter("overcastd_underlay_events_total", "Effective underlay fault events applied (link down/up, capacity drift).", float64(a.UnderlayEvents))
 	counter("overcastd_plane_nonmonotone_refills_total", "Plane rows degraded from skip/repair to full refill by non-monotone length moves.", float64(p.NonMonotoneRefills))
-	counter("overcastd_shard_fault_resyncs_total", "Shard snapshot resyncs forced by fault bursts exceeding the ledger journal window.", float64(sh.FaultResyncs))
 
 	d := st.Daemon
 	counter("overcastd_admission_rejected_total", "Joins refused by the admission policy.", float64(d.AdmissionRejected))

@@ -364,6 +364,12 @@ func (s *Server) handleConn(conn net.Conn) {
 			s.serveWatch(w, watch.id, watch.params)
 			return
 		}
+		if startDrain {
+			// Enter the draining state before acknowledging: a client that
+			// sees the drain reply must find every other connection already
+			// refusing mutations.
+			s.Drain()
+		}
 		frame, err := EncodeFrame(resp)
 		if err != nil {
 			// A result too large to frame must not kill the connection
@@ -375,9 +381,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		if err := w.Flush(); err != nil {
 			return
-		}
-		if startDrain {
-			s.Drain()
 		}
 		if s.draining.Load() {
 			return

@@ -660,11 +660,14 @@ func TestFaultRPC(t *testing.T) {
 	for _, want := range []string{
 		"overcastd_underlay_events_total 2",
 		"overcastd_plane_nonmonotone_refills_total",
-		"overcastd_shard_fault_resyncs_total",
+		"overcastd_plane_subtree_repaired_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics text missing %q:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "overcastd_shard") {
+		t.Fatalf("metrics text still carries shard series:\n%s", text)
 	}
 
 	// Pre-dial before draining: the listener closes once the drain starts,

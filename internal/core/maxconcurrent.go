@@ -6,7 +6,6 @@ import (
 
 	"overcast/internal/graph"
 	"overcast/internal/overlay"
-	"overcast/internal/shard"
 )
 
 // MaxConcurrentFlowOptions configures the Table III FPTAS.
@@ -20,34 +19,10 @@ type MaxConcurrentFlowOptions struct {
 	// the phase loop fans each round of pending-session oracle calls out to
 	// a persistent worker pool.
 	Parallel bool
-	// Workers sets the oracle worker-pool size explicitly: 0 defers to
-	// Parallel (GOMAXPROCS when set, 1 otherwise); any positive value is
-	// used as given, so Workers=1 forces the sequential path. Outputs are
-	// bit-identical for every worker count.
-	Workers int
-	// DisablePlane turns off the solve-scoped shared SSSP plane in every
-	// batched oracle round (phase loop, beta prestep, surplus pass); see
-	// MaxFlowOptions.DisablePlane. Outputs are bit-identical either way.
-	DisablePlane bool
-	// DisableRepair turns off cross-round dirty-source repair on every
-	// plane this solve creates (phase loop, beta prestep subsolves, surplus
-	// pass) and the beta prestep's cross-subproblem seed plane; see
-	// MaxFlowOptions.DisableRepair. Outputs are bit-identical either way.
-	DisableRepair bool
-	// DisableSubtreeRepair turns off the planes' incremental subtree repair
-	// everywhere this solve evaluates oracles (phase loop, beta prestep
-	// subsolves, surplus pass); see MaxFlowOptions.DisableSubtreeRepair.
-	// Outputs are bit-identical either way.
-	DisableSubtreeRepair bool
-	// Shards splits the phase loop's oracle rounds (and the surplus pass's)
-	// across per-AS shard goroutines behind an explicit price-message
-	// boundary; see MaxFlowOptions.Shards. 0 = unsharded; outputs are
-	// bit-identical for every shard count. The beta prestep stays unsharded
-	// (its subproblems are single-session).
-	Shards int
-	// ShardLabels optionally assigns every node a partition label; see
-	// MaxFlowOptions.ShardLabels.
-	ShardLabels []int
+	// SolverOptions sets the worker-pool size (0 defers to Parallel) and the
+	// shared SSSP plane mode of every batched oracle round this solve runs
+	// (phase loop, beta prestep subsolves and seed planes, surplus pass).
+	SolverOptions
 	// SurplusPass, when set, routes additional MaxFlow-style traffic on the
 	// residual capacities after the fair share is secured. The paper's
 	// Table IV rates exceed lambda·dem(i) for the larger session, which is
@@ -115,11 +90,6 @@ type MCFResult struct {
 	PrestepPlane overlay.Metrics
 	// Betas are the single-session maximum flow values.
 	Betas []float64
-	// Shards carries the phase loop's price-exchange and reduce counters
-	// when the solve ran sharded (Shards zero-valued otherwise). The surplus
-	// pass's own sharded MaxFlow is not folded in (its Solution surface has
-	// no shard stats), and the prestep never shards.
-	Shards shard.Stats
 }
 
 // MaxConcurrentFlow runs the Table III FPTAS: phase-structured routing of
@@ -213,12 +183,7 @@ func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, e
 	// The phase loop fans each round of pending-session oracle calls out to
 	// the persistent worker pool (per-worker scratch); the pool outlives all
 	// phases, so goroutines and buffers are built exactly once per solve.
-	runner := newOracleRunner(p.G, p.Oracles, overlay.BatchOptions{
-		Workers:              workers,
-		SharedPlane:          !opts.DisablePlane,
-		DisableRepair:        opts.DisableRepair,
-		DisableSubtreeRepair: opts.DisableSubtreeRepair,
-	}, opts.Shards, opts.ShardLabels)
+	runner := overlay.NewBatchRunnerOpts(p.G, p.Oracles, overlay.BatchOptions{Workers: workers, Plane: opts.Plane})
 	defer runner.Close()
 	rem := make([]float64, k)
 	pending := make([]int, 0, k)
@@ -316,9 +281,6 @@ func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, e
 		sol.Scale(1 / cong)
 	}
 	res := &MCFResult{Solution: sol, PrestepMSTOps: prestepOps, PrestepPlane: prestepPlane, Betas: betas}
-	if g, ok := runner.(*shard.Group); ok {
-		res.Shards = g.Stats()
-	}
 	res.Lambda = sol.ConcurrentRatio()
 
 	if opts.SurplusPass {
@@ -355,12 +317,7 @@ func addSurplus(p *Problem, sol *Solution, eps float64, opts MaxConcurrentFlowOp
 	if err != nil {
 		return fmt.Errorf("core: surplus problem: %w", err)
 	}
-	extra, err := MaxFlow(rp, MaxFlowOptions{
-		Epsilon: eps, Parallel: opts.Parallel, Workers: opts.Workers,
-		DisablePlane: opts.DisablePlane, DisableRepair: opts.DisableRepair,
-		DisableSubtreeRepair: opts.DisableSubtreeRepair,
-		Shards:               opts.Shards, ShardLabels: opts.ShardLabels,
-	})
+	extra, err := MaxFlow(rp, MaxFlowOptions{Epsilon: eps, Parallel: opts.Parallel, SolverOptions: opts.SolverOptions})
 	if err != nil {
 		return fmt.Errorf("core: surplus pass: %w", err)
 	}

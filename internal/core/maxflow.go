@@ -17,44 +17,9 @@ type MaxFlowOptions struct {
 	// Parallel fans the per-iteration k spanning-tree computations across
 	// CPUs.
 	Parallel bool
-	// Workers sets the oracle worker-pool size explicitly: 0 defers to
-	// Parallel (GOMAXPROCS when set, 1 otherwise); any positive value is
-	// used as given, so Workers=1 forces the sequential path. Outputs are
-	// bit-identical for every worker count.
-	Workers int
-	// DisablePlane turns off the solve-scoped shared SSSP plane that
-	// deduplicates per-member Dijkstra work across arbitrary-routing
-	// sessions within each oracle batch (see overlay.BatchRunner). Outputs
-	// are bit-identical with the plane on or off; the toggle exists for the
-	// determinism gate and perf comparisons. Irrelevant under fixed routing.
-	DisablePlane bool
-	// DisableRepair turns off the plane's cross-round dirty-source repair
-	// (see overlay.BatchOptions.DisableRepair): with repair on, plane rows
-	// persist across iterations and only sources whose SSSP trees intersect
-	// the edges the length ledger reports as touched are recomputed.
-	// Outputs are bit-identical with repair on or off. Irrelevant when the
-	// plane is off.
-	DisableRepair bool
-	// DisableSubtreeRepair turns off the plane's incremental subtree repair
-	// (see overlay.BatchOptions.DisableSubtreeRepair): with it on, a row
-	// whose stored SSSP tree took touched edges is repaired by resuming
-	// Dijkstra over just the affected subtrees instead of a full refill,
-	// whenever the bit-identity certificate holds. Outputs are bit-identical
-	// with the toggle on or off. Irrelevant when repair is off.
-	DisableSubtreeRepair bool
-	// Shards splits each oracle round across per-AS shard goroutines behind
-	// an explicit price-message boundary (see internal/shard): every shard
-	// owns a length-ledger replica and its own SSSP plane, synchronized once
-	// per round by cut-edge price messages diffed from the authoritative
-	// journal. 0 disables sharding (the single-runner path); outputs are
-	// bit-identical for every shard count. Workers then sizes each shard's
-	// pool. Ignored by the seeded beta-prestep subsolves (single-session —
-	// nothing to partition).
-	Shards int
-	// ShardLabels optionally assigns every node a partition label (e.g.
-	// topology.Network.ASOf); shards group whole labels. Nil falls back to
-	// contiguous node ranges. Ignored when Shards == 0.
-	ShardLabels []int
+	// SolverOptions sets the worker-pool size (0 defers to Parallel:
+	// GOMAXPROCS when set, 1 otherwise) and the shared SSSP plane mode.
+	SolverOptions
 	// MaxIterations overrides the default safety bound (0 = automatic).
 	MaxIterations int
 
@@ -99,13 +64,11 @@ func MaxFlow(p *Problem, opts MaxFlowOptions) (*Solution, error) {
 	// One worker pool plus per-worker scratch for the whole run: the oracle
 	// fan-out below executes every iteration, and rebuilding goroutines and
 	// buffers each time used to dominate the solver's allocation profile.
-	runner := newOracleRunner(p.G, p.Oracles, overlay.BatchOptions{
-		Workers:              resolveWorkers(opts.Parallel, opts.Workers),
-		SharedPlane:          !opts.DisablePlane,
-		DisableRepair:        opts.DisableRepair,
-		DisableSubtreeRepair: opts.DisableSubtreeRepair,
-		Seed:                 opts.seedPlane,
-	}, opts.Shards, opts.ShardLabels)
+	runner := overlay.NewBatchRunnerOpts(p.G, p.Oracles, overlay.BatchOptions{
+		Workers: resolveWorkers(opts.Parallel, opts.Workers),
+		Plane:   opts.Plane,
+		Seed:    opts.seedPlane,
+	})
 	defer runner.Close()
 
 	maxIter := opts.MaxIterations

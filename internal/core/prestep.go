@@ -46,7 +46,7 @@ func prestepBetas(p *Problem, eps float64, workers int, opts MaxConcurrentFlowOp
 	k := p.K()
 	var prestepPlane overlay.Metrics
 	seeds := make([]*overlay.Plane, k) // per-session seed (shared pointers within a group)
-	if !opts.DisablePlane && !opts.DisableRepair {
+	if opts.Plane != overlay.PlaneOff {
 		prestepPlane = buildPrestepSeeds(p, eps, workers, seeds)
 	}
 
@@ -57,11 +57,9 @@ func prestepBetas(p *Problem, eps float64, workers int, opts MaxConcurrentFlowOp
 	parallelFor(workers, k, func(i int) {
 		sub := singleSessionProblem(p, i)
 		mf, err := MaxFlow(sub, MaxFlowOptions{
-			Epsilon: eps, Workers: 1,
-			DisablePlane:         opts.DisablePlane,
-			DisableRepair:        opts.DisableRepair,
-			DisableSubtreeRepair: opts.DisableSubtreeRepair,
-			seedPlane:            seeds[i],
+			Epsilon:       eps,
+			SolverOptions: SolverOptions{Workers: 1, Plane: opts.Plane},
+			seedPlane:     seeds[i],
 		})
 		if err != nil {
 			prestepErrs[i] = fmt.Errorf("core: beta prestep session %d: %w", i, err)

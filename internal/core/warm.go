@@ -7,7 +7,6 @@ import (
 
 	"overcast/internal/graph"
 	"overcast/internal/overlay"
-	"overcast/internal/shard"
 )
 
 // This file implements the warm-start incremental re-solve under churn. A
@@ -56,22 +55,9 @@ import (
 type WarmOptions struct {
 	// Epsilon is the FPTAS error parameter, in (0, 0.5].
 	Epsilon float64
-	// Workers sets the oracle worker-pool size (0 = GOMAXPROCS). Outputs are
-	// bit-identical for every worker count.
-	Workers int
-	// DisablePlane / DisableRepair / DisableSubtreeRepair forward to the
-	// anchor solves and the warm repair runner; see
-	// MaxConcurrentFlowOptions. Bit-identical either way.
-	DisablePlane         bool
-	DisableRepair        bool
-	DisableSubtreeRepair bool
-	// Shards/ShardLabels forward to the anchor solves and the warm repair
-	// runner: the repair phases then evaluate oracles on per-AS shards
-	// behind the same price-message boundary as the cold phase loop (see
-	// MaxConcurrentFlowOptions.Shards). 0 = unsharded; bit-identical either
-	// way.
-	Shards      int
-	ShardLabels []int
+	// SolverOptions forward to the anchor solves and the warm repair runner;
+	// Workers 0 means GOMAXPROCS. Outputs are bit-identical for every value.
+	SolverOptions
 	// RepairPhaseBudget bounds the warm repair work per Refresh, counted in
 	// session-phases (one session's demand routed through one phase). 0
 	// means unbounded — a warm refresh always completes; positive values cap
@@ -108,10 +94,6 @@ type WarmStats struct {
 	// Plane aggregates the shared-SSSP-plane counters across the anchors'
 	// phase loops and the warm repair runner.
 	Plane overlay.Metrics
-	// Shards aggregates the sharded solver's price-exchange and reduce
-	// counters across the anchors' phase loops and the warm repair runner
-	// (zero-valued when WarmOptions.Shards is 0).
-	Shards shard.Stats
 }
 
 // errWarmFallback signals that the warm path cannot (or may not) complete
@@ -135,7 +117,7 @@ type Warm struct {
 	active   []bool
 	nActive  int
 
-	runner oracleRunner // lazily created; oracle id == slot
+	runner *overlay.BatchRunner // lazily created; oracle id == slot
 
 	// Anchored state (d == nil until the first cold solve).
 	d        *graph.LengthStore
@@ -305,11 +287,10 @@ func (w *Warm) rollback(slot int) {
 // When anchored, the move is mirrored onto the live ledger with Bump so every
 // ledger consumer sees it immediately and honestly: a shrink flips
 // MonotoneSince for the plane's skip/repair rows (degrading them to full
-// refill) and for the sharded replicas' journal-diff sync. Regardless of the
-// move's direction the next Refresh is latched cold — the anchored dual
-// objective D = Σ_e c_e·d_e and the per-session bump attribution were
-// computed under the old capacities, so incremental repair arithmetic is no
-// longer trustworthy even for a monotone move.
+// refill). Regardless of the move's direction the next Refresh is latched
+// cold — the anchored dual objective D = Σ_e c_e·d_e and the per-session
+// bump attribution were computed under the old capacities, so incremental
+// repair arithmetic is no longer trustworthy even for a monotone move.
 func (w *Warm) Fault(e graph.EdgeID, lengthFactor float64) error {
 	if e < 0 || (w.d != nil && e >= graph.EdgeID(w.d.Len())) || e >= graph.EdgeID(w.g.NumEdges()) {
 		return fmt.Errorf("core: warm fault: edge %d out of range", e)
@@ -345,9 +326,6 @@ func (w *Warm) Stats() WarmStats {
 	s := w.stats
 	if w.runner != nil {
 		s.Plane.Merge(w.runner.Metrics())
-		if g, ok := w.runner.(*shard.Group); ok {
-			s.Shards.Merge(g.Stats())
-		}
 	}
 	return s
 }
@@ -387,13 +365,11 @@ func (w *Warm) Refresh() error {
 
 func (w *Warm) ensureRunner() {
 	if w.runner == nil {
-		w.runner = newOracleRunner(w.g, append([]overlay.TreeOracle(nil), w.oracles...), overlay.BatchOptions{
-			Workers:              resolveWorkers(true, w.opts.Workers),
-			SharedPlane:          !w.opts.DisablePlane,
-			DisableRepair:        w.opts.DisableRepair,
-			DisableSubtreeRepair: w.opts.DisableSubtreeRepair,
-			Dynamic:              true,
-		}, w.opts.Shards, w.opts.ShardLabels)
+		w.runner = overlay.NewBatchRunnerOpts(w.g, append([]overlay.TreeOracle(nil), w.oracles...), overlay.BatchOptions{
+			Workers: resolveWorkers(true, w.opts.Workers),
+			Plane:   w.opts.Plane,
+			Dynamic: true,
+		})
 	}
 }
 
@@ -604,10 +580,7 @@ func (w *Warm) cold() error {
 	}
 	cap := &warmCapture{}
 	res, err := MaxConcurrentFlow(p, MaxConcurrentFlowOptions{
-		Epsilon: w.eps, Parallel: true, Workers: w.opts.Workers,
-		DisablePlane: w.opts.DisablePlane, DisableRepair: w.opts.DisableRepair,
-		DisableSubtreeRepair: w.opts.DisableSubtreeRepair,
-		Shards:               w.opts.Shards, ShardLabels: w.opts.ShardLabels,
+		Epsilon: w.eps, Parallel: true, SolverOptions: w.opts.SolverOptions,
 		capture: cap,
 	})
 	if err != nil {
@@ -637,7 +610,6 @@ func (w *Warm) cold() error {
 	w.stats.ColdSolves++
 	w.stats.MSTOps += res.MSTOps + res.PrestepMSTOps
 	w.stats.Plane.Merge(res.Solution.Plane)
-	w.stats.Shards.Merge(res.Shards)
 	return nil
 }
 

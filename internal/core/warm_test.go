@@ -211,15 +211,12 @@ func TestWarmLeaveRegrowQualityVsExact(t *testing.T) {
 }
 
 // The warm path must be a bit-identical function of the event sequence for
-// every worker count and with the plane/repair on or off.
+// every worker count and plane mode.
 func TestWarmDeterministicAcrossWorkersAndPlane(t *testing.T) {
 	const eps = 0.1
 	g, memberSets := warmTestInstance(t, 74)
-	run := func(workers int, disablePlane, disableRepair bool) string {
-		w, err := core.NewWarm(g, core.RoutingArbitrary, nil, core.WarmOptions{
-			Epsilon: eps, Workers: workers,
-			DisablePlane: disablePlane, DisableRepair: disableRepair,
-		})
+	run := func(solver core.SolverOptions) string {
+		w, err := core.NewWarm(g, core.RoutingArbitrary, nil, core.WarmOptions{Epsilon: eps, SolverOptions: solver})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,14 +240,13 @@ func TestWarmDeterministicAcrossWorkersAndPlane(t *testing.T) {
 		snap()
 		return fp
 	}
-	want := run(1, false, false)
-	for _, cfg := range []struct {
-		workers                     int
-		disablePlane, disableRepair bool
-	}{{2, false, false}, {8, false, false}, {1, true, false}, {2, false, true}, {2, true, true}} {
-		if got := run(cfg.workers, cfg.disablePlane, cfg.disableRepair); got != want {
-			t.Fatalf("workers=%d plane=%v repair=%v diverged:\n%s\nvs\n%s",
-				cfg.workers, !cfg.disablePlane, !cfg.disableRepair, got, want)
+	want := run(core.SolverOptions{Workers: 1})
+	for _, solver := range []core.SolverOptions{
+		{Workers: 2}, {Workers: 8}, {Workers: 1, Plane: overlay.PlaneOff},
+		{Workers: 2, Plane: overlay.PlaneFull}, {Workers: 2, Plane: overlay.PlaneOff},
+	} {
+		if got := run(solver); got != want {
+			t.Fatalf("workers=%d plane=%v diverged:\n%s\nvs\n%s", solver.Workers, solver.Plane, got, want)
 		}
 	}
 }

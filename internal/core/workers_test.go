@@ -62,7 +62,7 @@ func TestMaxFlowBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		p := workerSweepProblem(t, mode)
 		var base *core.Solution
 		for _, w := range workerCounts {
-			sol, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.1, Parallel: true, Workers: w})
+			sol, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.1, Parallel: true, SolverOptions: core.SolverOptions{Workers: w}})
 			if err != nil {
 				t.Fatalf("mode=%v workers=%d: %v", mode, w, err)
 			}
@@ -84,7 +84,7 @@ func TestMCFBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		var base *core.MCFResult
 		for _, w := range workerCounts {
 			res, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
-				Epsilon: 0.12, Parallel: true, Workers: w, SurplusPass: true,
+				Epsilon: 0.12, Parallel: true, SurplusPass: true, SolverOptions: core.SolverOptions{Workers: w},
 			})
 			if err != nil {
 				t.Fatalf("mode=%v workers=%d: %v", mode, w, err)
@@ -113,8 +113,8 @@ func TestMCFBitIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestPlaneToggleBitIdentical pins the shared-SSSP-plane invariant: for both
-// routing modes and every worker count, disabling the plane must reproduce
-// the enabled run bit for bit (distances from an identical Dijkstra over an
+// routing modes and every worker count, turning the plane off must reproduce
+// the default subtree-mode run bit for bit (distances from an identical Dijkstra over an
 // identical snapshot are bitwise equal regardless of which stage computes
 // them). Under arbitrary routing the enabled run must actually have used the
 // plane, so the test cannot pass vacuously.
@@ -123,9 +123,11 @@ func TestPlaneToggleBitIdentical(t *testing.T) {
 		p := workerSweepProblem(t, mode)
 		var base *core.MCFResult
 		for _, w := range workerCounts {
-			for _, disable := range []bool{false, true} {
+			for _, plane := range []overlay.PlaneMode{overlay.PlaneSubtree, overlay.PlaneOff} {
+				disable := plane == overlay.PlaneOff
 				res, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
-					Epsilon: 0.12, Parallel: true, Workers: w, SurplusPass: true, DisablePlane: disable,
+					Epsilon: 0.12, Parallel: true, SurplusPass: true,
+					SolverOptions: core.SolverOptions{Workers: w, Plane: plane},
 				})
 				if err != nil {
 					t.Fatalf("mode=%v workers=%d disable=%v: %v", mode, w, disable, err)
@@ -157,7 +159,7 @@ func TestWorkersKnobForcesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.15, Parallel: true, Workers: 1})
+	forced, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.15, Parallel: true, SolverOptions: core.SolverOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

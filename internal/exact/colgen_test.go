@@ -132,7 +132,7 @@ func TestCGSolutionIsFeasible(t *testing.T) {
 
 func TestCGUpperBoundsFPTAS(t *testing.T) {
 	// The CG optimum must dominate any feasible solution; in particular it
-	// bounds the treepack-style greedy seed and the per-session rates must
+	// bounds the greedy tree-packing seed and the per-session rates must
 	// sum consistently.
 	r := rng.New(88)
 	net, err := topology.Waxman(topology.DefaultWaxman(30), r)

@@ -36,15 +36,13 @@ type ChurnConfig struct {
 	Horizon      float64
 	Mu           float64 // online step size (default 30)
 	Arbitrary    bool    // arbitrary dynamic routing instead of fixed IP
-	// Workers bounds the oracle-prefabrication pool (0 = GOMAXPROCS). The
-	// replay itself is sequential by construction, so results are
-	// bit-identical for every worker count.
-	Workers int
-	// DisablePlane turns off the shared SSSP plane during fixed-routing
-	// oracle prefabrication (one weighted Dijkstra per *distinct* member
-	// instead of per session-member pair). Outputs are bit-identical either
-	// way; the toggle exists for the determinism gate and perf comparisons.
-	DisablePlane bool
+	// SolverOptions: Workers bounds the oracle-prefabrication pool (0 =
+	// GOMAXPROCS); any plane mode but PlaneOff batches fixed-routing oracle
+	// prefabrication on a shared SSSP plane (one weighted Dijkstra per
+	// *distinct* member instead of per session-member pair). The replay
+	// itself is sequential by construction, so results are bit-identical for
+	// every value.
+	core.SolverOptions
 }
 
 func (c *ChurnConfig) normalize() error {
@@ -161,7 +159,7 @@ func ChurnRun(seed uint64, cfg ChurnConfig) (*ChurnReport, error) {
 	}
 	var plane *overlay.Plane
 	var planeMetrics overlay.Metrics
-	if !cfg.Arbitrary && !cfg.DisablePlane {
+	if !cfg.Arbitrary && cfg.Plane != overlay.PlaneOff {
 		plane = overlay.NewPlane(net.Graph)
 		requests := 0
 		for _, spec := range trace.Sessions {
@@ -259,7 +257,7 @@ func ChurnRun(seed uint64, cfg ChurnConfig) (*ChurnReport, error) {
 // scenarios when the list is empty) with shared arrival parameters. Seeds
 // derive from the base seed and the scenario index, so the suite is fully
 // deterministic.
-func ChurnSuite(seed uint64, nodes int, workers int, disablePlane bool, scenarios []string) ([]ChurnReport, error) {
+func ChurnSuite(seed uint64, nodes int, solver core.SolverOptions, scenarios []string) ([]ChurnReport, error) {
 	if len(scenarios) == 0 {
 		scenarios = workload.Names()
 	}
@@ -268,7 +266,7 @@ func ChurnSuite(seed uint64, nodes int, workers int, disablePlane bool, scenario
 		if _, err := workload.Get(name); err != nil {
 			return nil, err
 		}
-		rep, err := ChurnRun(seed+uint64(si), ChurnConfig{Nodes: nodes, Scenario: name, Workers: workers, DisablePlane: disablePlane})
+		rep, err := ChurnRun(seed+uint64(si), ChurnConfig{Nodes: nodes, Scenario: name, SolverOptions: solver})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: churn %s: %w", name, err)
 		}

@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"overcast/internal/core"
+	"overcast/internal/overlay"
 )
 
 // TestChurnRunDeterministicAcrossWorkers replays the same scenario trace
@@ -11,7 +14,7 @@ import (
 func TestChurnRunDeterministicAcrossWorkers(t *testing.T) {
 	var base *ChurnReport
 	for _, workers := range []int{1, 8} {
-		rep, err := ChurnRun(41, ChurnConfig{Nodes: 200, Scenario: "cdn", Workers: workers})
+		rep, err := ChurnRun(41, ChurnConfig{Nodes: 200, Scenario: "cdn", SolverOptions: core.SolverOptions{Workers: workers}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +61,7 @@ func TestChurnRunScenarioShapes(t *testing.T) {
 }
 
 func TestChurnSuite(t *testing.T) {
-	reports, err := ChurnSuite(11, 150, 0, false, []string{"uniform", "heavytail"})
+	reports, err := ChurnSuite(11, 150, core.SolverOptions{}, []string{"uniform", "heavytail"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +76,7 @@ func TestChurnSuite(t *testing.T) {
 			t.Fatalf("report render missing scenario: %s", rep.String())
 		}
 	}
-	if _, err := ChurnSuite(11, 150, 0, false, []string{"bogus"}); err == nil {
+	if _, err := ChurnSuite(11, 150, core.SolverOptions{}, []string{"bogus"}); err == nil {
 		t.Fatal("bogus scenario accepted")
 	}
 	if _, err := ChurnRun(1, ChurnConfig{Nodes: 2}); err == nil {
@@ -89,9 +92,10 @@ func TestChurnSuite(t *testing.T) {
 // strictly below PlaneRequests on a Zipf-hot scenario).
 func TestChurnRunPlaneToggleBitIdentical(t *testing.T) {
 	var base *ChurnReport
-	for _, disable := range []bool{false, true} {
+	for _, plane := range []overlay.PlaneMode{overlay.PlaneSubtree, overlay.PlaneOff} {
+		disable := plane == overlay.PlaneOff
 		for _, workers := range []int{1, 4} {
-			rep, err := ChurnRun(43, ChurnConfig{Nodes: 200, Scenario: "livestream", Workers: workers, DisablePlane: disable})
+			rep, err := ChurnRun(43, ChurnConfig{Nodes: 200, Scenario: "livestream", SolverOptions: core.SolverOptions{Workers: workers, Plane: plane}})
 			if err != nil {
 				t.Fatal(err)
 			}

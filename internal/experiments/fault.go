@@ -5,13 +5,12 @@ package experiments
 // state and checks that every ledger consumer degrades deterministically.
 //
 // FaultSolveRun drives the runner layer directly — a persistent
-// overlay.BatchRunner or shard.Group over one long-lived LengthStore, with
+// overlay.BatchRunner over one long-lived LengthStore, with
 // Garg–Könemann-style multiplicative length updates between rounds and fault
 // events injected mid-stream. Its fingerprint covers solver *outputs* only
 // (tree identities and lengths), never counters, so one scenario replayed
-// across workers x shards x plane/repair toggles must produce bit-identical
-// fingerprints while the robustness counters (plane non-monotone refills,
-// shard fault resyncs) vary with the toggles.
+// across workers x plane modes must produce bit-identical fingerprints while
+// the robustness counters (plane non-monotone refills) vary with the mode.
 //
 // FaultChurnRun replays session churn interleaved with a link flap trace
 // through the public Allocator surface — optionally filtered through the
@@ -25,10 +24,10 @@ import (
 
 	"overcast"
 	"overcast/internal/churn"
+	"overcast/internal/core"
 	"overcast/internal/graph"
 	"overcast/internal/overlay"
 	"overcast/internal/rng"
-	"overcast/internal/shard"
 	"overcast/internal/topology"
 	"overcast/internal/underlay"
 )
@@ -38,17 +37,12 @@ type FaultSolveConfig struct {
 	Nodes       int // topology size (>= 8)
 	Sessions    int // competing sessions (>= 1)
 	SessionSize int // members per session (default 4)
-	// TwoLevelASes switches to the paper's two-level AS/router topology (the
-	// natural shard partition); 0 keeps flat Waxman.
+	// TwoLevelASes switches to the paper's two-level AS/router topology; 0
+	// keeps flat Waxman.
 	TwoLevelASes int
-	// Workers / DisablePlane / DisableRepair / DisableSubtreeRepair /
-	// Shards are the wall-clock toggles under test: outputs must be
-	// bit-identical across all of them.
-	Workers              int
-	DisablePlane         bool
-	DisableRepair        bool
-	DisableSubtreeRepair bool
-	Shards               int
+	// SolverOptions are the wall-clock knobs under test: outputs must be
+	// bit-identical for every worker count and plane mode.
+	core.SolverOptions
 	// Rounds is the number of oracle rounds (default 10). Between rounds
 	// every returned tree's edges take a multiplicative length bump of
 	// (1 + BumpEpsilon·n_e), the Garg–Könemann update shape.
@@ -65,8 +59,9 @@ type FaultSolveConfig struct {
 	DriftRound  int
 	DriftFactor float64
 	// FaultStorm floods the ledger with more than graph.JournalWindow
-	// touches before the final round — the burst that forces sharded
-	// replicas off the journal-diff path onto full snapshot resyncs.
+	// touches before the final round — the burst that outruns the plane's
+	// journal walk and latches every row onto the conservative target-walk
+	// classification.
 	FaultStorm bool
 }
 
@@ -110,34 +105,21 @@ type FaultSolveReport struct {
 	UnderlayEvents int
 	// Fingerprint hashes the solver outputs: every round's tree identities
 	// and lengths plus the final ledger, all at full float precision. It
-	// must be identical across workers x shards x plane/repair toggles.
+	// must be identical across workers x plane modes.
 	Fingerprint string
 	// Plane carries the runner's metrics; PlaneNonMonotone counts rows the
-	// recovery shrink degraded to full refills (toggle-dependent, excluded
+	// recovery shrink degraded to full refills (mode-dependent, excluded
 	// from the fingerprint).
-	Plane overlay.Metrics
-	// FaultResyncs / Resyncs are the shard group's counters (zero when
-	// unsharded); FaultResyncs counts the journal-window-loss resyncs the
-	// fault storm forces.
-	FaultResyncs int
-	Resyncs      int
-	SolveTime    time.Duration
+	Plane     overlay.Metrics
+	SolveTime time.Duration
 }
 
 // String renders the report for cmd/experiments output.
 func (r FaultSolveReport) String() string {
-	return fmt.Sprintf("n=%-6d |E|=%-6d rounds=%-3d events=%-3d nonmono=%-4d faultresync=%-3d fp=%s solve=%v",
+	return fmt.Sprintf("n=%-6d |E|=%-6d rounds=%-3d events=%-3d nonmono=%-4d fp=%s solve=%v",
 		r.Config.Nodes, r.Edges, r.Rounds, r.UnderlayEvents,
-		r.Plane.PlaneNonMonotone, r.FaultResyncs, r.Fingerprint,
+		r.Plane.PlaneNonMonotone, r.Fingerprint,
 		r.SolveTime.Round(time.Millisecond))
-}
-
-// faultRunner is the slice of the oracle-runner contract the harness drives
-// (satisfied by overlay.BatchRunner and shard.Group alike).
-type faultRunner interface {
-	MinTreesLen(ls *graph.LengthStore, ids []int) []overlay.BatchResult
-	Metrics() overlay.Metrics
-	Close()
 }
 
 // FaultSolveRun replays the configured fault scenario against a persistent
@@ -145,7 +127,7 @@ type faultRunner interface {
 // bumps between rounds, and fault events (mirrored onto the ledger as
 // explicit, possibly non-monotone Bump mutations) after their configured
 // rounds. Deterministic for a given (seed, scenario); the fingerprint is
-// independent of Workers, Shards, DisablePlane, and DisableRepair.
+// independent of Workers and Plane.
 func FaultSolveRun(seed uint64, cfg FaultSolveConfig) (*FaultSolveReport, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -162,28 +144,11 @@ func FaultSolveRun(seed uint64, cfg FaultSolveConfig) (*FaultSolveReport, error)
 		return nil, fmt.Errorf("experiments: fault solve run needs >=2 edges")
 	}
 
-	var runner faultRunner
-	var group *shard.Group
-	if cfg.Shards > 0 {
-		group = shard.NewGroup(g, si.Problem.Oracles, shard.Options{
-			Shards:               cfg.Shards,
-			Labels:               si.Net.ASOf,
-			Workers:              cfg.Workers,
-			SharedPlane:          !cfg.DisablePlane,
-			DisableRepair:        cfg.DisableRepair,
-			DisableSubtreeRepair: cfg.DisableSubtreeRepair,
-			Dynamic:              true,
-		})
-		runner = group
-	} else {
-		runner = overlay.NewBatchRunnerOpts(g, si.Problem.Oracles, overlay.BatchOptions{
-			Workers:              cfg.Workers,
-			SharedPlane:          !cfg.DisablePlane,
-			DisableRepair:        cfg.DisableRepair,
-			DisableSubtreeRepair: cfg.DisableSubtreeRepair,
-			Dynamic:              true,
-		})
-	}
+	runner := overlay.NewBatchRunnerOpts(g, si.Problem.Oracles, overlay.BatchOptions{
+		Workers: cfg.Workers,
+		Plane:   cfg.Plane,
+		Dynamic: true,
+	})
 	defer runner.Close()
 
 	// The fault state rewrites capacities on the shared instance graph;
@@ -242,18 +207,13 @@ func FaultSolveRun(seed uint64, cfg FaultSolveConfig) (*FaultSolveReport, error)
 		fmt.Fprintf(h, "d%d %.17g\n", e, ls.Values()[e])
 	}
 
-	rep := &FaultSolveReport{
+	return &FaultSolveReport{
 		Config: cfg, Edges: g.NumEdges(), Rounds: cfg.Rounds,
 		UnderlayEvents: st.Applied,
 		Fingerprint:    fmt.Sprintf("%016x", h.Sum64()),
 		Plane:          runner.Metrics(),
 		SolveTime:      time.Since(start),
-	}
-	if group != nil {
-		gs := group.Stats()
-		rep.FaultResyncs, rep.Resyncs = gs.FaultResyncs, gs.Resyncs
-	}
-	return rep, nil
+	}, nil
 }
 
 // FaultChurnConfig describes one allocator-level churn-under-faults replay.
@@ -267,8 +227,7 @@ type FaultChurnConfig struct {
 	Demand           float64
 	Mu               float64 // online step size (default 30)
 	Epsilon          float64 // FPTAS error (default 0.1)
-	Workers          int
-	Shards           int
+	core.SolverOptions
 	// SnapshotEvery refreshes the fair allocation every N churn events
 	// (default 4).
 	SnapshotEvery int
@@ -351,7 +310,6 @@ type FaultChurnReport struct {
 	ColdSolves         int
 	WarmRefreshes      int
 	NonMonotoneRefills int
-	FaultResyncs       int
 	Snapshots          int
 	FinalActive        int
 	Throughput         float64
@@ -421,7 +379,7 @@ func FaultChurnRun(seed uint64, cfg FaultChurnConfig) (*FaultChurnReport, error)
 
 	alloc, err := overcast.NewAllocator(net, overcast.AllocatorOptions{
 		Mu: cfg.Mu, Epsilon: cfg.Epsilon, Routing: overcast.RoutingArbitrary,
-		Workers: cfg.Workers, Shards: cfg.Shards,
+		Workers: cfg.Workers, Plane: cfg.Plane,
 	})
 	if err != nil {
 		return nil, err
@@ -529,7 +487,6 @@ func FaultChurnRun(seed uint64, cfg FaultChurnConfig) (*FaultChurnReport, error)
 	rep.UnderlayEvents = st.UnderlayEvents
 	rep.ColdSolves, rep.WarmRefreshes = st.ColdSolves, st.WarmRefreshes
 	rep.NonMonotoneRefills = st.Plane.NonMonotoneRefills
-	rep.FaultResyncs = st.Shards.FaultResyncs
 	rep.FinalActive = alloc.Active()
 	if last != nil {
 		rep.Throughput = last.OverallThroughput()

@@ -3,71 +3,63 @@ package experiments
 import (
 	"fmt"
 	"testing"
+
+	"overcast/internal/overlay"
 )
 
 // TestFaultSolveBitIdenticalAcrossToggles is the tentpole acceptance gate at
 // the runner layer: one fault scenario (link-down, recovery shrink, drift,
-// and a journal-flooding fault storm) replayed across workers x shards x
-// plane/repair toggles must produce bit-identical output fingerprints, while
-// the robustness counters prove the degradation paths actually ran —
-// non-monotone plane refills on the plane+repair runs, fault-forced snapshot
-// resyncs on the sharded runs.
+// and a journal-flooding fault storm) replayed across workers x plane modes
+// must produce bit-identical output fingerprints, while the robustness
+// counters prove the degradation paths actually ran — non-monotone plane
+// refills whenever the plane is on, subtree repairs only under PlaneSubtree.
 func TestFaultSolveBitIdenticalAcrossToggles(t *testing.T) {
 	base := FaultSolveConfig{
 		Nodes: 48, Sessions: 4, SessionSize: 4, TwoLevelASes: 4,
 		Rounds: 8, FailRound: 2, RecoverRound: 4, DriftRound: 5,
 		FaultStorm: true,
 	}
-	type toggles struct {
-		workers, shards             int
-		disablePlane, disableRepair bool
-	}
-	var cases []toggles
-	for _, w := range []int{1, 2, 8} {
-		for _, s := range []int{0, 1, 4} {
-			cases = append(cases, toggles{workers: w, shards: s})
-		}
-	}
-	// The plane/repair toggles only need one worker/shard point each: the
-	// cross product above already pins scheduling.
-	cases = append(cases,
-		toggles{workers: 2, shards: 0, disablePlane: true},
-		toggles{workers: 2, shards: 0, disableRepair: true},
-		toggles{workers: 2, shards: 4, disablePlane: true},
-	)
-
 	want := ""
 	wantEvents := 0
-	for _, tc := range cases {
-		cfg := base
-		cfg.Workers, cfg.Shards = tc.workers, tc.shards
-		cfg.DisablePlane, cfg.DisableRepair = tc.disablePlane, tc.disableRepair
-		label := fmt.Sprintf("w%d_s%d_plane%v_repair%v", tc.workers, tc.shards, !tc.disablePlane, !tc.disableRepair)
-		rep, err := FaultSolveRun(11, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if want == "" {
-			want, wantEvents = rep.Fingerprint, rep.UnderlayEvents
-		}
-		if rep.Fingerprint != want {
-			t.Fatalf("%s: fingerprint %s, want %s — fault replay is toggle-dependent", label, rep.Fingerprint, want)
-		}
-		if rep.UnderlayEvents != wantEvents {
-			t.Fatalf("%s: %d underlay events, want %d", label, rep.UnderlayEvents, wantEvents)
-		}
-		// Non-vacuity: the recovery and drift shrinks must degrade plane rows
-		// on every run with the plane and repair active.
-		if !tc.disablePlane && !tc.disableRepair && rep.Plane.PlaneNonMonotone == 0 {
-			t.Fatalf("%s: zero non-monotone plane refills — the shrink path never ran", label)
-		}
-		// The fault storm floods the journal between the two final rounds, so
-		// every sharded run must take the fault-resync path.
-		if tc.shards > 0 && rep.FaultResyncs == 0 {
-			t.Fatalf("%s: zero fault resyncs despite the journal-flooding storm", label)
-		}
-		if tc.shards == 0 && rep.FaultResyncs != 0 {
-			t.Fatalf("%s: unsharded run reported %d fault resyncs", label, rep.FaultResyncs)
+	for _, w := range []int{1, 2, 8} {
+		for _, plane := range []overlay.PlaneMode{overlay.PlaneSubtree, overlay.PlaneFull, overlay.PlaneOff} {
+			cfg := base
+			cfg.Workers, cfg.Plane = w, plane
+			label := fmt.Sprintf("w%d_plane-%v", w, plane)
+			rep, err := FaultSolveRun(11, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if want == "" {
+				want, wantEvents = rep.Fingerprint, rep.UnderlayEvents
+			}
+			if rep.Fingerprint != want {
+				t.Fatalf("%s: fingerprint %s, want %s — fault replay is mode-dependent", label, rep.Fingerprint, want)
+			}
+			if rep.UnderlayEvents != wantEvents {
+				t.Fatalf("%s: %d underlay events, want %d", label, rep.UnderlayEvents, wantEvents)
+			}
+			m := rep.Plane
+			switch plane {
+			case overlay.PlaneOff:
+				if m != (overlay.Metrics{}) {
+					t.Fatalf("%s: plane off but counters %+v", label, m)
+				}
+				continue
+			case overlay.PlaneSubtree:
+				if m.PlaneSkipped == 0 || m.PlaneSubtreeRepaired == 0 {
+					t.Fatalf("%s: subtree mode never skipped or never repaired a subtree (%+v)", label, m)
+				}
+			case overlay.PlaneFull:
+				if m.PlaneSubtreeRepaired != 0 {
+					t.Fatalf("%s: full-refill mode took the subtree path (%+v)", label, m)
+				}
+			}
+			// Non-vacuity: the recovery and drift shrinks must degrade plane
+			// rows on every run with the plane on.
+			if m.PlaneNonMonotone == 0 {
+				t.Fatalf("%s: zero non-monotone plane refills — the shrink path never ran", label)
+			}
 		}
 	}
 	if wantEvents != 3 {

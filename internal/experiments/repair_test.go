@@ -4,15 +4,16 @@ import (
 	"testing"
 
 	"overcast/internal/core"
+	"overcast/internal/overlay"
 	"overcast/internal/workload"
 )
 
-// TestRepairToggleBitIdenticalScenarios sweeps the dirty-source-repair and
-// subtree-repair toggles against every registered workload scenario at
-// workers 1/2/8: the arbitrary-routing MaxFlow outputs (rates, tree counts,
-// op counts) must be bitwise independent of all three knobs, repair must
-// have skipped at least one refill somewhere in the sweep, and the subtree
-// path must have fired somewhere too — neither invariant may be pinned
+// TestRepairToggleBitIdenticalScenarios sweeps the plane modes against every
+// registered workload scenario at workers 1/2/8: the arbitrary-routing
+// MaxFlow outputs (rates, tree counts, op counts) must be bitwise
+// independent of both knobs, subtree mode must have skipped at least one
+// refill and repaired at least one subtree somewhere in the sweep, and full
+// mode must never take the subtree path — no invariant may be pinned
 // vacuously.
 func TestRepairToggleBitIdenticalScenarios(t *testing.T) {
 	totalSkipped, totalSubtree := 0, 0
@@ -30,22 +31,20 @@ func TestRepairToggleBitIdenticalScenarios(t *testing.T) {
 		}
 		var base *fp
 		for _, workers := range []int{1, 2, 8} {
-			for _, mode := range []struct {
-				disableRepair, disableSubtree bool
-			}{{false, false}, {false, true}, {true, true}} {
+			for _, plane := range []overlay.PlaneMode{overlay.PlaneSubtree, overlay.PlaneFull, overlay.PlaneOff} {
 				sol, err := core.MaxFlow(si.Problem, core.MaxFlowOptions{
-					Epsilon: 0.35, Parallel: true, Workers: workers,
-					DisableRepair: mode.disableRepair, DisableSubtreeRepair: mode.disableSubtree,
+					Epsilon: 0.35, Parallel: true,
+					SolverOptions: core.SolverOptions{Workers: workers, Plane: plane},
 				})
 				if err != nil {
-					t.Fatalf("%s workers=%d repair=%v subtree=%v: %v",
-						scenario, workers, !mode.disableRepair, !mode.disableSubtree, err)
+					t.Fatalf("%s workers=%d plane=%v: %v", scenario, workers, plane, err)
 				}
-				totalSkipped += sol.Plane.PlaneSkipped
-				totalSubtree += sol.Plane.PlaneSubtreeRepaired
-				if mode.disableSubtree && sol.Plane.PlaneSubtreeRepaired != 0 {
-					t.Fatalf("%s workers=%d: subtree disabled but PlaneSubtreeRepaired=%d",
-						scenario, workers, sol.Plane.PlaneSubtreeRepaired)
+				if plane == overlay.PlaneSubtree {
+					totalSkipped += sol.Plane.PlaneSkipped
+					totalSubtree += sol.Plane.PlaneSubtreeRepaired
+				} else if sol.Plane.PlaneSubtreeRepaired != 0 {
+					t.Fatalf("%s workers=%d plane=%v: PlaneSubtreeRepaired=%d",
+						scenario, workers, plane, sol.Plane.PlaneSubtreeRepaired)
 				}
 				got := fp{mstOps: sol.MSTOps}
 				for i := range si.Sessions {
@@ -57,17 +56,17 @@ func TestRepairToggleBitIdenticalScenarios(t *testing.T) {
 					continue
 				}
 				if got != *base {
-					t.Fatalf("%s workers=%d repair=%v subtree=%v: fingerprint differs:\n%+v\nvs\n%+v",
-						scenario, workers, !mode.disableRepair, !mode.disableSubtree, got, *base)
+					t.Fatalf("%s workers=%d plane=%v: fingerprint differs:\n%+v\nvs\n%+v",
+						scenario, workers, plane, got, *base)
 				}
 			}
 		}
 	}
 	if totalSkipped == 0 {
-		t.Fatal("repair never skipped a refill across any scenario — the toggle test is vacuous")
+		t.Fatal("subtree mode never skipped a refill across any scenario — the sweep is vacuous")
 	}
 	if totalSubtree == 0 {
-		t.Fatal("subtree repair never fired across any scenario — the toggle test is vacuous")
+		t.Fatal("subtree repair never fired across any scenario — the sweep is vacuous")
 	}
 }
 
@@ -78,7 +77,7 @@ func TestRepairToggleBitIdenticalScenarios(t *testing.T) {
 // point of the M2 objective.
 func TestReportDeterministicAndSane(t *testing.T) {
 	tiers := []ReportTier{{Name: "small", Nodes: 300, Sessions: 12}}
-	rows, err := MFvsMCFReport(2029, 0.3, ReportSolverOptions{}, nil, tiers)
+	rows, err := MFvsMCFReport(2029, 0.3, core.SolverOptions{}, nil, tiers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestReportDeterministicAndSane(t *testing.T) {
 		}
 	}
 	again, err := MFvsMCFReport(2029, 0.3,
-		ReportSolverOptions{Workers: 2, DisablePlane: true, DisableRepair: true, Shards: 2},
+		core.SolverOptions{Workers: 2, Plane: overlay.PlaneOff},
 		[]string{"cdn"}, tiers)
 	if err != nil {
 		t.Fatal(err)

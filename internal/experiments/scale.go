@@ -33,30 +33,15 @@ type ScaleConfig struct {
 	// Waxman generator and the scenario's capacity/demand/size/popularity
 	// distributions; SessionSize and Demand are then owned by the scenario.
 	Scenario string
-	// Workers is the solver oracle worker-pool size (0 = GOMAXPROCS when
-	// the parallel solve path is requested). It affects wall-clock only:
-	// solver outputs are bit-identical for every worker count, and the
-	// instance itself (topology, sessions) never depends on it.
-	Workers int
-	// DisablePlane turns off the solvers' solve-scoped shared SSSP plane
-	// (see core.MaxFlowOptions.DisablePlane). Like Workers, it affects
-	// wall-clock only, never outputs or the instance.
-	DisablePlane bool
-	// DisableRepair turns off the plane's cross-round dirty-source repair
-	// (see core.MaxFlowOptions.DisableRepair). Also wall-clock only.
-	DisableRepair bool
-	// DisableSubtreeRepair turns off repair's incremental subtree path (see
-	// core.MaxFlowOptions.DisableSubtreeRepair). Also wall-clock only.
-	DisableSubtreeRepair bool
-	// Shards runs the solvers' oracle rounds on per-AS shards behind the
-	// price-exchange boundary (see core.MaxFlowOptions.Shards), partitioned
-	// by the instance's AS labels when the topology has them (TwoLevelASes)
-	// and by contiguous node ranges otherwise. 0 = unsharded. Wall-clock
-	// only: outputs are bit-identical for every shard count.
-	Shards int
+	// SolverOptions sets the solvers' oracle worker-pool size (0 =
+	// GOMAXPROCS when the parallel solve path is requested) and plane mode.
+	// They affect wall-clock only: solver outputs are bit-identical for
+	// every value, and the instance itself (topology, sessions) never
+	// depends on them.
+	core.SolverOptions
 	// TwoLevelASes switches the topology to the paper's two-level AS/router
-	// construction with this many ASes (Nodes/TwoLevelASes routers each) —
-	// the natural partition for Shards. 0 keeps the flat Waxman topology.
+	// construction with this many ASes (Nodes/TwoLevelASes routers each). 0
+	// keeps the flat Waxman topology.
 	// Incompatible with Scenario (the workload distributions are calibrated
 	// for the flat generator).
 	TwoLevelASes int
@@ -195,10 +180,7 @@ func NewScaleInstance(seed uint64, cfg ScaleConfig) (*ScaleInstance, error) {
 // size.
 func (si *ScaleInstance) MaxFlow(eps float64, parallel bool) (*core.Solution, error) {
 	return core.MaxFlow(si.Problem, core.MaxFlowOptions{
-		Epsilon: eps, Parallel: parallel, Workers: si.Config.Workers,
-		DisablePlane: si.Config.DisablePlane, DisableRepair: si.Config.DisableRepair,
-		DisableSubtreeRepair: si.Config.DisableSubtreeRepair,
-		Shards:               si.Config.Shards, ShardLabels: si.Net.ASOf,
+		Epsilon: eps, Parallel: parallel, SolverOptions: si.Config.SolverOptions,
 	})
 }
 
@@ -207,10 +189,7 @@ func (si *ScaleInstance) MaxFlow(eps float64, parallel bool) (*core.Solution, er
 // config's worker-pool size.
 func (si *ScaleInstance) MCF(eps float64, parallel bool) (*core.MCFResult, error) {
 	return core.MaxConcurrentFlow(si.Problem, core.MaxConcurrentFlowOptions{
-		Epsilon: eps, Parallel: parallel, Workers: si.Config.Workers,
-		DisablePlane: si.Config.DisablePlane, DisableRepair: si.Config.DisableRepair,
-		DisableSubtreeRepair: si.Config.DisableSubtreeRepair,
-		Shards:               si.Config.Shards, ShardLabels: si.Net.ASOf,
+		Epsilon: eps, Parallel: parallel, SolverOptions: si.Config.SolverOptions,
 	})
 }
 

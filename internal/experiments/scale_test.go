@@ -165,7 +165,7 @@ func TestPlaneDedupZipfHotScenarios(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := overlay.NewBatchRunnerOpts(si.Problem.G, si.Problem.Oracles, overlay.BatchOptions{Workers: 1, SharedPlane: true})
+		r := overlay.NewBatchRunnerOpts(si.Problem.G, si.Problem.Oracles, overlay.BatchOptions{Workers: 1})
 		defer r.Close()
 		d := graph.NewLengthStore(si.Problem.G, 1)
 		for _, res := range r.MinTrees(d, nil) {

@@ -16,27 +16,10 @@ import (
 type SettingB struct {
 	Seed uint64
 	Net  *topology.Network
-	// SolverWorkers is the per-solve oracle worker-pool size (0 keeps the
-	// solvers sequential; the grid already parallelizes across cells).
-	// Results are bit-identical for every value.
-	SolverWorkers int
-	// SolverDisableRepair turns off the plane's cross-round dirty-source
-	// repair (see core.MaxFlowOptions.DisableRepair); results are
-	// bit-identical either way.
-	SolverDisableRepair bool
-	// SolverDisableSubtreeRepair turns off repair's incremental subtree
-	// path (see core.MaxFlowOptions.DisableSubtreeRepair); results are
-	// bit-identical either way.
-	SolverDisableSubtreeRepair bool
-	// SolverDisablePlane turns off the solvers' shared SSSP plane (see
-	// core.MaxFlowOptions.DisablePlane); results are bit-identical either
-	// way.
-	SolverDisablePlane bool
-	// SolverShards runs each cell's solvers on per-AS shards behind the
-	// price-exchange boundary (see core.MaxFlowOptions.Shards), partitioned
-	// by the two-level topology's AS labels. 0 = unsharded; results are
-	// bit-identical for every value.
-	SolverShards int
+	// SolverOptions sets every cell's oracle worker-pool size (0 keeps the
+	// solvers sequential; the grid already parallelizes across cells) and
+	// plane mode. Results are bit-identical for every value.
+	core.SolverOptions
 }
 
 // SettingBConfig scales the Sec. VI environment. The paper uses 10 ASes x
@@ -187,11 +170,11 @@ func (b *SettingB) runCell(count, size int, cfg GridConfig, r *rng.RNG) (*GridCe
 		return nil, err
 	}
 	eps := core.RatioToEpsilon(cfg.Ratio)
-	mf, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: eps, Workers: b.SolverWorkers, DisablePlane: b.SolverDisablePlane, DisableRepair: b.SolverDisableRepair, DisableSubtreeRepair: b.SolverDisableSubtreeRepair, Shards: b.SolverShards, ShardLabels: b.Net.ASOf})
+	mf, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: eps, SolverOptions: b.SolverOptions})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: cell (%d,%d) MaxFlow: %w", count, size, err)
 	}
-	mcf, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{Epsilon: core.MCFRatioToEpsilon(cfg.Ratio), Workers: b.SolverWorkers, DisablePlane: b.SolverDisablePlane, DisableRepair: b.SolverDisableRepair, DisableSubtreeRepair: b.SolverDisableSubtreeRepair, Shards: b.SolverShards, ShardLabels: b.Net.ASOf})
+	mcf, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{Epsilon: core.MCFRatioToEpsilon(cfg.Ratio), SolverOptions: b.SolverOptions})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: cell (%d,%d) MCF: %w", count, size, err)
 	}

@@ -14,6 +14,7 @@ import (
 
 	"overcast"
 	"overcast/internal/churn"
+	"overcast/internal/core"
 	"overcast/internal/rng"
 )
 
@@ -30,16 +31,9 @@ type WarmChurnConfig struct {
 	Mu               float64 // online step size (default 30)
 	Epsilon          float64 // FPTAS error for the fair allocation (default 0.1)
 	Arbitrary        bool    // arbitrary dynamic routing instead of fixed IP
-	Workers          int     // solver worker pool (0 = GOMAXPROCS); outputs are worker-count independent
-	DisablePlane     bool
-	DisableRepair    bool
-	// DisableSubtreeRepair turns off the plane's incremental subtree repair
-	// (see overcast.AllocatorOptions); outputs are toggle-independent.
-	DisableSubtreeRepair bool
-	// Shards runs the allocator's refreshes on price-exchanging shards (see
-	// overcast.AllocatorOptions.Shards). 0 = unsharded; outputs are
-	// shard-count independent.
-	Shards int
+	// SolverOptions forward to the allocator (Workers 0 = GOMAXPROCS);
+	// outputs are independent of both knobs.
+	core.SolverOptions
 	// SnapshotEvery refreshes the fair allocation every N churn events
 	// (default 4) — the consumer polling cadence.
 	SnapshotEvery int
@@ -157,9 +151,7 @@ func WarmChurnRun(seed uint64, cfg WarmChurnConfig) (*WarmChurnReport, error) {
 	}
 	opts := overcast.AllocatorOptions{
 		Mu: cfg.Mu, Epsilon: cfg.Epsilon, Routing: routing,
-		Workers: cfg.Workers, DisablePlane: cfg.DisablePlane, DisableRepair: cfg.DisableRepair,
-		DisableSubtreeRepair: cfg.DisableSubtreeRepair,
-		Shards:               cfg.Shards,
+		Workers: cfg.Workers, Plane: cfg.Plane,
 	}
 	if cfg.ColdBaseline {
 		opts.RepairPhaseBudget = -1

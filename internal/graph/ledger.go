@@ -20,7 +20,7 @@ type Epoch = int64
 // repair consumers falling off the window only lose the journal-replay fast
 // path, never correctness (they fall back to LastTouched walks). Exported so
 // fault harnesses can size event bursts that deliberately overflow the window
-// (forcing the sharded solver's full-snapshot resync path).
+// (forcing the plane's lost-dirt fallback).
 const JournalWindow = 1 << 16
 
 const maxJournal = JournalWindow
@@ -118,20 +118,6 @@ func (s *LengthStore) Set(e EdgeID, v float64) {
 	s.repos(s.vals[e], v)
 	s.vals[e] = v
 	s.touch(e, true)
-}
-
-// Raise assigns d_e = v and journals the touch as monotone when v does not
-// shrink the current value. This is the replica-synchronization primitive of
-// the sharded solver (internal/shard): a growth observed on the authoritative
-// ledger replays as a growth on a replica, preserving the replica's
-// monotonicity window so repair-capable consumers (the per-shard SSSP plane)
-// keep their skip/repair fast paths — a plain Set would pessimistically mark
-// every sync epoch a shrink.
-func (s *LengthStore) Raise(e EdgeID, v float64) {
-	shrink := v < s.vals[e]
-	s.repos(s.vals[e], v)
-	s.vals[e] = v
-	s.touch(e, shrink)
 }
 
 // infLen is the sentinel minLB starts from (no length seen yet); it matches

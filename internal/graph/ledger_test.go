@@ -79,11 +79,11 @@ func TestLedgerTouchedExact(t *testing.T) {
 
 // TestLedgerTouchedReportsShrinks is the non-monotone half of the journal
 // property: a mutation sequence dominated by shrinks (Set below current,
-// Bump with factor < 1, Raise that lowers) must still journal every touch,
-// so Touched(since) == brute-force snapshot diff and ForEachTouched replays
-// the exact mutation order. Underlay fault recovery depends on this — a
-// link-up mirrors as a length shrink, and a replica that missed it would
-// keep routing around a healthy link.
+// Bump with factor < 1, a relative Set that may go either way) must still
+// journal every touch, so Touched(since) == brute-force snapshot diff and
+// ForEachTouched replays the exact mutation order. Underlay fault recovery
+// depends on this — a link-up mirrors as a length shrink, and a plane row
+// that missed it would keep routing around a healthy link.
 func TestLedgerTouchedReportsShrinks(t *testing.T) {
 	g := ledgerFixture(t, 24)
 	s := NewLengthStore(g, 4)
@@ -100,7 +100,7 @@ func TestLedgerTouchedReportsShrinks(t *testing.T) {
 		case 1:
 			s.Bump(e, 0.5+0.4*rng.Float64()) // shrinking bump
 		case 2:
-			s.Raise(e, s.At(e)*(0.5+rng.Float64())) // Raise may lower
+			s.Set(e, s.At(e)*(0.5+rng.Float64())) // may lower or grow
 		default:
 			s.Bump(e, 1.0001+rng.Float64())
 		}

@@ -18,9 +18,9 @@ import (
 // place. Consume (or copy) the results before rebatching; holding the slice
 // across calls observes the *next* batch's trees. The Tree objects are never
 // mutated after they are returned, so trees extracted from a batch stay
-// valid (and bitwise intact) indefinitely; with cross-round repair enabled a
-// later batch may return the *same* Tree pointer again when the length
-// ledger proves the recomputation would be identical (the tree cache) —
+// valid (and bitwise intact) indefinitely; with the plane on a later batch
+// may return the *same* Tree pointer again when the length ledger proves the
+// recomputation would be identical (the tree cache) —
 // callers must not rely on pointer freshness, only on immutability
 // (TestBatchResultSliceReusedAcrossCalls pins the slice half of this
 // contract, TestTreeCacheServesIdenticalTrees the tree half).
@@ -36,40 +36,25 @@ type BatchOptions struct {
 	// clamped to the oracle count unless the shared plane is active (plane
 	// rows can outnumber oracles, so extra workers still help stage 1).
 	Workers int
-	// SharedPlane enables the solve-scoped shared SSSP plane: each batch
-	// first ensures one Dijkstra row per *distinct* member source of its
-	// plane-aware oracles, then assembles every plane-aware oracle's tree
-	// from those rows. Outputs are bitwise identical with the plane on or
-	// off (identical Dijkstras over the identical snapshot, whichever stage
-	// runs them); the toggle exists for the determinism gate and perf
-	// comparisons. It is a no-op for oracle sets without a PlaneOracle
-	// (e.g. all fixed-routing).
-	SharedPlane bool
-	// DisableRepair turns off cross-round dirty-source repair: with repair
-	// on (the default when the plane is active), rows persist across batches
-	// and are refilled only when the length ledger shows a touched edge
-	// inside the row's stored SSSP tree — unaffected sources skip their
-	// Dijkstra entirely. Sound because the solvers' length updates are
-	// monotone growths (LengthStore.MonotoneSince guards the rest): growing
-	// an edge outside a shortest-path tree cannot change any distance, and
-	// the deterministic tie-breaks resolve identically, so the stored row is
-	// bitwise what a refill would produce. Outputs are bit-identical with
-	// repair on or off; the toggle exists for the determinism gate and perf
-	// comparisons.
-	DisableRepair bool
-	// DisableSubtreeRepair turns off the third per-row classification
-	// outcome, subtree repair, leaving the original skip-or-full-refill
-	// behavior: with it on (the default when repair is active), a row whose
-	// stored tree took touched edges is repaired by resuming Dijkstra over
-	// only the affected subtrees (routing.RepairSubtreesInto) whenever the
-	// bit-identity certificate holds — monotone ledger window, strictly
-	// positive lengths (LengthStore.AllPositive), an exact (never
-	// serviceable-skipped) row, and a known dirty-root set — and falls back
-	// to a full refill otherwise. Outputs are bit-identical with the toggle
-	// on or off (the repaired region is provably what a refill would
-	// produce); the toggle exists for the determinism gate and perf
-	// comparisons. No-op when DisableRepair is set.
-	DisableSubtreeRepair bool
+	// Plane selects the shared SSSP plane mode (see PlaneMode); the zero
+	// value is PlaneSubtree. With the plane on, each batch first ensures one
+	// Dijkstra row per *distinct* member source of its plane-aware oracles,
+	// then assembles every plane-aware oracle's tree from those rows. Rows
+	// persist across batches and are recomputed only when the length ledger
+	// shows a touched edge inside the row's stored SSSP tree — unaffected
+	// sources skip their Dijkstra entirely. Sound because the solvers'
+	// length updates are monotone growths (LengthStore.MonotoneSince guards
+	// the rest): growing an edge outside a shortest-path tree cannot change
+	// any distance, and the deterministic tie-breaks resolve identically, so
+	// the stored row is bitwise what a refill would produce. Under
+	// PlaneSubtree a dirty row is repaired by resuming Dijkstra over only the
+	// affected subtrees (routing.RepairSubtreesInto) whenever the bit-identity
+	// certificate holds — monotone ledger window, strictly positive lengths
+	// (LengthStore.AllPositive), an exact (never serviceable-skipped) row,
+	// and a known dirty-root set — and refilled in full otherwise. Outputs
+	// are bitwise identical in every mode. The plane is a no-op for oracle
+	// sets without a PlaneOracle (e.g. all fixed-routing).
+	Plane PlaneMode
 	// Seed optionally names a read-only plane whose rows were filled under
 	// lengths bitwise identical to the epoch-0 contents of the ledgers this
 	// runner will see. Rows first staged while the ledger is monotone-clean
@@ -81,8 +66,8 @@ type BatchOptions struct {
 	// Dynamic declares that the oracle set will grow after construction via
 	// AddOracle (the warm-start allocator admits sessions over the runner's
 	// lifetime). It keeps the worker pool at the requested size instead of
-	// clamping it to the (possibly empty) initial oracle count, and — when
-	// SharedPlane is set — creates the plane eagerly, since a plane-aware
+	// clamping it to the (possibly empty) initial oracle count, and — unless
+	// the plane is off — creates the plane eagerly, since a plane-aware
 	// oracle may arrive later even if none exists yet.
 	Dynamic bool
 }
@@ -99,10 +84,10 @@ type BatchOptions struct {
 // change what a caller observes. Oracles must be safe for concurrent reads
 // (both built-in oracles are: MinTreeWith touches only the per-call Scratch).
 //
-// With the shared plane enabled (BatchOptions.SharedPlane; the default of
-// NewBatchRunner) each batch runs as two stages. Stage 1 walks the distinct
-// member sources of the batch's plane-aware oracles — in batch order, so row
-// assignment is canonical — and classifies each row: already proven current
+// With the shared plane enabled (any BatchOptions.Plane but PlaneOff) each
+// batch runs as two stages. Stage 1 walks the distinct member sources of the
+// batch's plane-aware oracles — in batch order, so row assignment is
+// canonical — and classifies each row: already proven current
 // (cross-round repair skip), copyable from a prestep seed, or needing a
 // fill; the fills fan across the worker pool, each worker using pooled
 // Dijkstra buffers. Stage 2 evaluates the batch slots as before, except
@@ -126,7 +111,6 @@ type BatchRunner struct {
 	plane     *Plane
 	planeLive bool
 	filling   bool
-	repair    bool
 	subtree   bool
 	seed      *Plane
 	// walkedTo is the ledger epoch up to which the per-batch journal walk has
@@ -183,21 +167,20 @@ type BatchRunner struct {
 }
 
 // NewBatchRunner builds a runner over oracles with the requested worker-pool
-// size, the shared SSSP plane enabled (a no-op for oracle sets that cannot
-// use it), and cross-round repair on; see NewBatchRunnerOpts for the full
-// contract.
+// size and the default plane mode (PlaneSubtree; a no-op for oracle sets
+// that cannot use it); see NewBatchRunnerOpts for the full contract.
 func NewBatchRunner(g *graph.Graph, oracles []TreeOracle, workers int) *BatchRunner {
-	return NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: workers, SharedPlane: true})
+	return NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: workers})
 }
 
 // NewBatchRunnerOpts builds a runner over oracles. Workers <= 0 means
 // GOMAXPROCS, and the pool is never larger than the oracle set unless the
 // plane is active. With one worker the runner degrades to a single-scratch
 // sequential path with zero goroutines; results are identical either way —
-// and identical with the plane or repair on or off.
+// and identical in every plane mode.
 func NewBatchRunnerOpts(g *graph.Graph, oracles []TreeOracle, opts BatchOptions) *BatchRunner {
 	var plane *Plane
-	if opts.SharedPlane {
+	if opts.Plane != PlaneOff {
 		if opts.Dynamic {
 			plane = NewPlane(g)
 		} else {
@@ -221,12 +204,11 @@ func NewBatchRunnerOpts(g *graph.Graph, oracles []TreeOracle, opts BatchOptions)
 	}
 	r := &BatchRunner{
 		g: g, oracles: oracles, workers: workers,
-		plane: plane, repair: !opts.DisableRepair,
-		subtree: !opts.DisableRepair && !opts.DisableSubtreeRepair,
-		seed:    opts.Seed,
-		out:     make([]BatchResult, len(oracles)),
+		plane: plane, subtree: opts.Plane == PlaneSubtree,
+		seed: opts.Seed,
+		out:  make([]BatchResult, len(oracles)),
 	}
-	if plane != nil && r.repair {
+	if plane != nil {
 		r.targets = planeTargets(oracles)
 		r.cache = make([]treeCacheEntry, len(oracles))
 		r.useCache = make([]bool, len(oracles))
@@ -241,11 +223,14 @@ func NewBatchRunnerOpts(g *graph.Graph, oracles []TreeOracle, opts BatchOptions)
 		r.seq = NewScratch(g)
 		return r
 	}
-	r.jobs = make(chan int)
+	// Workers range over a local copy: Close nils r.jobs, possibly before a
+	// worker has started.
+	jobs := make(chan int)
+	r.jobs = jobs
 	for w := 0; w < workers; w++ {
 		go func() {
 			sc := NewScratch(g)
-			for pos := range r.jobs {
+			for pos := range jobs {
 				if r.filling {
 					r.fillJob(pos, sc)
 				} else {
@@ -285,11 +270,9 @@ func (r *BatchRunner) AddOracle(o TreeOracle) int {
 	id := len(r.oracles)
 	r.oracles = append(r.oracles, o)
 	r.out = append(r.out, BatchResult{})
-	if r.cache != nil {
+	if r.plane != nil {
 		r.cache = append(r.cache, treeCacheEntry{})
 		r.useCache = append(r.useCache, false)
-	}
-	if r.plane != nil && r.targets != nil {
 		if po, ok := o.(PlaneOracle); ok {
 			mergePlaneTargets(r.targets, po.PlaneSources())
 		}
@@ -475,16 +458,16 @@ func mergePlaneTargets(targets map[graph.NodeID][]graph.NodeID, members []graph.
 	}
 }
 
-// stagePlane runs stage 1 of a batch: with subtree repair enabled, replay the
+// stagePlane runs stage 1 of a batch: under PlaneSubtree, replay the
 // ledger journal once through the plane's inverted edge->rows index
 // (accumulating per-row dirty subtree roots); walk the distinct member
 // sources of the batch's plane-aware oracles (in batch order — canonical row
 // assignment), classify each stored row — current (skip),
 // subtree-repairable, seedable (copy), or needing a full fill — and fan the
-// fills and repairs across the worker pool in parallel mode. With subtree
-// repair disabled the index is never maintained and classification falls
-// back to the per-row journal-replay check. No-op when the plane is disabled
-// or the batch has no plane-aware oracle.
+// fills and repairs across the worker pool in parallel mode. Under PlaneFull
+// the index is never maintained and classification falls back to the per-row
+// journal-replay check. No-op when the plane is off or the batch has no
+// plane-aware oracle.
 func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 	r.planeLive = false
 	if r.plane == nil {
@@ -566,7 +549,7 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 			// subtree repair waits for the row's first real fill.
 			if r.seed != nil && r.plane.CopyRow(row, r.seed, r.plane.Source(row)) {
 				r.plane.SetFillEpoch(row, 0)
-				if cur == 0 || (r.repair && r.rowCurrent(ls, row)) {
+				if cur == 0 || r.rowCurrent(ls, row) {
 					r.plane.SetFillEpoch(row, cur)
 					r.plane.SetDijkstraEpoch(row, cur)
 					r.plane.setExact(row, cur == 0)
@@ -578,10 +561,6 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 				// Seed content is stale under these lengths: recompute.
 				r.plane.SetFillEpoch(row, -1)
 			}
-			r.toFill = append(r.toFill, int32(row))
-			continue
-		}
-		if !r.repair {
 			r.toFill = append(r.toFill, int32(row))
 			continue
 		}
@@ -734,9 +713,6 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 // sequentially before the eval fan-out so the metrics stay single-writer and
 // the workers only read the decisions.
 func (r *BatchRunner) decideTreeCache(n int) {
-	if r.cache == nil {
-		return
-	}
 	for pos := 0; pos < n; pos++ {
 		r.useCache[pos] = false
 		i := pos

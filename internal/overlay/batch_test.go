@@ -157,10 +157,10 @@ func TestBatchAddOracleGrowsDynamicRunner(t *testing.T) {
 		}
 		oracles = append(oracles, o)
 	}
-	for _, plane := range []bool{true, false} {
+	for _, plane := range planeModes {
 		for _, workers := range []int{1, 3} {
-			static := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: workers, SharedPlane: plane})
-			dyn := NewBatchRunnerOpts(g, nil, BatchOptions{Workers: workers, SharedPlane: plane, Dynamic: true})
+			static := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: workers, Plane: plane})
+			dyn := NewBatchRunnerOpts(g, nil, BatchOptions{Workers: workers, Plane: plane, Dynamic: true})
 			if dyn.Workers() != workers {
 				t.Fatalf("dynamic runner clamped its pool to %d before any oracle arrived", dyn.Workers())
 			}

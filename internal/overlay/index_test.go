@@ -32,7 +32,7 @@ func liveRefs(p *Plane) map[[3]int32]bool {
 // live set, so set equality covers both directions.
 func TestInvertedIndexMatchesRebuild(t *testing.T) {
 	g, oracles := arbBatchFixture(t, 7)
-	r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 2, SharedPlane: true})
+	r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 2})
 	defer r.Close()
 	ls := graph.NewLengthStore(g, 1)
 	rnd := rand.New(rand.NewSource(99))

@@ -29,9 +29,8 @@ import (
 // snapshot) — DijkstraScratch.ShortestPathsInto has deterministic tie-breaks
 // and no shared mutable state — so distances and parent edges are bitwise
 // identical whether a row is filled by stage-1 plane workers, by the
-// sequential path, or inside a plane-oblivious MinTreeWith call. Plane
-// on/off, repair on/off, and worker count therefore never change solver
-// outputs.
+// sequential path, or inside a plane-oblivious MinTreeWith call. Neither
+// the plane mode nor the worker count can therefore change solver outputs.
 //
 // Lifecycle (one-shot consumers like the churn prefabrication): Reset, Stage
 // each source, Fill, then read via Lookup. Staging and filling are

@@ -55,38 +55,38 @@ func dedupNodes(in []graph.NodeID) []graph.NodeID {
 }
 
 // TestPlaneBatchMatchesDirectMinTree pins the tentpole invariant at the
-// overlay layer: for every worker count, with the plane on or off, each batch
-// slot must be bitwise identical to a direct MinTree call on the same
+// overlay layer: for every worker count and plane mode, each batch slot must
+// be bitwise identical to a direct MinTree call on the same
 // lengths.
 func TestPlaneBatchMatchesDirectMinTree(t *testing.T) {
 	g, oracles := arbBatchFixture(t, 7)
-	for _, sharedPlane := range []bool{true, false} {
+	for _, mode := range planeModes {
 		for _, workers := range []int{1, 2, 8} {
-			r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: workers, SharedPlane: sharedPlane})
+			r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: workers, Plane: mode})
 			for round := 0; round < 3; round++ {
 				d := lengthsFor(g, round)
 				ls := graph.NewLengthStoreFrom(d)
 				results := r.MinTreesLen(ls, nil)
 				for i, res := range results {
 					if res.Err != nil {
-						t.Fatalf("plane=%v workers=%d oracle %d: %v", sharedPlane, workers, i, res.Err)
+						t.Fatalf("plane=%v workers=%d oracle %d: %v", mode, workers, i, res.Err)
 					}
 					want, err := oracles[i].MinTree(d)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if res.Tree.Key() != want.Key() {
-						t.Fatalf("plane=%v workers=%d oracle %d: tree differs from direct call", sharedPlane, workers, i)
+						t.Fatalf("plane=%v workers=%d oracle %d: tree differs from direct call", mode, workers, i)
 					}
 					if res.Len != want.LengthUnder(d) {
-						t.Fatalf("plane=%v workers=%d oracle %d: len %v != %v", sharedPlane, workers, i, res.Len, want.LengthUnder(d))
+						t.Fatalf("plane=%v workers=%d oracle %d: len %v != %v", mode, workers, i, res.Len, want.LengthUnder(d))
 					}
 				}
 			}
 			m := r.Metrics()
-			if sharedPlane {
+			if mode != PlaneOff {
 				if m.PlaneRounds != 3 || m.PlaneSources == 0 || m.PlaneRequests <= m.PlaneSources {
-					t.Fatalf("plane=%v workers=%d: implausible metrics %+v", sharedPlane, workers, m)
+					t.Fatalf("plane=%v workers=%d: implausible metrics %+v", mode, workers, m)
 				}
 			} else if m != (Metrics{}) {
 				t.Fatalf("plane disabled but metrics nonzero: %+v", m)
@@ -148,7 +148,7 @@ func TestPlaneMixedOracleBatch(t *testing.T) {
 	g, fixedOracles := batchFixture(t, 3)
 	_, arbOracles := arbBatchFixture(t, 3)
 	mixed := append(append([]TreeOracle{}, fixedOracles...), arbOracles...)
-	r := NewBatchRunnerOpts(g, mixed, BatchOptions{Workers: 2, SharedPlane: true})
+	r := NewBatchRunnerOpts(g, mixed, BatchOptions{Workers: 2})
 	defer r.Close()
 	d := lengthsFor(g, 2)
 	ls := graph.NewLengthStoreFrom(d)
@@ -188,8 +188,8 @@ func TestPlaneOracleAllocs(t *testing.T) {
 	d := lengthsFor(g, 0)
 	ls := graph.NewLengthStoreFrom(d)
 	ids := []int{0, 1, 2, 3, 4, 5}
-	measure := func(sharedPlane bool) float64 {
-		r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 1, SharedPlane: sharedPlane})
+	measure := func(mode PlaneMode) float64 {
+		r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 1, Plane: mode})
 		defer r.Close()
 		r.MinTrees(ls, ids) // warm up scratch + plane row growth
 		return testing.AllocsPerRun(50, func() {
@@ -199,7 +199,7 @@ func TestPlaneOracleAllocs(t *testing.T) {
 			}
 		})
 	}
-	withPlane, without := measure(true), measure(false)
+	withPlane, without := measure(PlaneSubtree), measure(PlaneOff)
 	if withPlane > without {
 		t.Fatalf("plane rounds allocate %.1f/batch vs %.1f/batch without — per-round plane state is not pooled", withPlane, without)
 	}

@@ -6,6 +6,10 @@ import (
 	"overcast/internal/graph"
 )
 
+// planeModes is every PlaneMode, for sweeps that must hold in each; the
+// persistent-plane modes are the first two.
+var planeModes = []PlaneMode{PlaneSubtree, PlaneFull, PlaneOff}
+
 // bumpTreeEdges applies a MaxFlow-style monotone inflation to every edge of
 // t, journaled on ls.
 func bumpTreeEdges(ls *graph.LengthStore, t *Tree) {
@@ -16,29 +20,33 @@ func bumpTreeEdges(ls *graph.LengthStore, t *Tree) {
 
 // TestRepairSkipsUntouchedRows drives the persistent plane through the
 // MaxFlow pattern — evaluate all, inflate one tree's edges, evaluate again —
-// and pins both halves of the repair contract: rows do get skipped, and
-// every slot stays bitwise identical to a direct MinTree call under the
-// mutated lengths.
+// and pins both halves of the repair contract in both persistent-plane
+// modes: rows do get skipped, and every slot stays bitwise identical to a
+// direct MinTree call under the mutated lengths.
 func TestRepairSkipsUntouchedRows(t *testing.T) {
 	g, oracles := arbBatchFixture(t, 7)
-	for _, workers := range []int{1, 4} {
-		r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: workers, SharedPlane: true})
+	for _, tc := range []struct {
+		mode    PlaneMode
+		workers int
+	}{{PlaneSubtree, 1}, {PlaneSubtree, 4}, {PlaneFull, 1}, {PlaneFull, 4}} {
+		mode, workers := tc.mode, tc.workers
+		r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: workers, Plane: mode})
 		ls := graph.NewLengthStore(g, 1)
 		for round := 0; round < 6; round++ {
 			results := r.MinTreesLen(ls, nil)
 			for i, res := range results {
 				if res.Err != nil {
-					t.Fatalf("workers=%d round %d oracle %d: %v", workers, round, i, res.Err)
+					t.Fatalf("%v workers=%d round %d oracle %d: %v", mode, workers, round, i, res.Err)
 				}
 				want, err := oracles[i].MinTree(ls.Values())
 				if err != nil {
 					t.Fatal(err)
 				}
 				if res.Tree.Key() != want.Key() {
-					t.Fatalf("workers=%d round %d oracle %d: repaired tree differs from direct call", workers, round, i)
+					t.Fatalf("%v workers=%d round %d oracle %d: repaired tree differs from direct call", mode, workers, round, i)
 				}
 				if res.Len != want.LengthUnder(ls.Values()) {
-					t.Fatalf("workers=%d round %d oracle %d: len %v != %v", workers, round, i, res.Len, want.LengthUnder(ls.Values()))
+					t.Fatalf("%v workers=%d round %d oracle %d: len %v != %v", mode, workers, round, i, res.Len, want.LengthUnder(ls.Values()))
 				}
 			}
 			// Inflate one session's tree, like a routed MaxFlow iteration.
@@ -46,10 +54,13 @@ func TestRepairSkipsUntouchedRows(t *testing.T) {
 		}
 		m := r.Metrics()
 		if m.PlaneSkipped == 0 {
-			t.Fatalf("workers=%d: no refill was ever skipped (%+v)", workers, m)
+			t.Fatalf("%v workers=%d: no refill was ever skipped (%+v)", mode, workers, m)
 		}
-		if m.PlaneRepaired == 0 {
-			t.Fatalf("workers=%d: no row was ever repaired — bumps never hit a read path? (%+v)", workers, m)
+		if m.PlaneRepaired+m.PlaneSubtreeRepaired == 0 {
+			t.Fatalf("%v workers=%d: no row was ever repaired — bumps never hit a read path? (%+v)", mode, workers, m)
+		}
+		if (mode == PlaneSubtree) != (m.PlaneSubtreeRepaired > 0) {
+			t.Fatalf("%v workers=%d: subtree repairs %d (%+v)", mode, workers, m.PlaneSubtreeRepaired, m)
 		}
 		r.Close()
 	}
@@ -60,7 +71,7 @@ func TestRepairSkipsUntouchedRows(t *testing.T) {
 // epochs are meaningless under the new ledger) and still answer exactly.
 func TestRepairLedgerSwapInvalidates(t *testing.T) {
 	g, oracles := arbBatchFixture(t, 5)
-	r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 1, SharedPlane: true})
+	r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 1})
 	defer r.Close()
 
 	lsA := graph.NewLengthStore(g, 1)
@@ -87,13 +98,14 @@ func TestRepairLedgerSwapInvalidates(t *testing.T) {
 }
 
 // TestRepairRoundAllocs is the allocation gate for the repair hot path:
-// under the same bump-one-tree round pattern, repaired rounds must allocate
-// no more than full-refill rounds do — the dirty checks, skip bookkeeping,
-// and tree cache all run on pooled state.
+// under the same bump-one-tree round pattern, rounds in either
+// persistent-plane mode must allocate no more than plane-off rounds do — the
+// dirty checks, index upkeep, skip bookkeeping, and tree cache all run on
+// pooled state.
 func TestRepairRoundAllocs(t *testing.T) {
 	g, oracles := arbBatchFixture(t, 6)
-	measure := func(disableRepair bool) float64 {
-		r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 1, SharedPlane: true, DisableRepair: disableRepair})
+	measure := func(mode PlaneMode) float64 {
+		r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 1, Plane: mode})
 		defer r.Close()
 		ls := graph.NewLengthStore(g, 1)
 		res := r.MinTrees(ls, nil) // warm up rows and caches
@@ -108,9 +120,11 @@ func TestRepairRoundAllocs(t *testing.T) {
 			round++
 		})
 	}
-	repaired, full := measure(false), measure(true)
-	if repaired > full {
-		t.Fatalf("repaired rounds allocate %.1f/round vs %.1f/round with repair off — repair state is not pooled", repaired, full)
+	off := measure(PlaneOff)
+	for _, mode := range []PlaneMode{PlaneSubtree, PlaneFull} {
+		if got := measure(mode); got > off {
+			t.Fatalf("%v rounds allocate %.1f/round vs %.1f/round with the plane off — repair state is not pooled", mode, got, off)
+		}
 	}
 }
 
@@ -129,9 +143,9 @@ func TestSeedPlaneCopiesFirstBatch(t *testing.T) {
 	}
 	seed.Fill(graph.NewLengths(g, init), 2)
 
-	seeded := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 1, SharedPlane: true, Seed: seed})
+	seeded := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 1, Seed: seed})
 	defer seeded.Close()
-	plain := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 1, SharedPlane: true})
+	plain := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 1})
 	defer plain.Close()
 
 	lsA, lsB := graph.NewLengthStore(g, init), graph.NewLengthStore(g, init)
@@ -164,7 +178,7 @@ func TestSeedPlaneCopiesFirstBatch(t *testing.T) {
 // from the cache (PlaneTreeHits) with trees bitwise equal to a direct call.
 func TestTreeCacheServesIdenticalTrees(t *testing.T) {
 	g, oracles := arbBatchFixture(t, 6)
-	r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 2, SharedPlane: true})
+	r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 2})
 	defer r.Close()
 	ls := graph.NewLengthStore(g, 1)
 	first := r.MinTrees(ls, nil)

@@ -18,7 +18,7 @@ func TestSubtreeRepairRowsBitIdentical(t *testing.T) {
 	g, oracles := arbBatchFixture(t, 7)
 	for _, workers := range []int{1, 4} {
 		rng := rand.New(rand.NewSource(42))
-		r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: workers, SharedPlane: true})
+		r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: workers})
 		ls := graph.NewLengthStore(g, 1)
 		sp := routing.NewDijkstraScratch(g)
 		dist := make([]float64, g.NumNodes())
@@ -73,14 +73,15 @@ func TestSubtreeRepairRowsBitIdentical(t *testing.T) {
 }
 
 // TestSubtreeToggleDecisionIdentical runs the same bump sequence through a
-// subtree-enabled and a subtree-disabled runner and requires identical
-// batch results plus identical skip/refill decisions on the legacy counters —
-// the decision-identity that keeps detdump byte-stable when the toggle flips.
+// PlaneSubtree and a PlaneFull runner and requires identical batch results
+// plus identical skip/refill decisions on the legacy counters — the
+// decision-identity that keeps detdump byte-stable across -plane subtree and
+// -plane full.
 func TestSubtreeToggleDecisionIdentical(t *testing.T) {
 	g, oracles := arbBatchFixture(t, 6)
-	on := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 2, SharedPlane: true})
+	on := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 2, Plane: PlaneSubtree})
 	defer on.Close()
-	off := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 2, SharedPlane: true, DisableSubtreeRepair: true})
+	off := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 2, Plane: PlaneFull})
 	defer off.Close()
 	lsA, lsB := graph.NewLengthStore(g, 1), graph.NewLengthStore(g, 1)
 	rng := rand.New(rand.NewSource(7))
@@ -92,7 +93,7 @@ func TestSubtreeToggleDecisionIdentical(t *testing.T) {
 				t.Fatalf("round %d oracle %d: %v / %v", round, i, got[i].Err, want[i].Err)
 			}
 			if got[i].Tree.Key() != want[i].Tree.Key() || got[i].Len != want[i].Len {
-				t.Fatalf("round %d oracle %d: subtree-on result differs from subtree-off", round, i)
+				t.Fatalf("round %d oracle %d: subtree result differs from full-refill", round, i)
 			}
 		}
 		tree := got[rng.Intn(len(got))].Tree
@@ -104,9 +105,9 @@ func TestSubtreeToggleDecisionIdentical(t *testing.T) {
 		t.Fatalf("subtree runner never took the subtree path (%+v)", mOn)
 	}
 	if mOff.PlaneSubtreeRepaired != 0 {
-		t.Fatalf("disabled runner took the subtree path (%+v)", mOff)
+		t.Fatalf("full-refill runner took the subtree path (%+v)", mOff)
 	}
-	// With subtree off, every row the subtree runner repaired is instead
+	// Under full refill, every row the subtree runner repaired is instead
 	// walk-skipped or refilled; all other classifications must agree.
 	if mOn.PlaneSkipped+mOn.PlaneSubtreeRepaired+mOn.PlaneRepaired !=
 		mOff.PlaneSkipped+mOff.PlaneRepaired {

@@ -10,9 +10,9 @@
 // is a monotone length growth — exactly the mutation shape the plane's
 // dirty-source repair already tolerates — while a recovery or an upward drift
 // *shrinks* a length, which is precisely what LengthStore.MonotoneSince was
-// built to detect: repair-capable consumers must degrade to full refills, the
-// warm engine must fall back cold, and shard replicas must resync. State
-// computes those factors; the consumers' hardening lives with the consumers.
+// built to detect: repair-capable consumers must degrade to full refills and
+// the warm engine must fall back cold. State computes those factors; the
+// consumers' hardening lives with the consumers.
 //
 // A Damper implements BGP-style route-flap damping over an event stream:
 // every recovery charges a per-link penalty that decays exponentially in
