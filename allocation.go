@@ -114,7 +114,7 @@ func (s *System) MaxFlow(ratio float64) (*Allocation, error) {
 	if ratio <= 0 || ratio >= 1 {
 		return nil, fmt.Errorf("overcast: ratio must be in (0,1), got %v", ratio)
 	}
-	sol, err := core.MaxFlow(s.problem, core.MaxFlowOptions{Epsilon: core.RatioToEpsilon(ratio), Parallel: true})
+	sol, err := core.MaxFlow(s.problem, core.MaxFlowOptions{Epsilon: core.RatioToEpsilon(ratio)})
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +141,6 @@ func (s *System) MaxConcurrentFlow(ratio float64, surplus bool) (*FairAllocation
 	res, err := core.MaxConcurrentFlow(s.problem, core.MaxConcurrentFlowOptions{
 		Epsilon:     core.MCFRatioToEpsilon(ratio),
 		SurplusPass: surplus,
-		Parallel:    true,
 	})
 	if err != nil {
 		return nil, err

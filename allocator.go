@@ -13,7 +13,7 @@ import (
 // SessionID is an opaque handle for a session admitted by an Allocator. The
 // zero value is invalid; handles are never reused, so a departed session's
 // handle keeps failing cleanly instead of silently addressing a later
-// arrival (the failure mode of the deprecated arrival-index surface).
+// arrival, as an arrival index would.
 type SessionID struct {
 	n uint64 // 1 + arrival slot; 0 = invalid
 }
@@ -121,65 +121,10 @@ type Placement struct {
 	Rate float64
 }
 
-// PlaneStats exposes the shared-SSSP-plane counters of the solver stack (the
-// internal overlay metrics plane) on the public surface, so daemons and
-// library users can read cache effectiveness without internal imports. All
-// counters accumulate over the allocator's lifetime.
-type PlaneStats struct {
-	// Rounds counts batch rounds that staged at least one plane row.
-	Rounds int
-	// Sources counts SSSP rows actually computed by Dijkstra (first fills
-	// plus repairs) — the misses.
-	Sources int
-	// Requests counts per-member SSSP reads served from the plane.
-	Requests int
-	// Repaired counts row refills forced by the cross-round dirty-source
-	// check; Skipped counts refills it proved unnecessary (no Dijkstra at
-	// all); Seeded counts rows copied from a prestep seed plane.
-	Repaired, Skipped, Seeded int
-	// SubtreeRepaired counts rows revalidated by an incremental subtree
-	// repair (a resumed Dijkstra over just the dirty subtrees) instead of a
-	// full refill; SubtreeNodes totals the nodes those repairs resettled —
-	// SubtreeNodes/SubtreeRepaired is the mean repaired-region size.
-	SubtreeRepaired, SubtreeNodes int
-	// TreeHits counts whole oracle evaluations served from the tree cache.
-	TreeHits int
-	// NonMonotoneRefills counts rows degraded from the skip/repair fast path
-	// to a full refill because a length shrink (an underlay recovery or
-	// downward drift mirrored into the length ledger) made the cached content
-	// unprovable.
-	NonMonotoneRefills int
-}
-
-// Dedup returns Requests/Sources, the average number of member reads served
-// per Dijkstra computed (1 when the plane never fired).
-func (p PlaneStats) Dedup() float64 {
-	if p.Sources == 0 {
-		return 1
-	}
-	return float64(p.Requests) / float64(p.Sources)
-}
-
-// HitRate returns the fraction of member reads that did not trigger a
-// Dijkstra (0 when the plane never fired).
-func (p PlaneStats) HitRate() float64 {
-	if p.Requests == 0 {
-		return 0
-	}
-	return 1 - float64(p.Sources)/float64(p.Requests)
-}
-
-// RepairRate returns the fraction of cross-round row revalidations resolved
-// without a full Dijkstra — skipped outright or subtree-repaired:
-// (Skipped+SubtreeRepaired)/(Skipped+SubtreeRepaired+Repaired) (0 when
-// repair never ran).
-func (p PlaneStats) RepairRate() float64 {
-	resolved := p.Skipped + p.SubtreeRepaired
-	if resolved+p.Repaired == 0 {
-		return 0
-	}
-	return float64(resolved) / float64(resolved+p.Repaired)
-}
+// PlaneStats holds the shared-SSSP-plane counters of the solver stack, so
+// daemons and library users can read cache effectiveness without internal
+// imports; see overlay.PlaneStats for each counter and ratio.
+type PlaneStats = overlay.PlaneStats
 
 // AllocatorStats counts an Allocator's work.
 type AllocatorStats struct {
@@ -528,10 +473,9 @@ func (a *Allocator) Fault(f LinkFault) (float64, error) {
 }
 
 // OnlineAllocation produces the exactly feasible allocation implied by the
-// online trees alone (each session scaled by its own maximum congestion) —
-// the deprecated OnlineAllocator.Finalize view, kept for wrapper
-// compatibility and for comparing the online placement against
-// Snapshot's re-solved allocation.
+// online trees alone (each active session, densely indexed in arrival
+// order, scaled by its own maximum congestion) — the Table VI outcome, for
+// comparing the online placement against Snapshot's re-solved allocation.
 func (a *Allocator) OnlineAllocation() (*Allocation, error) {
 	sol, err := a.online.Finalize()
 	if err != nil {
@@ -571,15 +515,7 @@ func (a *Allocator) Stats() AllocatorStats {
 		RepairPhases:   ws.RepairPhases,
 		MSTOps:         ws.MSTOps + a.online.MSTOps(),
 		UnderlayEvents: ws.UnderlayEvents,
-		Plane: PlaneStats{
-			Rounds: ws.Plane.PlaneRounds, Sources: ws.Plane.PlaneSources,
-			Requests: ws.Plane.PlaneRequests, Repaired: ws.Plane.PlaneRepaired,
-			Skipped: ws.Plane.PlaneSkipped, Seeded: ws.Plane.PlaneSeeded,
-			SubtreeRepaired:    ws.Plane.PlaneSubtreeRepaired,
-			SubtreeNodes:       ws.Plane.PlaneSubtreeNodes,
-			TreeHits:           ws.Plane.PlaneTreeHits,
-			NonMonotoneRefills: ws.Plane.PlaneNonMonotone,
-		},
+		Plane:          ws.Plane,
 	}
 }
 

@@ -1,8 +1,8 @@
 package overcast_test
 
-// Tests for the v2 Allocator surface: session-handle contracts, the
-// SessionRate error contract on both API generations, OverlayTree
-// immutability, wrapper bit-identity, and the warm-start churn replay
+// Tests for the Allocator surface: session-handle contracts, the
+// SessionRate error contract, OverlayTree immutability, the online
+// allocation view, and the warm-start churn replay
 // (quality vs the cold baseline and determinism across worker counts).
 // The engine-level warm-start properties — catch-up/re-grow quality
 // cross-checked against the internal/exact LP, budget fallback, and
@@ -33,6 +33,12 @@ var allocTestSessions = []overcast.Session{
 }
 
 func TestAllocatorHandleContract(t *testing.T) {
+	if _, err := overcast.NewAllocator(nil, overcast.AllocatorOptions{}); err == nil {
+		t.Fatal("nil network accepted")
+	}
+	if _, err := overcast.NewAllocator(testAllocNet(t, 3), overcast.AllocatorOptions{Mu: -1}); err == nil {
+		t.Fatal("negative mu accepted")
+	}
 	a, err := overcast.NewAllocator(testAllocNet(t, 3), overcast.AllocatorOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +69,7 @@ func TestAllocatorHandleContract(t *testing.T) {
 		if p.Epoch <= epochs[len(epochs)-1] {
 			t.Fatalf("Join epoch %d did not advance past %d", p.Epoch, epochs[len(epochs)-1])
 		}
-		if p.Rate <= 0 || len(p.Tree.Pairs()) == 0 || len(p.Trees) != 1 {
+		if p.Rate <= 0 || len(p.Tree.Pairs()) != len(s.Members)-1 || len(p.Trees) != 1 {
 			t.Fatalf("Join placement malformed: rate=%v pairs=%d trees=%d", p.Rate, len(p.Tree.Pairs()), len(p.Trees))
 		}
 		epochs = append(epochs, p.Epoch)
@@ -99,6 +105,20 @@ func TestAllocatorHandleContract(t *testing.T) {
 	if a.Active() != 2 || a.Admitted() != 3 {
 		t.Fatalf("after leave: admitted=%d active=%d, want 3/2", a.Admitted(), a.Active())
 	}
+	// The online view covers exactly the active sessions, densely indexed,
+	// and is feasible as-is.
+	online, err := a.OnlineAllocation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := online.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < a.Active(); i++ {
+		if online.SessionRate(i) <= 0 {
+			t.Fatalf("active session %d has online rate %v", i, online.SessionRate(i))
+		}
+	}
 	// Handles are never reused: the departed handle keeps failing cleanly.
 	if err := a.Leave(ids[1]); err == nil {
 		t.Fatal("double Leave must fail")
@@ -123,11 +143,10 @@ func TestAllocatorHandleContract(t *testing.T) {
 	}
 }
 
-func TestSessionRateErrorContractBothSurfaces(t *testing.T) {
-	net := testAllocNet(t, 5)
-
-	// v2 surface: departed handles are errors, not garbage.
-	a, err := overcast.NewAllocator(net, overcast.AllocatorOptions{})
+// TestSessionRateErrorContract pins that departed handles are errors, not
+// garbage, while surviving sessions keep a positive rate.
+func TestSessionRateErrorContract(t *testing.T) {
+	a, err := overcast.NewAllocator(testAllocNet(t, 5), overcast.AllocatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,99 +170,6 @@ func TestSessionRateErrorContractBothSurfaces(t *testing.T) {
 	}
 	if r, err := a.SessionRate(p1.Session); err != nil || r <= 0 {
 		t.Fatalf("surviving SessionRate = %v, %v", r, err)
-	}
-
-	// Deprecated index surface: same contract through arrival indices.
-	on, err := overcast.NewOnlineAllocator(net, 30, overcast.RoutingIP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range allocTestSessions[:2] {
-		if _, err := on.Join(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := on.SessionRate(2); err == nil {
-		t.Fatal("out-of-range SessionRate must fail")
-	}
-	if _, err := on.SessionRate(-1); err == nil {
-		t.Fatal("negative SessionRate index must fail")
-	}
-	if err := on.Leave(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := on.SessionRate(0); err == nil {
-		t.Fatal("wrapper SessionRate on departed session must fail")
-	}
-	if r, err := on.SessionRate(1); err != nil || r <= 0 {
-		t.Fatalf("wrapper surviving SessionRate = %v, %v", r, err)
-	}
-	if err := on.Leave(5); err == nil {
-		t.Fatal("out-of-range Leave must fail")
-	}
-}
-
-// TestOnlineAllocatorWrapperBitIdentical pins the deprecation contract: the
-// v1 wrapper is a veneer over Allocator, so driving both with the same
-// arrivals on the same network must produce bit-identical rates, congestion,
-// and finalized allocations.
-func TestOnlineAllocatorWrapperBitIdentical(t *testing.T) {
-	net := testAllocNet(t, 7)
-	a, err := overcast.NewAllocator(net, overcast.AllocatorOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	on, err := overcast.NewOnlineAllocator(net, 30, overcast.RoutingIP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []overcast.SessionID
-	for i, s := range allocTestSessions {
-		p, err := a.Join(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, p.Session)
-		if _, err := on.Join(s); err != nil {
-			t.Fatal(err)
-		}
-		vr, err := a.SessionRate(p.Session)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wr, err := on.SessionRate(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vr != wr {
-			t.Fatalf("session %d rate: v2 %.17g != wrapper %.17g", i, vr, wr)
-		}
-	}
-	if a.MaxCongestion() != on.MaxCongestion() {
-		t.Fatalf("max congestion: v2 %.17g != wrapper %.17g", a.MaxCongestion(), on.MaxCongestion())
-	}
-	va, err := a.OnlineAllocation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wa, err := on.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range allocTestSessions {
-		if va.SessionRate(i) != wa.SessionRate(i) {
-			t.Fatalf("finalized rate %d: v2 %.17g != wrapper %.17g", i, va.SessionRate(i), wa.SessionRate(i))
-		}
-	}
-	if err := a.Leave(ids[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := on.Leave(1); err != nil {
-		t.Fatal(err)
-	}
-	if a.MaxCongestion() != on.MaxCongestion() {
-		t.Fatalf("post-leave congestion: v2 %.17g != wrapper %.17g", a.MaxCongestion(), on.MaxCongestion())
 	}
 }
 

@@ -359,7 +359,7 @@ func BenchmarkScaleMCFFixed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := si.MCF(0.25, true)
+		res, err := si.MCF(0.25)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -375,7 +375,7 @@ func BenchmarkScaleMaxFlowFixed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := si.MaxFlow(0.25, true)
+		sol, err := si.MaxFlow(0.25)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -395,7 +395,7 @@ func BenchmarkScaleMCFArbitrary(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := si.MCF(0.3, true)
+		res, err := si.MCF(0.3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -415,7 +415,7 @@ func BenchmarkScaleMaxFlowFixedLarge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := si.MaxFlow(0.3, true)
+		sol, err := si.MaxFlow(0.3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -470,7 +470,7 @@ func benchScaleScenario(b *testing.B, scenario string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := si.MCF(0.3, true)
+		res, err := si.MCF(0.3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -566,7 +566,7 @@ func benchScaleParallelMCF(b *testing.B, scenario string, nodes, sessions, worke
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := core.MaxConcurrentFlow(si.Problem, core.MaxConcurrentFlowOptions{
-			Epsilon: 0.3, Parallel: true, SolverOptions: core.SolverOptions{Workers: workers},
+			Epsilon: 0.3, SolverOptions: core.SolverOptions{Workers: workers},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -620,7 +620,7 @@ func BenchmarkScaleZipfHotPlane(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					opts := core.MaxFlowOptions{Epsilon: 0.35, Parallel: true}
+					opts := core.MaxFlowOptions{Epsilon: 0.35}
 					if !plane {
 						opts.Plane = overlay.PlaneOff
 					}
@@ -631,7 +631,7 @@ func BenchmarkScaleZipfHotPlane(b *testing.B) {
 					if sol.OverallThroughput() <= 0 {
 						b.Fatal("zero throughput")
 					}
-					if plane && sol.Plane.PlaneSources == 0 {
+					if plane && sol.Plane.Sources == 0 {
 						b.Fatal("plane never fired")
 					}
 				}
@@ -786,7 +786,7 @@ func benchPlaneRepair(b *testing.B, scenario string, degree int, mode string) {
 	si := scaleInstance(b, experiments.ScaleConfig{
 		Nodes: 200, Sessions: 48, Degree: degree, Scenario: scenario, Arbitrary: true,
 	})
-	opts := core.MaxFlowOptions{Epsilon: 0.35, Parallel: true}
+	opts := core.MaxFlowOptions{Epsilon: 0.35}
 	if err := opts.Plane.Set(mode); err != nil {
 		b.Fatal(err)
 	}
@@ -800,10 +800,10 @@ func benchPlaneRepair(b *testing.B, scenario string, degree int, mode string) {
 		if sol.OverallThroughput() <= 0 {
 			b.Fatal("zero throughput")
 		}
-		if sol.Plane.PlaneSkipped == 0 {
+		if sol.Plane.Skipped == 0 {
 			b.Fatal("repair never skipped a refill")
 		}
-		if subtree := sol.Plane.PlaneSubtreeRepaired; (opts.Plane == overlay.PlaneSubtree) != (subtree > 0) {
+		if subtree := sol.Plane.SubtreeRepaired; (opts.Plane == overlay.PlaneSubtree) != (subtree > 0) {
 			b.Fatalf("plane=%v: %d subtree repairs (%+v)", opts.Plane, subtree, sol.Plane)
 		}
 	}
@@ -840,9 +840,9 @@ func BenchmarkScalePlaneRepairLivestream(b *testing.B) {
 
 // BenchmarkScalePlaneRepairMCF10k runs the 10,000-node arbitrary-routing
 // MCF in both repair modes: the batched beta prestep shares one seed plane
-// across its same-delta subproblems (PrestepPlane.PlaneSeeded rows copied
+// across its same-delta subproblems (PrestepPlane.Seeded rows copied
 // instead of Dijkstra'd) and every subproblem plus the phase loop repairs
-// across rounds (PlaneSkipped). The heaviest tier configuration, so
+// across rounds (Skipped). The heaviest tier configuration, so
 // it skips under -short like the other 10k benches; run it via
 // `make bench-scale` without BENCHFLAGS overrides.
 func BenchmarkScalePlaneRepairMCF10k(b *testing.B) {
@@ -854,7 +854,7 @@ func BenchmarkScalePlaneRepairMCF10k(b *testing.B) {
 			si := scaleInstance(b, experiments.ScaleConfig{
 				Nodes: 10000, Sessions: 8, Degree: 3, Scenario: "cdn", Arbitrary: true,
 			})
-			opts := core.MaxConcurrentFlowOptions{Epsilon: 0.5, Parallel: true}
+			opts := core.MaxConcurrentFlowOptions{Epsilon: 0.5}
 			if err := opts.Plane.Set(mode); err != nil {
 				b.Fatal(err)
 			}
@@ -868,7 +868,7 @@ func BenchmarkScalePlaneRepairMCF10k(b *testing.B) {
 				if res.Lambda <= 0 {
 					b.Fatalf("lambda %v", res.Lambda)
 				}
-				if res.PrestepPlane.PlaneSeeded == 0 || res.PrestepPlane.PlaneSkipped == 0 {
+				if res.PrestepPlane.Seeded == 0 || res.PrestepPlane.Skipped == 0 {
 					b.Fatalf("prestep seeding/repair never fired: %+v", res.PrestepPlane)
 				}
 			}

@@ -14,8 +14,8 @@
 // capacities/demands, Zipf membership), a scenario-driven online/churn
 // replay, a Zipf-hot arbitrary-routing instance where the plane serves
 // most per-member Dijkstra reads, the v2 Allocator's warm-start churn
-// path (anchor / warm-join / warm-leave snapshots, a rebalance, the
-// deprecated v1 wrapper, and an end-to-end churn replay), and a seeded
+// path (anchor / warm-join / warm-leave snapshots, a rebalance, and an
+// end-to-end churn replay), and a seeded
 // underlay fault-trace replay whose non-monotone capacity shrinks force
 // the plane's full-refill degradation and whose fault storm outruns the
 // ledger journal — the degraded paths must stay bit-identical too.
@@ -47,7 +47,7 @@ func main() {
 		if arb {
 			p = a.ProblemArb
 		}
-		mf, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.08, Parallel: true, SolverOptions: solver})
+		mf, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.08, SolverOptions: solver})
 		if err != nil {
 			panic(err)
 		}
@@ -61,7 +61,7 @@ func main() {
 			}
 		}
 		mcf, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
-			Epsilon: 0.1, Parallel: true, SurplusPass: true, SolverOptions: solver,
+			Epsilon: 0.1, SurplusPass: true, SolverOptions: solver,
 		})
 		if err != nil {
 			panic(err)
@@ -91,7 +91,7 @@ func main() {
 		}
 		fmt.Printf("scenario=%s edges=%d caps=%.17g\n",
 			scenario, si.Net.Graph.NumEdges(), si.Net.Graph.TotalCapacity())
-		mcf, err := si.MCF(0.3, true)
+		mcf, err := si.MCF(0.3)
 		if err != nil {
 			panic(err)
 		}
@@ -99,7 +99,7 @@ func main() {
 		for i := range si.Sessions {
 			fmt.Printf("  rate[%d]=%.17g trees=%d\n", i, mcf.SessionRate(i), mcf.TreeCount(i))
 		}
-		mf, err := si.MaxFlow(0.3, true)
+		mf, err := si.MaxFlow(0.3)
 		if err != nil {
 			panic(err)
 		}
@@ -134,7 +134,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	zmf, err := si.MaxFlow(0.3, true)
+	zmf, err := si.MaxFlow(0.3)
 	if err != nil {
 		panic(err)
 	}
@@ -156,7 +156,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	tmcf, err := tli.MCF(0.3, true)
+	tmcf, err := tli.MCF(0.3)
 	if err != nil {
 		panic(err)
 	}
@@ -164,7 +164,7 @@ func main() {
 	for i := range tli.Sessions {
 		fmt.Printf("  rate[%d]=%.17g trees=%d\n", i, tmcf.SessionRate(i), tmcf.TreeCount(i))
 	}
-	tmf, err := tli.MaxFlow(0.3, true)
+	tmf, err := tli.MaxFlow(0.3)
 	if err != nil {
 		panic(err)
 	}
@@ -246,28 +246,6 @@ func main() {
 	for _, pl := range placements {
 		fmt.Printf("warmchurn placement %v rate=%.17g trees=%d\n", pl.Session, pl.Rate, len(pl.Trees))
 	}
-
-	// The deprecated v1 wrapper must stay bit-identical to driving the v2
-	// surface directly (same seed, same joins).
-	on, err := overcast.NewOnlineAllocator(warmNet, 30, overcast.RoutingIP)
-	if err != nil {
-		panic(err)
-	}
-	for i, s := range warmSessions[:3] {
-		if _, err := on.Join(s); err != nil {
-			panic(err)
-		}
-		rate, err := on.SessionRate(i)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("wrapper rate[%d]=%.17g\n", i, rate)
-	}
-	fin, err := on.Finalize()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("wrapper maxcong=%.17g thpt=%.17g\n", on.MaxCongestion(), fin.OverallThroughput())
 
 	// End-to-end warm churn replay fingerprint (counters and final
 	// allocation only — the per-event trace is huge).

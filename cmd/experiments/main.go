@@ -14,9 +14,9 @@
 // arguments the Setting-A experiments (table2..fig11) run; with -scale
 // large the scale tier runs.
 //
-// -workers sets the solvers' oracle worker-pool size (0 = GOMAXPROCS for
-// the scale tier, sequential solves for the sweep tiers, which already
-// parallelize across rows/cells/trials). Solver outputs are bit-identical
+// -workers sets the solvers' oracle worker-pool size (0 = GOMAXPROCS,
+// except in the Setting A/B sweep tiers, which already parallelize across
+// rows/cells/trials and run 0 as sequential solves). Solver outputs are bit-identical
 // for every worker count — the knob moves wall-clock only. -plane selects
 // the shared SSSP plane mode: subtree (the default), full (refill dirty rows
 // whole) or off (outputs are mode-independent too; scale/churn rows print the
@@ -493,7 +493,7 @@ func (r *runner) run(exp string) error {
 		for ci := range cfgs {
 			cfgs[ci].SolverOptions = r.solver
 		}
-		rows, err := experiments.ScaleSuite(r.seed, 0.3, true, cfgs)
+		rows, err := experiments.ScaleSuite(r.seed, 0.3, cfgs)
 		if err != nil {
 			return err
 		}

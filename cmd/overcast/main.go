@@ -73,17 +73,22 @@ func run(nodes int, capacity float64, seed uint64, sessionSpec string, demand fl
 	var alloc *overcast.Allocation
 	switch alg {
 	case "online":
-		on, err := overcast.NewOnlineAllocator(net, mu, routing)
+		// NewAllocator reads Mu 0 as its default; here it is a user error.
+		if mu <= 0 {
+			return fmt.Errorf("online step size mu=%v must be positive", mu)
+		}
+		on, err := overcast.NewAllocator(net, overcast.AllocatorOptions{Mu: mu, Routing: routing})
 		if err != nil {
 			return err
 		}
+		defer on.Close()
 		for i, s := range sessions {
 			if _, err := on.Join(s); err != nil {
 				return err
 			}
 			fmt.Printf("joined session %d, current max congestion %.3f\n", i, on.MaxCongestion())
 		}
-		alloc, err = on.Finalize()
+		alloc, err = on.OnlineAllocation()
 		if err != nil {
 			return err
 		}

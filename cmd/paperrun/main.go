@@ -16,7 +16,7 @@ import (
 func main() {
 	part := flag.String("part", "a", "a = Setting A sweeps, b = Setting B grid")
 	seed := flag.Uint64("seed", 2004, "seed")
-	workers := flag.Int("workers", 0, "solver oracle worker-pool size (0 = sequential solves; the sweeps parallelize across rows/cells); outputs are worker-count independent")
+	workers := flag.Int("workers", 0, "solver oracle worker-pool size; the sweeps already parallelize across rows/cells, so 0 runs each solve sequentially instead of at GOMAXPROCS; outputs are worker-count independent")
 	flag.Parse()
 	switch *part {
 	case "a":

@@ -47,8 +47,8 @@ func main() {
 	defer alloc.Close()
 
 	// Replay the trace. Workload session index -> opaque session handle;
-	// handles stay valid no matter how many earlier arrivals depart (the
-	// deprecated index-based surface shifted meaning here).
+	// handles stay valid no matter how many earlier arrivals depart (an
+	// arrival index would shift meaning here).
 	ids := make(map[int]overcast.SessionID, len(workload.Sessions))
 	peakCongestion := 0.0
 	for i, ev := range workload.Events {

@@ -22,7 +22,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	on, err := overcast.NewOnlineAllocator(net, 30, overcast.RoutingIP)
+	on, err := overcast.NewAllocator(net, overcast.AllocatorOptions{Mu: 30, Routing: overcast.RoutingIP})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,19 +38,20 @@ func main() {
 
 	fmt.Println("channel  members  tree-links  max-congestion-after-join")
 	for ch, members := range audiences {
-		pairs, err := on.Join(overcast.Session{Members: members, Demand: 1})
+		p, err := on.Join(overcast.Session{Members: members, Demand: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%7d  %7d  %10d  %25.3f\n", ch, len(members), len(pairs), on.MaxCongestion())
+		fmt.Printf("%7d  %7d  %10d  %25.3f\n", ch, len(members), len(p.Tree.Pairs()), on.MaxCongestion())
 	}
 
-	// Finalize: every channel's streaming rate is its demand scaled by the
-	// congestion its tree actually sees — an exactly feasible allocation.
-	alloc, err := on.Finalize()
+	// Every channel's streaming rate is its demand scaled by the congestion
+	// its tree actually sees — an exactly feasible allocation.
+	alloc, err := on.OnlineAllocation()
 	if err != nil {
 		log.Fatal(err)
 	}
+	on.Close()
 	if err := alloc.Verify(); err != nil {
 		log.Fatal(err)
 	}

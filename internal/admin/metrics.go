@@ -46,7 +46,7 @@ func PrometheusText(st *StatsResult) string {
 	counter("overcastd_plane_seeded_total", "Rows copied from a prestep seed plane.", float64(p.Seeded))
 	counter("overcastd_plane_tree_hits_total", "Whole oracle evaluations served from the tree cache.", float64(p.TreeHits))
 	gauge("overcastd_plane_dedup_ratio", "Member reads served per Dijkstra computed.", p.Dedup())
-	gauge("overcastd_plane_repair_skip_ratio", "Fraction of row revalidations resolved without a Dijkstra.", p.RepairRate())
+	gauge("overcastd_plane_repair_skip_ratio", "Fraction of row revalidations resolved without a full-row Dijkstra (skipped or subtree-repaired).", p.RepairRate())
 
 	counter("overcastd_underlay_events_total", "Effective underlay fault events applied (link down/up, capacity drift).", float64(a.UnderlayEvents))
 	counter("overcastd_plane_nonmonotone_refills_total", "Plane rows degraded from skip/repair to full refill by non-monotone length moves.", float64(p.NonMonotoneRefills))

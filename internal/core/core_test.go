@@ -151,7 +151,7 @@ func TestMaxFlowMatchesExactM1SmallInstances(t *testing.T) {
 			{perm[4], perm[5], perm[6]},
 		}
 		p := buildProblem(t, g, memberSets, nil, core.RoutingIP)
-		sol, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: eps, Parallel: true})
+		sol, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,11 +208,11 @@ func TestMaxFlowParallelMatchesSerial(t *testing.T) {
 	p := buildProblem(t, net.Graph, [][]graph.NodeID{
 		{0, 10, 20, 30}, {5, 15, 25, 35}, {2, 22},
 	}, nil, core.RoutingIP)
-	serial, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.1})
+	serial, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.1, SolverOptions: core.SolverOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.1, Parallel: true})
+	parallel, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.1, SolverOptions: core.SolverOptions{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

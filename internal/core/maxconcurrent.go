@@ -14,14 +14,11 @@ type MaxConcurrentFlowOptions struct {
 	// within (1-eps)^3 of the M2 optimum (the paper reports 1-3eps). Must
 	// be in (0, 0.5].
 	Epsilon float64
-	// Parallel fans oracle computations across CPUs where possible: the
-	// beta prestep batches its independent per-session maximum flows and
-	// the phase loop fans each round of pending-session oracle calls out to
-	// a persistent worker pool.
-	Parallel bool
-	// SolverOptions sets the worker-pool size (0 defers to Parallel) and the
-	// shared SSSP plane mode of every batched oracle round this solve runs
-	// (phase loop, beta prestep subsolves and seed planes, surplus pass).
+	// SolverOptions sets the worker-pool size and the shared SSSP plane mode
+	// of every batched oracle round this solve runs: the beta prestep fans
+	// its independent per-session maximum flows and seed planes out across
+	// the workers, the phase loop fans each round of pending-session oracle
+	// calls out to a persistent pool, and the surplus pass inherits both.
 	SolverOptions
 	// SurplusPass, when set, routes additional MaxFlow-style traffic on the
 	// residual capacities after the fair share is secured. The paper's
@@ -81,13 +78,13 @@ type MCFResult struct {
 	// running-time component reported in Table IV.
 	PrestepMSTOps int
 	// PrestepPlane aggregates the beta prestep's plane counters — the
-	// cross-subproblem seed fills (PlaneRounds/Sources/Requests of the seed
-	// planes), each subproblem's seed copies (PlaneSeeded) and cross-round
-	// repair skips (PlaneSkipped/PlaneRepaired) — kept apart from
+	// cross-subproblem seed fills (Rounds/Sources/Requests of the seed
+	// planes), each subproblem's seed copies (Seeded) and cross-round
+	// repair skips (Skipped/Repaired) — kept apart from
 	// Solution.Plane: a prestep subproblem has one session, whose
 	// *within-batch* dedup is exactly 1.0, so folding these in would dilute
 	// the phase loop's cross-session dedup ratio.
-	PrestepPlane overlay.Metrics
+	PrestepPlane overlay.PlaneStats
 	// Betas are the single-session maximum flow values.
 	Betas []float64
 }
@@ -124,7 +121,13 @@ func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, e
 		return nil, fmt.Errorf("core: MaxConcurrentFlow capture is incompatible with the surplus pass")
 	}
 	k := p.K()
-	workers := resolveWorkers(opts.Parallel, opts.Workers)
+	// The phase loop fans each round of pending-session oracle calls out to
+	// the persistent worker pool (per-worker scratch); the pool outlives all
+	// phases, so goroutines and buffers are built exactly once per solve. It
+	// is built first so the prestep fans out across the same resolved size.
+	runner := overlay.NewBatchRunnerOpts(p.G, p.Oracles, overlay.BatchOptions{Workers: opts.Workers, Plane: opts.Plane})
+	defer runner.Close()
+	workers := runner.Workers()
 
 	// Pre-step: beta_i = single-session maximum flow, for demand scaling.
 	// See prestep.go for the batched formulation (cross-subproblem seed
@@ -180,11 +183,6 @@ func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, e
 		maxPhases = budget * (bits(k) + 2)
 	}
 
-	// The phase loop fans each round of pending-session oracle calls out to
-	// the persistent worker pool (per-worker scratch); the pool outlives all
-	// phases, so goroutines and buffers are built exactly once per solve.
-	runner := overlay.NewBatchRunnerOpts(p.G, p.Oracles, overlay.BatchOptions{Workers: workers, Plane: opts.Plane})
-	defer runner.Close()
 	rem := make([]float64, k)
 	pending := make([]int, 0, k)
 	phases := 0
@@ -317,7 +315,7 @@ func addSurplus(p *Problem, sol *Solution, eps float64, opts MaxConcurrentFlowOp
 	if err != nil {
 		return fmt.Errorf("core: surplus problem: %w", err)
 	}
-	extra, err := MaxFlow(rp, MaxFlowOptions{Epsilon: eps, Parallel: opts.Parallel, SolverOptions: opts.SolverOptions})
+	extra, err := MaxFlow(rp, MaxFlowOptions{Epsilon: eps, SolverOptions: opts.SolverOptions})
 	if err != nil {
 		return fmt.Errorf("core: surplus pass: %w", err)
 	}

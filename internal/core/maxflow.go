@@ -14,11 +14,9 @@ type MaxFlowOptions struct {
 	// of the M1 optimum (paper reports this as approximation ratio 1-2eps).
 	// Must be in (0, 0.5].
 	Epsilon float64
-	// Parallel fans the per-iteration k spanning-tree computations across
-	// CPUs.
-	Parallel bool
-	// SolverOptions sets the worker-pool size (0 defers to Parallel:
-	// GOMAXPROCS when set, 1 otherwise) and the shared SSSP plane mode.
+	// SolverOptions sets the worker-pool size the per-iteration k
+	// spanning-tree computations fan out across, and the shared SSSP plane
+	// mode.
 	SolverOptions
 	// MaxIterations overrides the default safety bound (0 = automatic).
 	MaxIterations int
@@ -65,7 +63,7 @@ func MaxFlow(p *Problem, opts MaxFlowOptions) (*Solution, error) {
 	// fan-out below executes every iteration, and rebuilding goroutines and
 	// buffers each time used to dominate the solver's allocation profile.
 	runner := overlay.NewBatchRunnerOpts(p.G, p.Oracles, overlay.BatchOptions{
-		Workers: resolveWorkers(opts.Parallel, opts.Workers),
+		Workers: opts.Workers,
 		Plane:   opts.Plane,
 		Seed:    opts.seedPlane,
 	})

@@ -1,24 +1,6 @@
 package core
 
-import (
-	"runtime"
-	"sync"
-)
-
-// resolveWorkers turns the (Parallel, Workers) option pair into a concrete
-// oracle worker-pool size. An explicit Workers value always wins (1 forces
-// the sequential path even with Parallel set, which is what the detdump
-// cross-worker determinism gate sweeps); Workers == 0 falls back to
-// GOMAXPROCS when Parallel is set and to 1 otherwise.
-func resolveWorkers(parallel bool, workers int) int {
-	if workers > 0 {
-		return workers
-	}
-	if parallel {
-		return runtime.GOMAXPROCS(0)
-	}
-	return 1
-}
+import "sync"
 
 // parallelFor runs fn(i) for i in [0,n) across at most workers goroutines
 // and blocks until all complete. fn must be safe to run concurrently for

@@ -40,11 +40,11 @@ import (
 
 // prestepBetas computes the per-session maximum flows of p. It returns the
 // betas, the total spanning-tree operations, and the aggregated plane
-// counters (seed fills count as PlaneSources; rows subproblems copied from a
-// seed count as PlaneSeeded).
-func prestepBetas(p *Problem, eps float64, workers int, opts MaxConcurrentFlowOptions) ([]float64, int, overlay.Metrics, error) {
+// counters (seed fills count as Sources; rows subproblems copied from a
+// seed count as Seeded).
+func prestepBetas(p *Problem, eps float64, workers int, opts MaxConcurrentFlowOptions) ([]float64, int, overlay.PlaneStats, error) {
 	k := p.K()
-	var prestepPlane overlay.Metrics
+	var prestepPlane overlay.PlaneStats
 	seeds := make([]*overlay.Plane, k) // per-session seed (shared pointers within a group)
 	if opts.Plane != overlay.PlaneOff {
 		prestepPlane = buildPrestepSeeds(p, eps, workers, seeds)
@@ -52,7 +52,7 @@ func prestepBetas(p *Problem, eps float64, workers int, opts MaxConcurrentFlowOp
 
 	betas := make([]float64, k)
 	perSessionOps := make([]int, k)
-	perSessionPlane := make([]overlay.Metrics, k)
+	perSessionPlane := make([]overlay.PlaneStats, k)
 	prestepErrs := make([]error, k)
 	parallelFor(workers, k, func(i int) {
 		sub := singleSessionProblem(p, i)
@@ -75,7 +75,7 @@ func prestepBetas(p *Problem, eps float64, workers int, opts MaxConcurrentFlowOp
 	prestepOps := 0
 	for i := 0; i < k; i++ {
 		if prestepErrs[i] != nil {
-			return nil, 0, overlay.Metrics{}, prestepErrs[i]
+			return nil, 0, overlay.PlaneStats{}, prestepErrs[i]
 		}
 		prestepOps += perSessionOps[i]
 		prestepPlane.Merge(perSessionPlane[i])
@@ -86,17 +86,17 @@ func prestepBetas(p *Problem, eps float64, workers int, opts MaxConcurrentFlowOp
 // buildPrestepSeeds groups p's plane-aware subproblems by initial length
 // function and fills one seed plane per multi-subproblem group, writing each
 // session's seed (nil when it has none) into seeds. Returns the seed-fill
-// metrics: one PlaneRounds per seed, the computed union rows as
-// PlaneSources, and the group's total member count as PlaneRequests.
-func buildPrestepSeeds(p *Problem, eps float64, workers int, seeds []*overlay.Plane) overlay.Metrics {
-	var metrics overlay.Metrics
+// counters: one Rounds per seed, the computed union rows as Sources, and the
+// group's total member count as Requests.
+func buildPrestepSeeds(p *Problem, eps float64, workers int, seeds []*overlay.Plane) overlay.PlaneStats {
+	var metrics overlay.PlaneStats
 	// Group by (receivers, U): the two inputs of maxFlowDelta besides eps.
 	type deltaKey struct{ receivers, u int }
 	groups := make(map[deltaKey][]int)
 	order := make([]deltaKey, 0, 4)
 	for i, o := range p.Oracles {
 		if _, ok := o.(overlay.PlaneOracle); !ok {
-			return overlay.Metrics{} // mixed or fixed-routing: no seeding
+			return overlay.PlaneStats{} // mixed or fixed-routing: no seeding
 		}
 		key := deltaKey{receivers: p.Sessions[i].Receivers(), u: maxInt(o.MaxRouteHops(), 1)}
 		if _, seen := groups[key]; !seen {
@@ -130,9 +130,9 @@ func buildPrestepSeeds(p *Problem, eps float64, workers int, seeds []*overlay.Pl
 		for _, i := range members {
 			seeds[i] = seed
 		}
-		metrics.PlaneRounds++
-		metrics.PlaneSources += seed.NumSources()
-		metrics.PlaneRequests += requests
+		metrics.Rounds++
+		metrics.Sources += seed.NumSources()
+		metrics.Requests += requests
 	}
 	return metrics
 }

@@ -27,20 +27,20 @@ func TestRepairToggleBitIdentical(t *testing.T) {
 		for _, w := range workerCounts {
 			for _, plane := range persistentPlaneModes {
 				res, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
-					Epsilon: 0.12, Parallel: true, SurplusPass: true,
+					Epsilon: 0.12, SurplusPass: true,
 					SolverOptions: core.SolverOptions{Workers: w, Plane: plane},
 				})
 				if err != nil {
 					t.Fatalf("mode=%v workers=%d plane=%v: %v", mode, w, plane, err)
 				}
 				if mode == core.RoutingArbitrary {
-					if res.Plane.PlaneSkipped+res.PrestepPlane.PlaneSkipped == 0 {
+					if res.Plane.Skipped+res.PrestepPlane.Skipped == 0 {
 						t.Fatalf("workers=%d plane=%v: no refill was ever skipped", w, plane)
 					}
-					if res.PrestepPlane.PlaneSeeded == 0 {
+					if res.PrestepPlane.Seeded == 0 {
 						t.Fatalf("workers=%d plane=%v: prestep seed plane never fired (metrics %+v)", w, plane, res.PrestepPlane)
 					}
-					subtree := res.Plane.PlaneSubtreeRepaired + res.PrestepPlane.PlaneSubtreeRepaired
+					subtree := res.Plane.SubtreeRepaired + res.PrestepPlane.SubtreeRepaired
 					if (plane == overlay.PlaneSubtree) != (subtree > 0) {
 						t.Fatalf("workers=%d plane=%v: %d subtree repairs", w, plane, subtree)
 					}
@@ -72,16 +72,16 @@ func TestRepairToggleBitIdenticalMaxFlow(t *testing.T) {
 	for _, w := range workerCounts {
 		for _, plane := range persistentPlaneModes {
 			sol, err := core.MaxFlow(p, core.MaxFlowOptions{
-				Epsilon: 0.1, Parallel: true, SolverOptions: core.SolverOptions{Workers: w, Plane: plane},
+				Epsilon: 0.1, SolverOptions: core.SolverOptions{Workers: w, Plane: plane},
 			})
 			if err != nil {
 				t.Fatalf("workers=%d plane=%v: %v", w, plane, err)
 			}
-			if sol.Plane.PlaneSkipped == 0 {
+			if sol.Plane.Skipped == 0 {
 				t.Fatalf("workers=%d plane=%v: MaxFlow repair never skipped a refill", w, plane)
 			}
-			if (plane == overlay.PlaneSubtree) != (sol.Plane.PlaneSubtreeRepaired > 0) {
-				t.Fatalf("workers=%d plane=%v: %d subtree repairs", w, plane, sol.Plane.PlaneSubtreeRepaired)
+			if (plane == overlay.PlaneSubtree) != (sol.Plane.SubtreeRepaired > 0) {
+				t.Fatalf("workers=%d plane=%v: %d subtree repairs", w, plane, sol.Plane.SubtreeRepaired)
 			}
 			if base == nil {
 				base = sol

@@ -34,7 +34,7 @@ type Solution struct {
 	// single-session planes dedup 1.0 by construction and are reported on
 	// MCFResult.PrestepPlane instead). Zero when the plane was disabled or
 	// the oracles are fixed-routing; diagnostic only — never affects rates.
-	Plane overlay.Metrics
+	Plane overlay.PlaneStats
 }
 
 // newSolution allocates an empty solution shell for p.

@@ -93,7 +93,7 @@ type WarmStats struct {
 	MSTOps int
 	// Plane aggregates the shared-SSSP-plane counters across the anchors'
 	// phase loops and the warm repair runner.
-	Plane overlay.Metrics
+	Plane overlay.PlaneStats
 }
 
 // errWarmFallback signals that the warm path cannot (or may not) complete
@@ -366,7 +366,7 @@ func (w *Warm) Refresh() error {
 func (w *Warm) ensureRunner() {
 	if w.runner == nil {
 		w.runner = overlay.NewBatchRunnerOpts(w.g, append([]overlay.TreeOracle(nil), w.oracles...), overlay.BatchOptions{
-			Workers: resolveWorkers(true, w.opts.Workers),
+			Workers: w.opts.Workers,
 			Plane:   w.opts.Plane,
 			Dynamic: true,
 		})
@@ -580,7 +580,7 @@ func (w *Warm) cold() error {
 	}
 	cap := &warmCapture{}
 	res, err := MaxConcurrentFlow(p, MaxConcurrentFlowOptions{
-		Epsilon: w.eps, Parallel: true, SolverOptions: w.opts.SolverOptions,
+		Epsilon: w.eps, SolverOptions: w.opts.SolverOptions,
 		capture: cap,
 	})
 	if err != nil {

@@ -10,9 +10,10 @@ import (
 	"overcast/internal/topology"
 )
 
-// workerCounts is the sweep the CI determinism gate runs detdump at; the
-// in-process test pins the same invariant without shelling out.
-var workerCounts = []int{1, 2, 8}
+// workerCounts is the sweep the CI determinism gate runs detdump at, plus
+// the default 0 (GOMAXPROCS); the in-process test pins the same invariant
+// without shelling out.
+var workerCounts = []int{1, 2, 8, 0}
 
 // sameSolution asserts two solutions are bit-identical: same op counts, same
 // trees in the same order, and exactly equal (not merely close) rates.
@@ -62,7 +63,7 @@ func TestMaxFlowBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		p := workerSweepProblem(t, mode)
 		var base *core.Solution
 		for _, w := range workerCounts {
-			sol, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.1, Parallel: true, SolverOptions: core.SolverOptions{Workers: w}})
+			sol, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.1, SolverOptions: core.SolverOptions{Workers: w}})
 			if err != nil {
 				t.Fatalf("mode=%v workers=%d: %v", mode, w, err)
 			}
@@ -84,7 +85,7 @@ func TestMCFBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		var base *core.MCFResult
 		for _, w := range workerCounts {
 			res, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
-				Epsilon: 0.12, Parallel: true, SurplusPass: true, SolverOptions: core.SolverOptions{Workers: w},
+				Epsilon: 0.12, SurplusPass: true, SolverOptions: core.SolverOptions{Workers: w},
 			})
 			if err != nil {
 				t.Fatalf("mode=%v workers=%d: %v", mode, w, err)
@@ -126,16 +127,16 @@ func TestPlaneToggleBitIdentical(t *testing.T) {
 			for _, plane := range []overlay.PlaneMode{overlay.PlaneSubtree, overlay.PlaneOff} {
 				disable := plane == overlay.PlaneOff
 				res, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
-					Epsilon: 0.12, Parallel: true, SurplusPass: true,
+					Epsilon: 0.12, SurplusPass: true,
 					SolverOptions: core.SolverOptions{Workers: w, Plane: plane},
 				})
 				if err != nil {
 					t.Fatalf("mode=%v workers=%d disable=%v: %v", mode, w, disable, err)
 				}
-				if mode == core.RoutingArbitrary && !disable && res.Plane.PlaneSources == 0 {
+				if mode == core.RoutingArbitrary && !disable && res.Plane.Sources == 0 {
 					t.Fatalf("workers=%d: arbitrary-mode MCF never used the plane", w)
 				}
-				if disable && res.Plane != (overlay.Metrics{}) {
+				if disable && res.Plane != (overlay.PlaneStats{}) {
 					t.Fatalf("workers=%d: plane disabled but counters %+v", w, res.Plane)
 				}
 				if base == nil {
@@ -149,19 +150,4 @@ func TestPlaneToggleBitIdentical(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestWorkersKnobForcesSequential checks the option contract: Workers=1 with
-// Parallel set must match Parallel=false exactly (it is the same code path).
-func TestWorkersKnobForcesSequential(t *testing.T) {
-	p := workerSweepProblem(t, core.RoutingIP)
-	seq, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	forced, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.15, Parallel: true, SolverOptions: core.SolverOptions{Workers: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSolution(t, "forced-sequential", seq, forced)
 }

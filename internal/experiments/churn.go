@@ -81,10 +81,10 @@ type ChurnReport struct {
 	FinalActive int
 	MSTOps      int
 	// Plane reports the prefabrication plane's dedup counters: one round,
-	// PlaneSources distinct member Dijkstras serving PlaneRequests
-	// session-member route-table slots. Zero when disabled or in arbitrary
-	// mode (which prefabricates no route tables at all).
-	Plane overlay.Metrics
+	// Sources distinct member Dijkstras serving Requests session-member
+	// route-table slots. Zero when disabled or in arbitrary mode (which
+	// prefabricates no route tables at all).
+	Plane overlay.PlaneStats
 	// Throughput and MinRate describe the feasible allocation of the
 	// sessions still active at the horizon (zero when none survive).
 	Throughput float64
@@ -96,8 +96,8 @@ type ChurnReport struct {
 // String renders the report for cmd/experiments output.
 func (r ChurnReport) String() string {
 	plane := ""
-	if r.Plane.PlaneRounds > 0 {
-		plane = fmt.Sprintf(" dedup=%.2fx", r.Plane.PlaneDedup())
+	if r.Plane.Rounds > 0 {
+		plane = fmt.Sprintf(" dedup=%.2fx", r.Plane.Dedup())
 	}
 	return fmt.Sprintf("%-13s n=%-6d |E|=%-6d sessions=%-5d peak=%-4d maxcong=%-10.3f active=%-4d thpt=%-12.2f minrate=%-10.4f mstops=%-5d%s build=%-10v replay=%v",
 		r.Config.Scenario, r.Config.Nodes, r.Edges, r.Sessions, r.PeakConcurrency,
@@ -158,7 +158,7 @@ func ChurnRun(seed uint64, cfg ChurnConfig) (*ChurnReport, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	var plane *overlay.Plane
-	var planeMetrics overlay.Metrics
+	var planeMetrics overlay.PlaneStats
 	if !cfg.Arbitrary && cfg.Plane != overlay.PlaneOff {
 		plane = overlay.NewPlane(net.Graph)
 		requests := 0
@@ -169,7 +169,7 @@ func ChurnRun(seed uint64, cfg ChurnConfig) (*ChurnReport, error) {
 			}
 		}
 		plane.Fill(delays, workers)
-		planeMetrics = overlay.Metrics{PlaneRounds: 1, PlaneSources: plane.NumSources(), PlaneRequests: requests}
+		planeMetrics = overlay.PlaneStats{Rounds: 1, Sources: plane.NumSources(), Requests: requests}
 	}
 	parallelWorkers(workers, len(trace.Sessions), func(i int) {
 		spec := trace.Sessions[i]

@@ -88,8 +88,8 @@ func TestChurnSuite(t *testing.T) {
 // prefabrication plane on and off, across worker counts: the shared SSSP
 // rows must hand every session exactly the route tables it would have built
 // itself, so the sequential replay's outputs are bit-identical. With the
-// plane on, the report must show the dedup actually happened (PlaneSources
-// strictly below PlaneRequests on a Zipf-hot scenario).
+// plane on, the report must show the dedup actually happened (Sources
+// strictly below Requests on a Zipf-hot scenario).
 func TestChurnRunPlaneToggleBitIdentical(t *testing.T) {
 	var base *ChurnReport
 	for _, plane := range []overlay.PlaneMode{overlay.PlaneSubtree, overlay.PlaneOff} {
@@ -100,10 +100,10 @@ func TestChurnRunPlaneToggleBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if disable {
-				if rep.Plane.PlaneRounds != 0 {
+				if rep.Plane.Rounds != 0 {
 					t.Fatalf("plane disabled but counters %+v", rep.Plane)
 				}
-			} else if rep.Plane.PlaneSources == 0 || rep.Plane.PlaneSources >= rep.Plane.PlaneRequests {
+			} else if rep.Plane.Sources == 0 || rep.Plane.Sources >= rep.Plane.Requests {
 				t.Fatalf("prefab plane did not dedup: %+v", rep.Plane)
 			}
 			if base == nil {

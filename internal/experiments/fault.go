@@ -107,10 +107,10 @@ type FaultSolveReport struct {
 	// and lengths plus the final ledger, all at full float precision. It
 	// must be identical across workers x plane modes.
 	Fingerprint string
-	// Plane carries the runner's metrics; PlaneNonMonotone counts rows the
+	// Plane carries the runner's metrics; NonMonotoneRefills counts rows the
 	// recovery shrink degraded to full refills (mode-dependent, excluded
 	// from the fingerprint).
-	Plane     overlay.Metrics
+	Plane     overlay.PlaneStats
 	SolveTime time.Duration
 }
 
@@ -118,7 +118,7 @@ type FaultSolveReport struct {
 func (r FaultSolveReport) String() string {
 	return fmt.Sprintf("n=%-6d |E|=%-6d rounds=%-3d events=%-3d nonmono=%-4d fp=%s solve=%v",
 		r.Config.Nodes, r.Edges, r.Rounds, r.UnderlayEvents,
-		r.Plane.PlaneNonMonotone, r.Fingerprint,
+		r.Plane.NonMonotoneRefills, r.Fingerprint,
 		r.SolveTime.Round(time.Millisecond))
 }
 

@@ -42,22 +42,22 @@ func TestFaultSolveBitIdenticalAcrossToggles(t *testing.T) {
 			m := rep.Plane
 			switch plane {
 			case overlay.PlaneOff:
-				if m != (overlay.Metrics{}) {
+				if m != (overlay.PlaneStats{}) {
 					t.Fatalf("%s: plane off but counters %+v", label, m)
 				}
 				continue
 			case overlay.PlaneSubtree:
-				if m.PlaneSkipped == 0 || m.PlaneSubtreeRepaired == 0 {
+				if m.Skipped == 0 || m.SubtreeRepaired == 0 {
 					t.Fatalf("%s: subtree mode never skipped or never repaired a subtree (%+v)", label, m)
 				}
 			case overlay.PlaneFull:
-				if m.PlaneSubtreeRepaired != 0 {
+				if m.SubtreeRepaired != 0 {
 					t.Fatalf("%s: full-refill mode took the subtree path (%+v)", label, m)
 				}
 			}
 			// Non-vacuity: the recovery and drift shrinks must degrade plane
 			// rows on every run with the plane on.
-			if m.PlaneNonMonotone == 0 {
+			if m.NonMonotoneRefills == 0 {
 				t.Fatalf("%s: zero non-monotone plane refills — the shrink path never ran", label)
 			}
 		}

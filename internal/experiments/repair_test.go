@@ -33,18 +33,18 @@ func TestRepairToggleBitIdenticalScenarios(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			for _, plane := range []overlay.PlaneMode{overlay.PlaneSubtree, overlay.PlaneFull, overlay.PlaneOff} {
 				sol, err := core.MaxFlow(si.Problem, core.MaxFlowOptions{
-					Epsilon: 0.35, Parallel: true,
+					Epsilon:       0.35,
 					SolverOptions: core.SolverOptions{Workers: workers, Plane: plane},
 				})
 				if err != nil {
 					t.Fatalf("%s workers=%d plane=%v: %v", scenario, workers, plane, err)
 				}
 				if plane == overlay.PlaneSubtree {
-					totalSkipped += sol.Plane.PlaneSkipped
-					totalSubtree += sol.Plane.PlaneSubtreeRepaired
-				} else if sol.Plane.PlaneSubtreeRepaired != 0 {
-					t.Fatalf("%s workers=%d plane=%v: PlaneSubtreeRepaired=%d",
-						scenario, workers, plane, sol.Plane.PlaneSubtreeRepaired)
+					totalSkipped += sol.Plane.Skipped
+					totalSubtree += sol.Plane.SubtreeRepaired
+				} else if sol.Plane.SubtreeRepaired != 0 {
+					t.Fatalf("%s workers=%d plane=%v: SubtreeRepaired=%d",
+						scenario, workers, plane, sol.Plane.SubtreeRepaired)
 				}
 				got := fp{mstOps: sol.MSTOps}
 				for i := range si.Sessions {

@@ -131,12 +131,12 @@ func MFvsMCFReport(seed uint64, eps float64, solver core.SolverOptions, scenario
 			if err != nil {
 				return nil, fmt.Errorf("experiments: report %s/%s: %w", name, tier.Name, err)
 			}
-			mf, err := si.MaxFlow(eps, true)
+			mf, err := si.MaxFlow(eps)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: report %s/%s maxflow: %w", name, tier.Name, err)
 			}
 			rows = append(rows, reportRow(name, tier.Name, "maxflow", si, mf))
-			mcf, err := si.MCF(eps, true)
+			mcf, err := si.MCF(eps)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: report %s/%s mcf: %w", name, tier.Name, err)
 			}

@@ -34,7 +34,7 @@ type ScaleConfig struct {
 	// distributions; SessionSize and Demand are then owned by the scenario.
 	Scenario string
 	// SolverOptions sets the solvers' oracle worker-pool size (0 =
-	// GOMAXPROCS when the parallel solve path is requested) and plane mode.
+	// GOMAXPROCS) and plane mode.
 	// They affect wall-clock only: solver outputs are bit-identical for
 	// every value, and the instance itself (topology, sessions) never
 	// depends on them.
@@ -178,19 +178,15 @@ func NewScaleInstance(seed uint64, cfg ScaleConfig) (*ScaleInstance, error) {
 
 // MaxFlow solves the M1 FPTAS on the instance with the config's worker-pool
 // size.
-func (si *ScaleInstance) MaxFlow(eps float64, parallel bool) (*core.Solution, error) {
-	return core.MaxFlow(si.Problem, core.MaxFlowOptions{
-		Epsilon: eps, Parallel: parallel, SolverOptions: si.Config.SolverOptions,
-	})
+func (si *ScaleInstance) MaxFlow(eps float64) (*core.Solution, error) {
+	return core.MaxFlow(si.Problem, core.MaxFlowOptions{Epsilon: eps, SolverOptions: si.Config.SolverOptions})
 }
 
 // MCF solves the M2 FPTAS on the instance (no surplus pass: the scale tier
 // measures the core phase loop, not the back-fill heuristic) with the
 // config's worker-pool size.
-func (si *ScaleInstance) MCF(eps float64, parallel bool) (*core.MCFResult, error) {
-	return core.MaxConcurrentFlow(si.Problem, core.MaxConcurrentFlowOptions{
-		Epsilon: eps, Parallel: parallel, SolverOptions: si.Config.SolverOptions,
-	})
+func (si *ScaleInstance) MCF(eps float64) (*core.MCFResult, error) {
+	return core.MaxConcurrentFlow(si.Problem, core.MaxConcurrentFlowOptions{Epsilon: eps, SolverOptions: si.Config.SolverOptions})
 }
 
 // ScaleRow is one solved scenario of a scale suite run.
@@ -203,7 +199,7 @@ type ScaleRow struct {
 	MSTOps     int
 	// Plane carries the solver's shared-SSSP-plane counters (zero under
 	// fixed routing or with the plane disabled).
-	Plane     overlay.Metrics
+	Plane     overlay.PlaneStats
 	BuildTime time.Duration
 	SolveTime time.Duration
 }
@@ -214,9 +210,9 @@ func (r ScaleRow) String() string {
 	if r.Solver == "mcf" {
 		extra = fmt.Sprintf(" lambda=%.4f", r.Lambda)
 	}
-	if r.Plane.PlaneRounds > 0 {
-		extra += fmt.Sprintf(" dedup=%.2fx", r.Plane.PlaneDedup())
-		if r.Plane.PlaneSkipped+r.Plane.PlaneRepaired > 0 {
+	if r.Plane.Rounds > 0 {
+		extra += fmt.Sprintf(" dedup=%.2fx", r.Plane.Dedup())
+		if r.Plane.Skipped+r.Plane.Repaired > 0 {
 			extra += fmt.Sprintf(" repair=%.0f%%", 100*r.Plane.RepairRate())
 		}
 	}
@@ -228,7 +224,7 @@ func (r ScaleRow) String() string {
 // ScaleSuite builds and solves each configuration with both solvers at the
 // given epsilon, returning one row per (config, solver). Seeds derive from
 // the base seed and the config index, so the suite is fully deterministic.
-func ScaleSuite(seed uint64, eps float64, parallel bool, cfgs []ScaleConfig) ([]ScaleRow, error) {
+func ScaleSuite(seed uint64, eps float64, cfgs []ScaleConfig) ([]ScaleRow, error) {
 	var rows []ScaleRow
 	for ci, cfg := range cfgs {
 		start := time.Now()
@@ -239,7 +235,7 @@ func ScaleSuite(seed uint64, eps float64, parallel bool, cfgs []ScaleConfig) ([]
 		build := time.Since(start)
 
 		start = time.Now()
-		mf, err := si.MaxFlow(eps, parallel)
+		mf, err := si.MaxFlow(eps)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scale %s maxflow: %w", cfg.Name(), err)
 		}
@@ -250,7 +246,7 @@ func ScaleSuite(seed uint64, eps float64, parallel bool, cfgs []ScaleConfig) ([]
 		})
 
 		start = time.Now()
-		mcf, err := si.MCF(eps, parallel)
+		mcf, err := si.MCF(eps)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scale %s mcf: %w", cfg.Name(), err)
 		}

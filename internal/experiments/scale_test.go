@@ -128,7 +128,7 @@ func TestScenarioSuites(t *testing.T) {
 // ScaleSuite, checking that rows carry the scenario label and a positive
 // objective for both solvers.
 func TestScaleSuiteScenarioRows(t *testing.T) {
-	rows, err := ScaleSuite(7, 0.5, false, []ScaleConfig{
+	rows, err := ScaleSuite(7, 0.5, []ScaleConfig{
 		{Nodes: 120, Sessions: 4, Scenario: "conferencing"},
 	})
 	if err != nil {
@@ -174,10 +174,10 @@ func TestPlaneDedupZipfHotScenarios(t *testing.T) {
 			}
 		}
 		m := r.Metrics()
-		if m.PlaneRounds != 1 || m.PlaneSources == 0 {
+		if m.Rounds != 1 || m.Sources == 0 {
 			t.Fatalf("%s k=%d: implausible plane metrics %+v", scenario, sessions, m)
 		}
-		return m.PlaneDedup()
+		return m.Dedup()
 	}
 	for _, scenario := range []string{"cdn", "livestream"} {
 		small := dedupAt(scenario, 16)

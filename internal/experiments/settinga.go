@@ -122,7 +122,7 @@ func (a *SettingA) MaxFlowSweep(ratios []float64, arbitrary bool) ([]FlowRow, []
 	sols := make([]*core.Solution, len(ratios))
 	errs := make([]error, len(ratios))
 	parallelFor(len(ratios), func(i int) {
-		sol, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: core.RatioToEpsilon(ratios[i]), SolverOptions: a.SolverOptions})
+		sol, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: core.RatioToEpsilon(ratios[i]), SolverOptions: innerSolver(a.SolverOptions)})
 		if err != nil {
 			errs[i] = err
 			return
@@ -170,7 +170,7 @@ func (a *SettingA) MCFSweep(ratios []float64, arbitrary bool) ([]MCFRow, []*core
 		res, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
 			Epsilon:       core.MCFRatioToEpsilon(ratios[i]),
 			SurplusPass:   true,
-			SolverOptions: a.SolverOptions,
+			SolverOptions: innerSolver(a.SolverOptions),
 		})
 		if err != nil {
 			errs[i] = err
@@ -259,7 +259,7 @@ func (a *SettingA) TreeLimitSweep(cfg TreeLimitConfig) (*TreeLimitResult, error)
 	}
 	base, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
 		Epsilon: core.MCFRatioToEpsilon(cfg.BaseRatio), SurplusPass: true,
-		SolverOptions: a.SolverOptions,
+		SolverOptions: innerSolver(a.SolverOptions),
 	})
 	if err != nil {
 		return nil, err

@@ -170,11 +170,11 @@ func (b *SettingB) runCell(count, size int, cfg GridConfig, r *rng.RNG) (*GridCe
 		return nil, err
 	}
 	eps := core.RatioToEpsilon(cfg.Ratio)
-	mf, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: eps, SolverOptions: b.SolverOptions})
+	mf, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: eps, SolverOptions: innerSolver(b.SolverOptions)})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: cell (%d,%d) MaxFlow: %w", count, size, err)
 	}
-	mcf, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{Epsilon: core.MCFRatioToEpsilon(cfg.Ratio), SolverOptions: b.SolverOptions})
+	mcf, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{Epsilon: core.MCFRatioToEpsilon(cfg.Ratio), SolverOptions: innerSolver(b.SolverOptions)})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: cell (%d,%d) MCF: %w", count, size, err)
 	}
@@ -292,11 +292,11 @@ func (b *SettingB) runOnlineCell(count, size int, cfg GridConfig, limits []int, 
 	if err != nil {
 		return err
 	}
-	mf, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: core.RatioToEpsilon(cfg.Ratio)})
+	mf, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: core.RatioToEpsilon(cfg.Ratio), SolverOptions: core.SolverOptions{Workers: 1}})
 	if err != nil {
 		return err
 	}
-	mcf, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{Epsilon: core.MCFRatioToEpsilon(cfg.Ratio)})
+	mcf, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{Epsilon: core.MCFRatioToEpsilon(cfg.Ratio), SolverOptions: core.SolverOptions{Workers: 1}})
 	if err != nil {
 		return err
 	}

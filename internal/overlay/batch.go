@@ -133,7 +133,7 @@ type BatchRunner struct {
 	// the metrics stay single-writer.
 	cache    []treeCacheEntry
 	useCache []bool
-	metrics  Metrics
+	metrics  PlaneStats
 	// ls is the ledger of the current batch; lastStore remembers the ledger
 	// of the previous batch so a ledger swap (a different solve phase, a
 	// test driving rounds with fresh stores) invalidates every persistent
@@ -282,7 +282,7 @@ func (r *BatchRunner) AddOracle(o TreeOracle) int {
 
 // Metrics returns a snapshot of the runner's shared-plane counters. Call it
 // between batches (the counters are updated while a batch is staged).
-func (r *BatchRunner) Metrics() Metrics { return r.metrics }
+func (r *BatchRunner) Metrics() PlaneStats { return r.metrics }
 
 // treeCacheEntry is one oracle's last plane-assembled tree and the ledger
 // epoch its input rows carried.
@@ -370,7 +370,7 @@ func (r *BatchRunner) rowCurrent(ls *graph.LengthStore, row int) bool {
 		// argument applies — degrade deterministically to a full refill.
 		// Single-writer: rowCurrent only runs on stagePlane's sequential
 		// classify pass.
-		r.metrics.PlaneNonMonotone++
+		r.metrics.NonMonotoneRefills++
 		return false
 	}
 	parents := r.plane.ParentRow(row)
@@ -529,8 +529,8 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 		return
 	}
 	r.planeLive = true
-	r.metrics.PlaneRounds++
-	r.metrics.PlaneRequests += requests
+	r.metrics.Rounds++
+	r.metrics.Requests += requests
 
 	// Classify: current (skip), subtree-repairable, seedable (copy), or fill.
 	r.toFill = r.toFill[:0]
@@ -555,7 +555,7 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 					r.plane.setExact(row, cur == 0)
 					r.plane.clearDirty(row)
 					r.plane.indexRow(row)
-					r.metrics.PlaneSeeded++
+					r.metrics.Seeded++
 					continue
 				}
 				// Seed content is stale under these lengths: recompute.
@@ -566,7 +566,7 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 		}
 		if fill == cur {
 			r.plane.Validate(row)
-			r.metrics.PlaneSkipped++
+			r.metrics.Skipped++
 			continue
 		}
 		if !r.subtree {
@@ -578,10 +578,10 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 			if r.rowCurrent(ls, row) {
 				r.plane.SetFillEpoch(row, cur)
 				r.plane.Validate(row)
-				r.metrics.PlaneSkipped++
+				r.metrics.Skipped++
 				continue
 			}
-			r.metrics.PlaneRepaired++
+			r.metrics.Repaired++
 			r.toFill = append(r.toFill, int32(row))
 			continue
 		}
@@ -591,8 +591,8 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 			// edge outside the stored tree can re-route shortest paths, so no
 			// touched-edge argument applies — degrade deterministically to a
 			// full refill.
-			r.metrics.PlaneNonMonotone++
-			r.metrics.PlaneRepaired++
+			r.metrics.NonMonotoneRefills++
+			r.metrics.Repaired++
 			r.toFill = append(r.toFill, int32(row))
 			continue
 		}
@@ -605,7 +605,7 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 			// check: (fill,prev] accounted + (prev,cur] clean.
 			r.plane.SetFillEpoch(row, cur)
 			r.plane.Validate(row)
-			r.metrics.PlaneSkipped++
+			r.metrics.Skipped++
 			continue
 		}
 		if r.rowServiceable(ls, row) {
@@ -623,7 +623,7 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 			r.plane.Validate(row)
 			r.plane.setExact(row, false)
 			r.plane.clearDirty(row)
-			r.metrics.PlaneSkipped++
+			r.metrics.Skipped++
 			continue
 		}
 		if r.subtree && r.plane.rowExact(row) && !r.plane.dirtyLost[row] && ls.AllPositive() &&
@@ -644,11 +644,11 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 			r.plane.SetDijkstraEpoch(row, cur)
 			continue
 		}
-		r.metrics.PlaneRepaired++
+		r.metrics.Repaired++
 		r.toFill = append(r.toFill, int32(row))
 	}
 	nf, nr := len(r.toFill), len(r.toRepair)
-	r.metrics.PlaneSources += nf + nr
+	r.metrics.Sources += nf + nr
 	for _, row := range r.toFill {
 		r.plane.SetFillEpoch(int(row), cur)
 		r.plane.SetDijkstraEpoch(int(row), cur)
@@ -693,13 +693,13 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 	for k, row32 := range r.toRepair {
 		row := int(row32)
 		if r.repairOK[k] {
-			r.metrics.PlaneSubtreeRepaired++
-			r.metrics.PlaneSubtreeNodes += len(r.repairOut[k])
+			r.metrics.SubtreeRepaired++
+			r.metrics.SubtreeNodes += len(r.repairOut[k])
 			r.plane.indexNodes(row, r.repairOut[k])
 		} else {
 			// The subtree path bailed (oversized S or a defensive invariant
 			// miss) and RepairRow ran the fallback refill.
-			r.metrics.PlaneRepaired++
+			r.metrics.Repaired++
 			r.plane.indexRow(row)
 		}
 		r.plane.clearDirty(row)
@@ -737,7 +737,7 @@ func (r *BatchRunner) decideTreeCache(n int) {
 		}
 		if current {
 			r.useCache[pos] = true
-			r.metrics.PlaneTreeHits++
+			r.metrics.TreeHits++
 		}
 	}
 }

@@ -86,7 +86,7 @@ func TestInvertedIndexMatchesRebuild(t *testing.T) {
 		}
 	}
 	m := r.Metrics()
-	if m.PlaneSubtreeRepaired == 0 {
+	if m.SubtreeRepaired == 0 {
 		t.Fatalf("fixture never took the subtree path — the interesting index writes were not exercised (%+v)", m)
 	}
 }

@@ -352,99 +352,100 @@ func (p *Plane) Lookup(src graph.NodeID) (dist []float64, parent []graph.EdgeID,
 	return p.dists[row], p.parents[row], true
 }
 
-// Metrics aggregates shared-SSSP-plane counters over a consumer's lifetime
-// (a BatchRunner's rounds, a churn prefabrication pass). The interesting
-// ratios: PlaneRequests/PlaneSources (PlaneDedup) — how many per-member SSSP
-// reads each *computed* Dijkstra row served; and PlaneSkipped relative to
-// PlaneSkipped+PlaneSources — how often cross-round dirty-source repair
-// proved a stored row current and skipped the Dijkstra entirely.
-type Metrics struct {
-	// PlaneRounds counts batch rounds that staged at least one plane row.
-	PlaneRounds int
-	// PlaneSources counts SSSP rows actually computed by Dijkstra (first
-	// fills plus repairs, summed over rounds) — the misses.
-	PlaneSources int
-	// PlaneRequests counts per-member SSSP reads served from the plane
-	// (every member of every plane-aware oracle evaluated in a round).
-	PlaneRequests int
-	// PlaneRepaired counts refills forced by the dirty-source check: a
+// PlaneStats aggregates shared-SSSP-plane counters over a consumer's
+// lifetime (a BatchRunner's rounds, a churn prefabrication pass, an
+// allocator's anchors, warm repair and online joins). The interesting
+// ratios: Dedup — how many per-member SSSP reads each *computed* Dijkstra
+// row served; and RepairRate — how often cross-round dirty-source repair
+// avoided a full-row Dijkstra.
+type PlaneStats struct {
+	// Rounds counts batch rounds that staged at least one plane row.
+	Rounds int
+	// Sources counts SSSP rows actually computed by Dijkstra (first fills
+	// plus repairs, summed over rounds) — the misses.
+	Sources int
+	// Requests counts per-member SSSP reads served from the plane (every
+	// member of every plane-aware oracle evaluated in a round).
+	Requests int
+	// Repaired counts full refills forced by the dirty-source check: a
 	// ledger-touched edge intersected the row's stored SSSP tree, so the row
-	// was recomputed. A subset of PlaneSources.
-	PlaneRepaired int
-	// PlaneSkipped counts refills avoided across rounds: the ledger proved
-	// no touched edge could alter the row, so the stored content was served
+	// was recomputed. A subset of Sources.
+	Repaired int
+	// Skipped counts refills avoided across rounds: the ledger proved no
+	// touched edge could alter the row, so the stored content was served
 	// as-is (no Dijkstra at all).
-	PlaneSkipped int
-	// PlaneSeeded counts rows copied from a prestep seed plane (shared
+	Skipped int
+	// Seeded counts rows copied from a prestep seed plane (shared
 	// cross-subproblem rows under the common initial lengths) instead of
 	// computed.
-	PlaneSeeded int
-	// PlaneTreeHits counts whole oracle evaluations served from the tree
-	// cache: every member row of the session was proven unchanged since the
-	// tree was assembled, so Prim and route extraction were skipped along
-	// with the Dijkstras.
-	PlaneTreeHits int
-	// PlaneNonMonotone counts rows degraded from the skip/repair fast path
+	Seeded int
+	// SubtreeRepaired counts rows repaired by subtree-scoped Dijkstra
+	// resumption (routing.RepairSubtreesInto) instead of a full refill: only
+	// the stored subtrees below the touched tree edges were recomputed, the
+	// rest of the row was certified bitwise exact in place. Counted toward
+	// Sources (a resumed Dijkstra still ran), disjoint from Repaired (full
+	// refills, including subtree bail-outs).
+	SubtreeRepaired int
+	// SubtreeNodes sums the invalidated-subtree sizes |S| over all subtree
+	// repairs; SubtreeNodes/SubtreeRepaired is the mean repaired-region
+	// size.
+	SubtreeNodes int
+	// TreeHits counts whole oracle evaluations served from the tree cache:
+	// every member row of the session was proven unchanged since the tree
+	// was assembled, so Prim and route extraction were skipped along with
+	// the Dijkstras.
+	TreeHits int
+	// NonMonotoneRefills counts rows degraded from the skip/repair fast path
 	// to a full refill because the ledger reported a non-monotone window
 	// (MonotoneSince=false): some length shrank since the row's fill epoch —
 	// an underlay recovery or drift-down mirrored into the ledger — so the
 	// stored SSSP tree cannot be proven exact by touched-edge intersection
 	// alone and is recomputed from scratch.
-	PlaneNonMonotone int
-	// PlaneSubtreeRepaired counts rows repaired by subtree-scoped Dijkstra
-	// resumption (routing.RepairSubtreesInto) instead of a full refill: only
-	// the stored subtrees below the touched tree edges were recomputed, the
-	// rest of the row was certified bitwise exact in place. Counted toward
-	// PlaneSources (a resumed Dijkstra still ran), disjoint from
-	// PlaneRepaired (full refills, including subtree bail-outs).
-	PlaneSubtreeRepaired int
-	// PlaneSubtreeNodes sums the invalidated-subtree sizes |S| over all
-	// subtree repairs; PlaneSubtreeNodes / (PlaneSubtreeRepaired x n) is the
-	// fraction of a row an average subtree repair actually recomputed.
-	PlaneSubtreeNodes int
+	NonMonotoneRefills int
 }
 
-// PlaneDedup returns PlaneRequests/PlaneSources, the average number of oracle
-// member reads served per Dijkstra computed (1 when the plane never fired).
-func (m Metrics) PlaneDedup() float64 {
-	if m.PlaneSources == 0 {
+// Dedup returns Requests/Sources, the average number of oracle member reads
+// served per Dijkstra computed (1 when the plane never fired).
+func (m PlaneStats) Dedup() float64 {
+	if m.Sources == 0 {
 		return 1
 	}
-	return float64(m.PlaneRequests) / float64(m.PlaneSources)
+	return float64(m.Requests) / float64(m.Sources)
 }
 
-// PlaneHitRate returns the fraction of member reads that did not trigger a
-// Dijkstra: 1 - sources/requests (0 when the plane never fired).
-func (m Metrics) PlaneHitRate() float64 {
-	if m.PlaneRequests == 0 {
+// HitRate returns the fraction of member reads that did not trigger a
+// Dijkstra: 1 - Sources/Requests (0 when the plane never fired).
+func (m PlaneStats) HitRate() float64 {
+	if m.Requests == 0 {
 		return 0
 	}
-	return 1 - float64(m.PlaneSources)/float64(m.PlaneRequests)
+	return 1 - float64(m.Sources)/float64(m.Requests)
 }
 
 // RepairRate returns the fraction of cross-round row revalidations resolved
-// without a full Dijkstra: (skipped+subtree)/(skipped+subtree+repaired)
-// (0 when repair never ran). Subtree repairs count as resolved — the full
-// refill was avoided — even though a partial Dijkstra ran.
-func (m Metrics) RepairRate() float64 {
-	resolved := m.PlaneSkipped + m.PlaneSubtreeRepaired
-	if resolved+m.PlaneRepaired == 0 {
+// without a full-row Dijkstra — skipped outright or subtree-repaired:
+// (Skipped+SubtreeRepaired)/(Skipped+SubtreeRepaired+Repaired) (0 when
+// repair never ran). Subtree repairs count as resolved — the full refill
+// was avoided — even though a partial Dijkstra ran.
+func (m PlaneStats) RepairRate() float64 {
+	resolved := m.Skipped + m.SubtreeRepaired
+	if resolved+m.Repaired == 0 {
 		return 0
 	}
-	return float64(resolved) / float64(resolved+m.PlaneRepaired)
+	return float64(resolved) / float64(resolved+m.Repaired)
 }
 
-// Merge adds o's counters into m (for folding per-subsolve metrics into an
+// Merge adds o's counters into m (for folding per-subsolve counters into an
 // aggregate, e.g. the MCF beta prestep's per-session MaxFlows).
-func (m *Metrics) Merge(o Metrics) {
-	m.PlaneRounds += o.PlaneRounds
-	m.PlaneSources += o.PlaneSources
-	m.PlaneRequests += o.PlaneRequests
-	m.PlaneRepaired += o.PlaneRepaired
-	m.PlaneSkipped += o.PlaneSkipped
-	m.PlaneSeeded += o.PlaneSeeded
-	m.PlaneTreeHits += o.PlaneTreeHits
-	m.PlaneNonMonotone += o.PlaneNonMonotone
-	m.PlaneSubtreeRepaired += o.PlaneSubtreeRepaired
-	m.PlaneSubtreeNodes += o.PlaneSubtreeNodes
+func (m *PlaneStats) Merge(o PlaneStats) {
+	m.Rounds += o.Rounds
+	m.Sources += o.Sources
+	m.Requests += o.Requests
+	m.Repaired += o.Repaired
+	m.Skipped += o.Skipped
+	m.Seeded += o.Seeded
+	m.SubtreeRepaired += o.SubtreeRepaired
+	m.SubtreeNodes += o.SubtreeNodes
+	m.TreeHits += o.TreeHits
+	m.NonMonotoneRefills += o.NonMonotoneRefills
 }

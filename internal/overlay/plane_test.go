@@ -85,10 +85,10 @@ func TestPlaneBatchMatchesDirectMinTree(t *testing.T) {
 			}
 			m := r.Metrics()
 			if mode != PlaneOff {
-				if m.PlaneRounds != 3 || m.PlaneSources == 0 || m.PlaneRequests <= m.PlaneSources {
+				if m.Rounds != 3 || m.Sources == 0 || m.Requests <= m.Sources {
 					t.Fatalf("plane=%v workers=%d: implausible metrics %+v", mode, workers, m)
 				}
-			} else if m != (Metrics{}) {
+			} else if m != (PlaneStats{}) {
 				t.Fatalf("plane disabled but metrics nonzero: %+v", m)
 			}
 			r.Close()
@@ -170,11 +170,11 @@ func TestPlaneMixedOracleBatch(t *testing.T) {
 		wantRequests += len(o.(*ArbitraryOracle).PlaneSources())
 	}
 	m := r.Metrics()
-	if m.PlaneRequests != wantRequests {
-		t.Fatalf("plane requests %d, want %d (arbitrary members only)", m.PlaneRequests, wantRequests)
+	if m.Requests != wantRequests {
+		t.Fatalf("plane requests %d, want %d (arbitrary members only)", m.Requests, wantRequests)
 	}
-	if m.PlaneSources == 0 || m.PlaneSources > wantRequests {
-		t.Fatalf("plane sources %d outside (0, %d]", m.PlaneSources, wantRequests)
+	if m.Sources == 0 || m.Sources > wantRequests {
+		t.Fatalf("plane sources %d outside (0, %d]", m.Sources, wantRequests)
 	}
 }
 
@@ -208,27 +208,27 @@ func TestPlaneOracleAllocs(t *testing.T) {
 // TestPlaneMetricsRatios pins the derived-ratio semantics, including the
 // never-fired edge cases.
 func TestPlaneMetricsRatios(t *testing.T) {
-	var zero Metrics
-	if zero.PlaneDedup() != 1 || zero.PlaneHitRate() != 0 {
-		t.Fatalf("zero metrics: dedup %v hit %v", zero.PlaneDedup(), zero.PlaneHitRate())
+	var zero PlaneStats
+	if zero.Dedup() != 1 || zero.HitRate() != 0 {
+		t.Fatalf("zero metrics: dedup %v hit %v", zero.Dedup(), zero.HitRate())
 	}
-	m := Metrics{PlaneRounds: 2, PlaneSources: 50, PlaneRequests: 200}
-	if m.PlaneDedup() != 4 {
-		t.Fatalf("dedup %v, want 4", m.PlaneDedup())
+	m := PlaneStats{Rounds: 2, Sources: 50, Requests: 200}
+	if m.Dedup() != 4 {
+		t.Fatalf("dedup %v, want 4", m.Dedup())
 	}
-	if m.PlaneHitRate() != 0.75 {
-		t.Fatalf("hit rate %v, want 0.75", m.PlaneHitRate())
+	if m.HitRate() != 0.75 {
+		t.Fatalf("hit rate %v, want 0.75", m.HitRate())
 	}
-	if (Metrics{}).RepairRate() != 0 {
-		t.Fatalf("zero metrics: repair rate %v", (Metrics{}).RepairRate())
+	if (PlaneStats{}).RepairRate() != 0 {
+		t.Fatalf("zero metrics: repair rate %v", (PlaneStats{}).RepairRate())
 	}
-	if r := (Metrics{PlaneSkipped: 30, PlaneRepaired: 10}).RepairRate(); r != 0.75 {
+	if r := (PlaneStats{Skipped: 30, Repaired: 10}).RepairRate(); r != 0.75 {
 		t.Fatalf("repair rate %v, want 0.75", r)
 	}
-	var sum Metrics
+	var sum PlaneStats
 	sum.Merge(m)
-	sum.Merge(Metrics{PlaneRounds: 1, PlaneSources: 10, PlaneRequests: 10, PlaneSkipped: 4, PlaneRepaired: 3, PlaneSeeded: 2, PlaneTreeHits: 1})
-	if sum != (Metrics{PlaneRounds: 3, PlaneSources: 60, PlaneRequests: 210, PlaneSkipped: 4, PlaneRepaired: 3, PlaneSeeded: 2, PlaneTreeHits: 1}) {
+	sum.Merge(PlaneStats{Rounds: 1, Sources: 10, Requests: 10, Skipped: 4, Repaired: 3, Seeded: 2, TreeHits: 1})
+	if sum != (PlaneStats{Rounds: 3, Sources: 60, Requests: 210, Skipped: 4, Repaired: 3, Seeded: 2, TreeHits: 1}) {
 		t.Fatalf("merge produced %+v", sum)
 	}
 }

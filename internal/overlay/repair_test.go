@@ -53,14 +53,14 @@ func TestRepairSkipsUntouchedRows(t *testing.T) {
 			bumpTreeEdges(ls, results[round%len(results)].Tree)
 		}
 		m := r.Metrics()
-		if m.PlaneSkipped == 0 {
+		if m.Skipped == 0 {
 			t.Fatalf("%v workers=%d: no refill was ever skipped (%+v)", mode, workers, m)
 		}
-		if m.PlaneRepaired+m.PlaneSubtreeRepaired == 0 {
+		if m.Repaired+m.SubtreeRepaired == 0 {
 			t.Fatalf("%v workers=%d: no row was ever repaired — bumps never hit a read path? (%+v)", mode, workers, m)
 		}
-		if (mode == PlaneSubtree) != (m.PlaneSubtreeRepaired > 0) {
-			t.Fatalf("%v workers=%d: subtree repairs %d (%+v)", mode, workers, m.PlaneSubtreeRepaired, m)
+		if (mode == PlaneSubtree) != (m.SubtreeRepaired > 0) {
+			t.Fatalf("%v workers=%d: subtree repairs %d (%+v)", mode, workers, m.SubtreeRepaired, m)
 		}
 		r.Close()
 	}
@@ -76,7 +76,7 @@ func TestRepairLedgerSwapInvalidates(t *testing.T) {
 
 	lsA := graph.NewLengthStore(g, 1)
 	r.MinTrees(lsA, nil)
-	sourcesAfterA := r.Metrics().PlaneSources
+	sourcesAfterA := r.Metrics().Sources
 
 	// A fresh ledger with different contents but the same epoch counter (0):
 	// trusting epochs across stores would wrongly skip every refill here.
@@ -92,7 +92,7 @@ func TestRepairLedgerSwapInvalidates(t *testing.T) {
 		}
 	}
 	m := r.Metrics()
-	if m.PlaneSkipped != 0 || m.PlaneSources <= sourcesAfterA {
+	if m.Skipped != 0 || m.Sources <= sourcesAfterA {
 		t.Fatalf("ledger swap must refill everything, got %+v (sources after A: %d)", m, sourcesAfterA)
 	}
 }
@@ -130,7 +130,7 @@ func TestRepairRoundAllocs(t *testing.T) {
 
 // TestSeedPlaneCopiesFirstBatch pins the prestep seeding contract: a runner
 // whose Seed was filled under the ledger's exact epoch-0 lengths must copy
-// its first-batch rows (PlaneSeeded, no Dijkstras for seeded sources) and
+// its first-batch rows (Seeded, no Dijkstras for seeded sources) and
 // still produce bitwise the seedless results.
 func TestSeedPlaneCopiesFirstBatch(t *testing.T) {
 	g, oracles := arbBatchFixture(t, 5)
@@ -165,17 +165,17 @@ func TestSeedPlaneCopiesFirstBatch(t *testing.T) {
 		bumpTreeEdges(lsB, want[round%len(want)].Tree)
 	}
 	ms, mp := seeded.Metrics(), plain.Metrics()
-	if ms.PlaneSeeded == 0 {
+	if ms.Seeded == 0 {
 		t.Fatalf("seed plane never fired: %+v", ms)
 	}
-	if ms.PlaneSources >= mp.PlaneSources {
-		t.Fatalf("seeding saved no Dijkstras: %d vs %d", ms.PlaneSources, mp.PlaneSources)
+	if ms.Sources >= mp.Sources {
+		t.Fatalf("seeding saved no Dijkstras: %d vs %d", ms.Sources, mp.Sources)
 	}
 }
 
 // TestTreeCacheServesIdenticalTrees pins the tree cache: when nothing moved
 // between two batches on one ledger, the second batch serves every slot
-// from the cache (PlaneTreeHits) with trees bitwise equal to a direct call.
+// from the cache (TreeHits) with trees bitwise equal to a direct call.
 func TestTreeCacheServesIdenticalTrees(t *testing.T) {
 	g, oracles := arbBatchFixture(t, 6)
 	r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 2})
@@ -186,7 +186,7 @@ func TestTreeCacheServesIdenticalTrees(t *testing.T) {
 	for i, res := range first {
 		firstKeys[i] = res.Tree.Key()
 	}
-	if r.Metrics().PlaneTreeHits != 0 {
+	if r.Metrics().TreeHits != 0 {
 		t.Fatalf("cold batch reported tree hits: %+v", r.Metrics())
 	}
 	second := r.MinTrees(ls, nil)
@@ -205,7 +205,7 @@ func TestTreeCacheServesIdenticalTrees(t *testing.T) {
 			t.Fatalf("oracle %d: cached tree differs from direct call", i)
 		}
 	}
-	if hits := r.Metrics().PlaneTreeHits; hits != len(oracles) {
+	if hits := r.Metrics().TreeHits; hits != len(oracles) {
 		t.Fatalf("tree cache hits %d, want %d (every slot)", hits, len(oracles))
 	}
 }

@@ -65,7 +65,7 @@ func TestSubtreeRepairRowsBitIdentical(t *testing.T) {
 			}
 		}
 		m := r.Metrics()
-		if m.PlaneSubtreeRepaired == 0 {
+		if m.SubtreeRepaired == 0 {
 			t.Fatalf("workers=%d: subtree repair never fired (%+v)", workers, m)
 		}
 		r.Close()
@@ -101,16 +101,16 @@ func TestSubtreeToggleDecisionIdentical(t *testing.T) {
 		bumpTreeEdges(lsB, tree)
 	}
 	mOn, mOff := on.Metrics(), off.Metrics()
-	if mOn.PlaneSubtreeRepaired == 0 {
+	if mOn.SubtreeRepaired == 0 {
 		t.Fatalf("subtree runner never took the subtree path (%+v)", mOn)
 	}
-	if mOff.PlaneSubtreeRepaired != 0 {
+	if mOff.SubtreeRepaired != 0 {
 		t.Fatalf("full-refill runner took the subtree path (%+v)", mOff)
 	}
 	// Under full refill, every row the subtree runner repaired is instead
 	// walk-skipped or refilled; all other classifications must agree.
-	if mOn.PlaneSkipped+mOn.PlaneSubtreeRepaired+mOn.PlaneRepaired !=
-		mOff.PlaneSkipped+mOff.PlaneRepaired {
+	if mOn.Skipped+mOn.SubtreeRepaired+mOn.Repaired !=
+		mOff.Skipped+mOff.Repaired {
 		t.Fatalf("classification totals diverge: on=%+v off=%+v", mOn, mOff)
 	}
 }

@@ -13,9 +13,10 @@
 //     one tree per session with provably bounded congestion.
 //   - LimitTrees — the practical "few trees" selection that exploits the
 //     asymmetric rate distribution of the fractional optimum.
-//   - OnlineAllocator — the online tree-construction algorithm: sessions
-//     join one at a time, each gets one tree immediately, congestion stays
-//     within O(log |E|) of optimal.
+//   - Allocator — the online tree-construction algorithm: sessions join
+//     one at a time, each gets one tree immediately, congestion stays
+//     within O(log |E|) of optimal; a warm-started fair re-solve runs
+//     beside it.
 //
 // Both fixed IP routing and arbitrary (dynamic shortest-path) routing are
 // supported, as are BRITE-style topology generation, baselines (single

@@ -276,62 +276,6 @@ func TestMultiTreeBeatsSingleTreeOnK4(t *testing.T) {
 	}
 }
 
-func TestOnlineAllocatorEndToEnd(t *testing.T) {
-	net, err := overcast.WaxmanNetwork(50, 100, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := overcast.NewOnlineAllocator(nil, 10, overcast.RoutingIP); err == nil {
-		t.Fatal("nil network accepted")
-	}
-	if _, err := overcast.NewOnlineAllocator(net, 0, overcast.RoutingIP); err == nil {
-		t.Fatal("mu=0 accepted")
-	}
-	on, err := overcast.NewOnlineAllocator(net, 30, overcast.RoutingIP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessions := []overcast.Session{
-		{Members: []int{1, 12, 25, 38}, Demand: 1},
-		{Members: []int{4, 20, 44}, Demand: 1},
-		{Members: []int{7, 31}, Demand: 1},
-	}
-	for _, s := range sessions {
-		pairs, err := on.Join(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pairs) != len(s.Members)-1 {
-			t.Fatalf("tree has %d pairs for %d members", len(pairs), len(s.Members))
-		}
-	}
-	if on.Sessions() != 3 {
-		t.Fatal("session count wrong")
-	}
-	if on.MaxCongestion() <= 0 {
-		t.Fatal("no congestion tracked")
-	}
-	first, err := on.SessionRate(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first <= 0 {
-		t.Fatal("rate not positive")
-	}
-	alloc, err := on.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := alloc.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range sessions {
-		if alloc.SessionRate(i) <= 0 {
-			t.Fatalf("session %d finalized rate 0", i)
-		}
-	}
-}
-
 func TestArbitraryRoutingSystem(t *testing.T) {
 	sysIP := demoSystem(t, overcast.RoutingIP)
 	sysArb := demoSystem(t, overcast.RoutingArbitrary)
