@@ -35,19 +35,50 @@ type MaxConcurrentFlowOptions struct {
 	// capture, when non-nil, receives the solve's internal state at the
 	// moment the phase loop stops (before the feasibility rescale): the live
 	// length ledger, the epoch-0 base lengths, the pre-scale per-session
-	// flows, the per-session multiplicative bump attribution, the final
-	// scaled demands, the dual objective D, and the phase count. It is the
+	// flows, the per-session tree application logs, the final scaled
+	// demands, the dual objective D, and the phase count. It is the
 	// seed a Warm allocator resumes from; package-internal because the
 	// captured ledger aliases live solver state. Incompatible with
 	// SurplusPass (the surplus flows have no bump attribution).
 	capture *warmCapture
 }
 
-// warmBump is one multiplicative length update a session applied during the
-// phase loop, recorded so a warm allocator can roll it back exactly on Leave.
-type warmBump struct {
-	edge   graph.EdgeID
-	factor float64
+// bumpFactor is the multiplicative length update 1+ε·n·c/c_e of an edge with
+// capacity ce that a tree crossing it n times applies when routing rate c.
+// The phase loops and the warm rollback replay both call it, so a replayed
+// factor is bitwise the one the loop applied.
+func bumpFactor(eps float64, n int, c, ce float64) float64 {
+	return 1 + eps*float64(n)*c/ce
+}
+
+// treeApply is one tree application in a session's applyLog: the tree's
+// edge multiplicities are arena[off:off+n], and it routed rate.
+type treeApply struct {
+	off, n int32
+	rate   float64
+}
+
+// applyLog records how one session inflated the lengths, so a warm allocator
+// can roll its bumps back exactly on Leave: one treeApply per tree the
+// session routed, in application order, over an arena that stores each
+// distinct raw tree's Use() once, in first-use order. The log holds no
+// pointers, and its size grows with tree applications, not with the edges
+// they touch.
+type applyLog struct {
+	arena []overlay.EdgeUse
+	offs  []int32 // raw flow position -> arena offset of its tree's Use()
+	apps  []treeApply
+}
+
+// record logs that the session routed rate on tree t, held at position pos
+// of its raw flows (pos == len(offs) for a tree new to the session).
+func (l *applyLog) record(pos int, t *overlay.Tree, rate float64) {
+	use := t.Use()
+	if pos == len(l.offs) {
+		l.offs = append(l.offs, int32(len(l.arena)))
+		l.arena = append(l.arena, use...)
+	}
+	l.apps = append(l.apps, treeApply{off: l.offs[pos], n: int32(len(use)), rate: rate})
 }
 
 // warmCapture receives a MaxConcurrentFlow run's internal state; see
@@ -56,7 +87,7 @@ type warmCapture struct {
 	ledger *graph.LengthStore
 	base   graph.Lengths // epoch-0 lengths delta/c_e
 	raw    [][]TreeFlow  // pre-scale flows (Tree pointers shared with the Solution)
-	bumps  [][]warmBump  // per session, in application order
+	logs   []applyLog    // per session
 	dem    []float64     // final scaled per-phase demands
 	bigD   float64       // dual objective at stop
 	phases int
@@ -167,7 +198,7 @@ func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, e
 	// the plane's cross-round repair can skip untouched sources.
 	if opts.capture != nil {
 		opts.capture.base = append(graph.Lengths(nil), vals...)
-		opts.capture.bumps = make([][]warmBump, k)
+		opts.capture.logs = make([]applyLog, k)
 	}
 	d := graph.NewLengthStoreFrom(vals)
 
@@ -234,16 +265,16 @@ func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, e
 						c = v
 					}
 				}
-				acc.add(i, t, c)
+				pos := acc.add(i, t, c)
 				rem[i] -= c
 				for _, use := range t.Use() {
 					ce := p.G.Edges[use.Edge].Capacity
-					grow := 1 + eps*float64(use.Count)*c/ce
+					grow := bumpFactor(eps, use.Count, c, ce)
 					bigD += ce * d.At(use.Edge) * (grow - 1)
 					d.Bump(use.Edge, grow)
-					if opts.capture != nil {
-						opts.capture.bumps[i] = append(opts.capture.bumps[i], warmBump{edge: use.Edge, factor: grow})
-					}
+				}
+				if opts.capture != nil {
+					opts.capture.logs[i].record(pos, t, c)
 				}
 				if rem[i] > 1e-15 {
 					next = append(next, i)

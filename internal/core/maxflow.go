@@ -105,7 +105,7 @@ func MaxFlow(p *Problem, opts MaxFlowOptions) (*Solution, error) {
 		}
 		acc.add(best, t, c)
 		for _, use := range t.Use() {
-			d.Bump(use.Edge, 1+eps*float64(use.Count)*c/p.G.Edges[use.Edge].Capacity)
+			d.Bump(use.Edge, bumpFactor(eps, use.Count, c, p.G.Edges[use.Edge].Capacity))
 		}
 	}
 	if iter >= maxIter {

@@ -59,15 +59,18 @@ func newFlowAccumulator(p *Problem) *flowAccumulator {
 	return acc
 }
 
-// add accrues rate onto tree t of session i.
-func (a *flowAccumulator) add(i int, t *overlay.Tree, rate float64) {
+// add accrues rate onto tree t of session i and returns the tree's position
+// in Flows[i].
+func (a *flowAccumulator) add(i int, t *overlay.Tree, rate float64) int {
 	key := t.KeyHash()
 	if pos, ok := a.index[i][key]; ok {
 		a.sol.Flows[i][pos].Rate += rate
-		return
+		return pos
 	}
-	a.index[i][key] = len(a.sol.Flows[i])
+	pos := len(a.sol.Flows[i])
+	a.index[i][key] = pos
 	a.sol.Flows[i] = append(a.sol.Flows[i], TreeFlow{Tree: t, Rate: rate})
+	return pos
 }
 
 // SessionRate returns the total rate of session i (Σ_j f^i_j).

@@ -17,21 +17,28 @@ import (
 //
 //   - A cold anchor solve runs MaxConcurrentFlow once and captures, instead
 //     of discarding, its terminal internal state: the length ledger d, the
-//     pre-scale per-session raw flows, the per-session multiplicative bump
-//     attribution, the final scaled demands, and the dual objective
-//     D = Σ_e c_e·d_e (the loop stops exactly when D ≥ 1).
+//     pre-scale per-session raw flows, the per-session application logs, the
+//     final scaled demands, and the dual objective D = Σ_e c_e·d_e (the loop
+//     stops exactly when D ≥ 1). A session's application log (applyLog)
+//     attributes its length inflation: one {arena offset, edge count, rate}
+//     entry per tree it routed, over a per-session arena that stores each
+//     distinct raw tree's edge multiplicities once. The log is pointer-free
+//     and grows per tree application, not per bumped edge.
 //   - A Join routes only the newcomer's fair share — demand_k times the
 //     anchored raw-rate-per-demand ratio — under the live lengths, in
 //     anchor-phase-sized chunks through the same BatchRunner (so the shared
 //     SSSP plane and its dirty-source repair absorb most of the Dijkstra
 //     work), applying the standard (1+ε·n_e·c/c_e) inflations.
 //   - A Leave rolls the departed session's length inflation back exactly —
-//     affected edges are Set to the anchor base and every surviving
-//     session's recorded bumps are replayed in slot order — and decrements D
-//     accordingly. The rollback typically drops D below 1, so the allocation
-//     no longer satisfies the stop criterion; the next Refresh routes full
-//     phases for all active sessions until D ≥ 1 again, which is precisely
-//     the work a cold solve would have spent re-packing the freed capacity.
+//     the edges of its arena are Set to the anchor base and every surviving
+//     session's logged applications are replayed onto them in slot order,
+//     each factor recomputed by bumpFactor, bitwise the one originally
+//     applied — and decrements D accordingly. The rollback typically drops
+//     D below 1, so the allocation no longer satisfies the stop criterion;
+//     the next Refresh routes full phases for all active sessions until
+//     D ≥ 1 again, which is precisely the work a cold solve would have spent
+//     re-packing the freed capacity. With a negative repair budget every
+//     Refresh is cold, so a Leave skips the rollback.
 //   - Snapshot densifies the active slots and rescales the raw flows by
 //     1/maxCongestion — the identical final step of the cold solve — so a
 //     snapshot taken right after the anchor is bit-identical to the cold
@@ -124,12 +131,12 @@ type Warm struct {
 	base     graph.Lengths // anchor epoch-0 lengths delta/c_e
 	raw      [][]TreeFlow  // per slot: pre-scale flows
 	rawIndex []map[uint64]int
-	bumps    [][]warmBump // per slot: length updates, in application order
-	dem      []float64    // per slot: scaled per-phase demand
-	demScale float64      // dem_i / demand_i at the anchor (uniform)
-	bigD     float64      // dual objective D = Σ_e c_e·d_e
-	phases   int          // anchor phase count (catch-up chunk granularity)
-	shrinkOK graph.Epoch  // ledger epoch of the last self-inflicted shrink
+	logs     []applyLog  // per slot: tree applications, for exact rollback
+	dem      []float64   // per slot: scaled per-phase demand
+	demScale float64     // dem_i / demand_i at the anchor (uniform)
+	bigD     float64     // dual objective D = Σ_e c_e·d_e
+	phases   int         // anchor phase count (catch-up chunk granularity)
+	shrinkOK graph.Epoch // ledger epoch of the last self-inflicted shrink
 
 	pendingJoins []int // slots joined since the last refresh, ascending
 	// pendingLeaveDem accumulates the demand of sessions rolled back since
@@ -183,7 +190,7 @@ func (w *Warm) Join(s *overlay.Session, oracle overlay.TreeOracle) error {
 	if w.d != nil {
 		w.raw = append(w.raw, nil)
 		w.rawIndex = append(w.rawIndex, nil)
-		w.bumps = append(w.bumps, nil)
+		w.logs = append(w.logs, applyLog{})
 		w.dem = append(w.dem, 0)
 		w.pendingJoins = append(w.pendingJoins, s.ID)
 	}
@@ -194,9 +201,11 @@ func (w *Warm) Join(s *overlay.Session, oracle overlay.TreeOracle) error {
 
 // Leave removes the session in the given slot. Its length inflation is
 // rolled back exactly (affected edges reset to the anchor base, surviving
-// sessions' bumps replayed in slot order — the same bit-exactness argument
-// as Online.Leave), and the dual objective is decremented to match, so the
-// next Refresh knows how much re-packing the departure freed up.
+// sessions' logged applications replayed in slot order — the same
+// bit-exactness argument as Online.Leave), and the dual objective is
+// decremented to match, so the next Refresh knows how much re-packing the
+// departure freed up. With a negative RepairPhaseBudget the rollback is
+// skipped: the next Refresh re-anchors cold and discards the ledger anyway.
 func (w *Warm) Leave(slot int) error {
 	if slot < 0 || slot >= len(w.sessions) {
 		return fmt.Errorf("core: warm leave: slot %d out of range", slot)
@@ -208,7 +217,9 @@ func (w *Warm) Leave(slot int) error {
 	w.nActive--
 	w.stats.Leaves++
 	w.dirty = true
-	if w.d == nil {
+	if w.d == nil || w.opts.RepairPhaseBudget < 0 {
+		// Unanchored, or every refresh re-anchors cold and discards the
+		// ledger: there is nothing worth rolling back.
 		return nil
 	}
 	// A slot that joined after the last refresh has no flow to roll back and
@@ -235,18 +246,22 @@ func (w *Warm) Leave(slot int) error {
 }
 
 // rollback undoes slot's length inflation exactly and releases its flows.
+// The affected edges are those of slot's arena, in first-use order (the
+// order its applications first touched them); every surviving session's
+// applications are replayed onto them with factors recomputed by
+// bumpFactor, bitwise the ones originally applied.
 func (w *Warm) rollback(slot int) {
-	if len(w.bumps[slot]) == 0 && len(w.raw[slot]) == 0 {
+	if len(w.logs[slot].apps) == 0 && len(w.raw[slot]) == 0 {
 		return
 	}
 	if w.affected == nil {
 		w.affected = make([]bool, w.g.NumEdges())
 	}
 	w.affectedList = w.affectedList[:0]
-	for _, b := range w.bumps[slot] {
-		if !w.affected[b.edge] {
-			w.affected[b.edge] = true
-			w.affectedList = append(w.affectedList, b.edge)
+	for _, u := range w.logs[slot].arena {
+		if !w.affected[u.Edge] {
+			w.affected[u.Edge] = true
+			w.affectedList = append(w.affectedList, u.Edge)
 		}
 	}
 	for _, e := range w.affectedList {
@@ -254,12 +269,15 @@ func (w *Warm) rollback(slot int) {
 		w.d.Set(e, w.base[e])
 	}
 	for j := range w.sessions {
-		if !w.active[j] || w.bumps[j] == nil {
+		if !w.active[j] {
 			continue
 		}
-		for _, b := range w.bumps[j] {
-			if w.affected[b.edge] {
-				w.d.Bump(b.edge, b.factor)
+		l := &w.logs[j]
+		for _, a := range l.apps {
+			for _, u := range l.arena[a.off : a.off+a.n] {
+				if w.affected[u.Edge] {
+					w.d.Bump(u.Edge, bumpFactor(w.eps, u.Count, a.rate, w.g.Edges[u.Edge].Capacity))
+				}
 			}
 		}
 	}
@@ -269,7 +287,7 @@ func (w *Warm) rollback(slot int) {
 	}
 	w.raw[slot] = nil
 	w.rawIndex[slot] = nil
-	w.bumps[slot] = nil
+	w.logs[slot] = applyLog{}
 	w.dem[slot] = 0
 	// The Sets above are self-inflicted shrinks: sanction them so the next
 	// monotonicity check only trips on *external* ledger mutation. The plane
@@ -392,8 +410,9 @@ func (w *Warm) rawRatio() float64 {
 	return ratio
 }
 
-// addRaw accrues raw flow onto tree t of slot, deduplicating by tree key.
-func (w *Warm) addRaw(slot int, t *overlay.Tree, rate float64) {
+// addRaw accrues raw flow onto tree t of slot, deduplicating by tree key,
+// and returns the tree's position in raw[slot].
+func (w *Warm) addRaw(slot int, t *overlay.Tree, rate float64) int {
 	if w.rawIndex[slot] == nil {
 		w.rawIndex[slot] = make(map[uint64]int, len(w.raw[slot]))
 		for pos, tf := range w.raw[slot] {
@@ -403,10 +422,12 @@ func (w *Warm) addRaw(slot int, t *overlay.Tree, rate float64) {
 	key := t.KeyHash()
 	if pos, ok := w.rawIndex[slot][key]; ok {
 		w.raw[slot][pos].Rate += rate
-		return
+		return pos
 	}
-	w.rawIndex[slot][key] = len(w.raw[slot])
+	pos := len(w.raw[slot])
+	w.rawIndex[slot][key] = pos
 	w.raw[slot] = append(w.raw[slot], TreeFlow{Tree: t, Rate: rate})
+	return pos
 }
 
 // routePhase routes amounts[slot] for every listed slot through one phase of
@@ -440,14 +461,13 @@ func (w *Warm) routePhase(slots []int, amounts []float64, stopAtBigD bool) error
 					c = v
 				}
 			}
-			w.addRaw(slot, t, c)
+			w.logs[slot].record(w.addRaw(slot, t, c), t, c)
 			w.rem[slot] -= c
 			for _, use := range t.Use() {
 				ce := w.g.Edges[use.Edge].Capacity
-				grow := 1 + w.eps*float64(use.Count)*c/ce
+				grow := bumpFactor(w.eps, use.Count, c, ce)
 				w.bigD += ce * w.d.At(use.Edge) * (grow - 1)
 				w.d.Bump(use.Edge, grow)
-				w.bumps[slot] = append(w.bumps[slot], warmBump{edge: use.Edge, factor: grow})
 			}
 			if w.rem[slot] > 1e-15 {
 				next = append(next, slot)
@@ -594,11 +614,11 @@ func (w *Warm) cold() error {
 	w.demScale = cap.dem[0] / denseSessions[0].Demand
 	w.raw = make([][]TreeFlow, n)
 	w.rawIndex = make([]map[uint64]int, n)
-	w.bumps = make([][]warmBump, n)
+	w.logs = make([]applyLog, n)
 	w.dem = make([]float64, n)
 	for dense, slot := range denseToSlot {
 		w.raw[slot] = cap.raw[dense]
-		w.bumps[slot] = cap.bumps[dense]
+		w.logs[slot] = cap.logs[dense]
 		w.dem[slot] = cap.dem[dense]
 	}
 	w.shrinkOK = w.d.Epoch()

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"overcast/internal/core"
@@ -341,5 +342,68 @@ func TestWarmSlotContract(t *testing.T) {
 	}
 	if solutionFingerprint(before) != solutionFingerprint(after) {
 		t.Fatal("join+leave between refreshes left a trace in the allocation")
+	}
+}
+
+// TestWarmIPRefreshAllocBudget bounds the heap bytes one warm refresh
+// allocates on a small fixed-route instance. Warm repair routes thousands of
+// trees per refresh; the fixed oracle's tree memo and the per-session
+// application log keep that loop from allocating per oracle call or per
+// applied edge, and this gate catches a regression that brings either back.
+// Refreshes the amortized re-anchor schedule turns cold are not counted.
+// The budget is half of the 6.96 MB per refresh this instance allocated when
+// every oracle call built a fresh tree and the log held one record per bumped
+// edge; with the memo and the application log it allocates about 0.5 MB.
+func TestWarmIPRefreshAllocBudget(t *testing.T) {
+	const budgetBytes = 3_478_600
+	r := rng.New(77)
+	net, err := topology.Waxman(topology.DefaultWaxman(40), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := net.Graph
+	perm := r.Perm(40)
+	w, err := core.NewWarm(g, core.RoutingIP, nil, core.WarmOptions{Epsilon: 0.1, SolverOptions: core.SolverOptions{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for i := 0; i < 8; i++ {
+		warmJoin(t, w, g, i, perm[4*i:4*i+4], 1, core.RoutingIP)
+	}
+	if _, err := w.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	var bytes uint64
+	warm := 0
+	refresh := func() {
+		prev := w.Stats().WarmRefreshes
+		runtime.ReadMemStats(&before)
+		if err := w.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if w.Stats().WarmRefreshes > prev {
+			bytes += after.TotalAlloc - before.TotalAlloc
+			warm++
+		}
+	}
+	for i := 0; i < 6; i++ {
+		slot := w.NumSlots()
+		warmJoin(t, w, g, slot, perm[4*i+2:4*i+6], 1, core.RoutingIP)
+		refresh()
+		if err := w.Leave(slot); err != nil {
+			t.Fatal(err)
+		}
+		refresh()
+	}
+	if warm < 4 {
+		t.Fatalf("stats %+v: only %d warm refreshes measured", w.Stats(), warm)
+	}
+	perRefresh := bytes / uint64(warm)
+	t.Logf("%d bytes per warm refresh (%d warm refreshes measured)", perRefresh, warm)
+	if perRefresh > budgetBytes {
+		t.Fatalf("warm refresh allocated %d bytes, budget %d", perRefresh, budgetBytes)
 	}
 }

@@ -79,10 +79,11 @@ func newMaster(g *graph.Graph, oracles []overlay.TreeOracle, weights []float64) 
 
 // add inserts a column if new; reports whether it was added.
 func (m *master) add(i int, t *overlay.Tree) bool {
-	if m.keys[i][t.Key()] {
+	key := t.Key()
+	if m.keys[i][key] {
 		return false
 	}
-	m.keys[i][t.Key()] = true
+	m.keys[i][key] = true
 	m.trees[i] = append(m.trees[i], t)
 	m.session = append(m.session, i)
 	m.flat = append(m.flat, t)

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"sync"
 
 	"overcast/internal/graph"
 	"overcast/internal/routing"
@@ -104,18 +105,48 @@ func primComplete(n int, weight func(i, j int) float64) [][2]int {
 // fixed IP route. Routes are resolved once at construction; per-iteration
 // work is only the re-weighting of the overlay complete graph under the
 // current d_e.
+//
+// A fixed-route tree is fully determined by its overlay pair set, and the
+// solvers select the same few trees over and over, so the oracle memoizes
+// its trees by pair set (sessions of up to memoMaxMembers members, at most
+// memoCap trees per oracle). A memo hit returns the shared, read-only tree
+// without allocating. A FixedOracle is safe for concurrent use.
 type FixedOracle struct {
 	g       *graph.Graph
 	session *Session
 	// routes[i][j] is the fixed route between members i and j (i < j).
 	routes  [][]routing.Path
 	maxHops int
+
+	memoMu sync.Mutex
+	memo   map[uint64]*Tree // pair-set bitmask (see pairMask) -> tree
+}
+
+// memoMaxMembers is the largest session whose n(n-1)/2 member pairs fit the
+// uint64 memo key, one bit per pair.
+const memoMaxMembers = 11
+
+// memoCap bounds the trees one FixedOracle keeps; once full, further trees
+// are built per call as if unmemoized.
+const memoCap = 4096
+
+// pairMask sets bit j(j-1)/2+i for every overlay pair {i, j}, i < j.
+func pairMask(pairs [][2]int) uint64 {
+	var m uint64
+	for _, p := range pairs {
+		i, j := p[0], p[1]
+		if i > j {
+			i, j = j, i
+		}
+		m |= 1 << uint(j*(j-1)/2+i)
+	}
+	return m
 }
 
 // NewFixedOracle resolves all pairwise IP routes of the session from rt.
 func NewFixedOracle(g *graph.Graph, rt *routing.IPRoutes, s *Session) (*FixedOracle, error) {
 	n := s.Size()
-	o := &FixedOracle{g: g, session: s, routes: make([][]routing.Path, n)}
+	o := &FixedOracle{g: g, session: s, routes: make([][]routing.Path, n), memo: make(map[uint64]*Tree)}
 	for i := 0; i < n; i++ {
 		o.routes[i] = make([]routing.Path, n)
 	}
@@ -162,6 +193,25 @@ func (o *FixedOracle) MinTreeWith(d graph.Lengths, sc *Scratch) (*Tree, error) {
 		}
 	}
 	raw := primInto(sc, n, func(i, j int) float64 { return w[i*n+j] })
+	if n > memoMaxMembers {
+		return o.newTree(sc, raw), nil
+	}
+	key := pairMask(raw)
+	o.memoMu.Lock()
+	defer o.memoMu.Unlock()
+	if t, ok := o.memo[key]; ok {
+		return t, nil
+	}
+	t := o.newTree(sc, raw)
+	t.KeyHash() // cache the digest before the tree is shared
+	if len(o.memo) < memoCap {
+		o.memo[key] = t
+	}
+	return t, nil
+}
+
+// newTree assembles the tree of Prim's raw member pairs.
+func (o *FixedOracle) newTree(sc *Scratch, raw [][2]int) *Tree {
 	// Normalize pairs to i<j up front: o.routes[i][j] is already oriented
 	// i -> j, so no route reversal is needed.
 	pairs := make([][2]int, len(raw))
@@ -174,7 +224,7 @@ func (o *FixedOracle) MinTreeWith(d graph.Lengths, sc *Scratch) (*Tree, error) {
 		pairs[k] = [2]int{i, j}
 		routes[k] = o.routes[i][j]
 	}
-	return newSortedTree(sc, o.session.ID, pairs, routes), nil
+	return newSortedTree(sc, o.session.ID, pairs, routes)
 }
 
 // ArbitraryOracle is the Sec. V oracle: overlay edges follow the *shortest*

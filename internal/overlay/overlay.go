@@ -63,7 +63,9 @@ type EdgeUse struct {
 }
 
 // Tree is one overlay spanning tree of a session, with its physical
-// realization.
+// realization. Trees returned by an oracle may be shared — the fixed-route
+// oracle hands out one memoized tree to every caller, across goroutines — so
+// they are read-only: never modify Pairs, Routes or the Use slice.
 type Tree struct {
 	SessionID int
 	// Pairs are the overlay edges as (i,j) member-index pairs with i<j,
@@ -75,7 +77,6 @@ type Tree struct {
 	Routes []routing.Path
 
 	use        []EdgeUse // lazily computed, sorted by Edge
-	key        string    // lazily computed canonical key
 	keyHash    uint64    // lazily computed canonical key digest
 	hasKeyHash bool
 }
@@ -138,26 +139,25 @@ func (t *Tree) Use() []EdgeUse {
 
 // Key returns a canonical identity for the tree: the overlay pairs plus the
 // physical edges of each route. Two trees with identical keys route
-// identical traffic, under fixed or arbitrary routing alike.
+// identical traffic, under fixed or arbitrary routing alike. The key is
+// rendered on every call (caching it would race on shared trees); hot paths
+// use KeyHash.
 func (t *Tree) Key() string {
-	if t.key == "" {
-		var sb strings.Builder
-		sb.WriteString("s")
-		sb.WriteString(strconv.Itoa(t.SessionID))
-		for k, p := range t.Pairs {
-			sb.WriteByte('|')
-			sb.WriteString(strconv.Itoa(p[0]))
-			sb.WriteByte('-')
-			sb.WriteString(strconv.Itoa(p[1]))
-			sb.WriteByte(':')
-			for _, e := range t.Routes[k].Edges {
-				sb.WriteString(strconv.Itoa(e))
-				sb.WriteByte(',')
-			}
+	var sb strings.Builder
+	sb.WriteString("s")
+	sb.WriteString(strconv.Itoa(t.SessionID))
+	for k, p := range t.Pairs {
+		sb.WriteByte('|')
+		sb.WriteString(strconv.Itoa(p[0]))
+		sb.WriteByte('-')
+		sb.WriteString(strconv.Itoa(p[1]))
+		sb.WriteByte(':')
+		for _, e := range t.Routes[k].Edges {
+			sb.WriteString(strconv.Itoa(e))
+			sb.WriteByte(',')
 		}
-		t.key = sb.String()
 	}
-	return t.key
+	return sb.String()
 }
 
 // FNV-1a, processing one uint64 as eight little-endian bytes.

@@ -75,10 +75,11 @@ func TestMinTreeWithMatchesMinTree(t *testing.T) {
 }
 
 // TestMinTreeWithAllocs is the allocation regression test for the MOST hot
-// path: with a pooled scratch, a fixed-oracle MinTree call may only allocate
-// the returned tree (struct, pairs, routes, use — a handful of allocations,
-// where the pre-refactor path made dozens growing with session size and
-// route length).
+// path: with a pooled scratch, a MinTree call may only allocate the returned
+// tree (struct, pairs, routes, use — a handful of allocations, where the
+// pre-refactor path made dozens growing with session size and route length).
+// The repeated fixed-oracle calls here are memo hits, which allocate nothing
+// (TestFixedOracleMemoHitAllocs pins that at 0).
 func TestMinTreeWithAllocs(t *testing.T) {
 	g, fo, ao := scratchEnv(t, 6, 200, 8)
 	sc := NewScratch(g)
