@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"overcast/internal/graph"
 	"overcast/internal/overlay"
@@ -31,65 +32,15 @@ type MaxConcurrentFlowOptions struct {
 	SurplusEpsilon float64
 	// MaxPhases overrides the phase safety bound (0 = automatic).
 	MaxPhases int
-
-	// capture, when non-nil, receives the solve's internal state at the
-	// moment the phase loop stops (before the feasibility rescale): the live
-	// length ledger, the epoch-0 base lengths, the pre-scale per-session
-	// flows, the per-session tree application logs, the final scaled
-	// demands, the dual objective D, and the phase count. It is the
-	// seed a Warm allocator resumes from; package-internal because the
-	// captured ledger aliases live solver state. Incompatible with
-	// SurplusPass (the surplus flows have no bump attribution).
-	capture *warmCapture
 }
 
-// bumpFactor is the multiplicative length update 1+ε·n·c/c_e of an edge with
-// capacity ce that a tree crossing it n times applies when routing rate c.
-// The phase loops and the warm rollback replay both call it, so a replayed
-// factor is bitwise the one the loop applied.
-func bumpFactor(eps float64, n int, c, ce float64) float64 {
-	return 1 + eps*float64(n)*c/ce
-}
-
-// treeApply is one tree application in a session's applyLog: the tree's
-// edge multiplicities are arena[off:off+n], and it routed rate.
-type treeApply struct {
-	off, n int32
-	rate   float64
-}
-
-// applyLog records how one session inflated the lengths, so a warm allocator
-// can roll its bumps back exactly on Leave: one treeApply per tree the
-// session routed, in application order, over an arena that stores each
-// distinct raw tree's Use() once, in first-use order. The log holds no
-// pointers, and its size grows with tree applications, not with the edges
-// they touch.
-type applyLog struct {
-	arena []overlay.EdgeUse
-	offs  []int32 // raw flow position -> arena offset of its tree's Use()
-	apps  []treeApply
-}
-
-// record logs that the session routed rate on tree t, held at position pos
-// of its raw flows (pos == len(offs) for a tree new to the session).
-func (l *applyLog) record(pos int, t *overlay.Tree, rate float64) {
-	use := t.Use()
-	if pos == len(l.offs) {
-		l.offs = append(l.offs, int32(len(l.arena)))
-		l.arena = append(l.arena, use...)
-	}
-	l.apps = append(l.apps, treeApply{off: l.offs[pos], n: int32(len(use)), rate: rate})
-}
-
-// warmCapture receives a MaxConcurrentFlow run's internal state; see
-// MaxConcurrentFlowOptions.capture.
-type warmCapture struct {
-	ledger *graph.LengthStore
+// mcfAnchor is the state of a logged MaxConcurrentFlow solve at the moment
+// its phase loop stops, before the feasibility rescale: the seed a Warm
+// allocator resumes from.
+type mcfAnchor struct {
+	gk     *gkState      // live ledger, pre-scale flows, application logs, D
 	base   graph.Lengths // epoch-0 lengths delta/c_e
-	raw    [][]TreeFlow  // pre-scale flows (Tree pointers shared with the Solution)
-	logs   []applyLog    // per session
 	dem    []float64     // final scaled per-phase demands
-	bigD   float64       // dual objective at stop
 	phases int
 }
 
@@ -144,12 +95,19 @@ type MCFResult struct {
 // TestMCFMatchesExactM2SmallInstances rather than inherited verbatim from
 // the paper's analysis.
 func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, error) {
+	res, _, err := maxConcurrentFlow(p, opts, false)
+	return res, err
+}
+
+// maxConcurrentFlow is MaxConcurrentFlow that, when logged is set, also logs
+// every tree application and returns the phase loop's terminal state as an
+// anchor. The anchor's flows are the pre-scale raw flows; the returned
+// Solution rescales its own copy. A logged solve skips the surplus pass,
+// whose flows have no place in the anchor.
+func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool) (*MCFResult, *mcfAnchor, error) {
 	eps := opts.Epsilon
 	if eps <= 0 || eps > 0.5 {
-		return nil, fmt.Errorf("core: MaxConcurrentFlow epsilon %v outside (0, 0.5]", eps)
-	}
-	if opts.capture != nil && opts.SurplusPass {
-		return nil, fmt.Errorf("core: MaxConcurrentFlow capture is incompatible with the surplus pass")
+		return nil, nil, fmt.Errorf("core: MaxConcurrentFlow epsilon %v outside (0, 0.5]", eps)
 	}
 	k := p.K()
 	// The phase loop fans each round of pending-session oracle calls out to
@@ -165,7 +123,7 @@ func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, e
 	// plane + per-subproblem persistent planes).
 	betas, prestepOps, prestepPlane, err := prestepBetas(p, eps, workers, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// zeta = min_i beta_i/dem(i) upper-bounds lambda*; scaling demands by
 	// zeta/k puts the scaled optimum in [1, k].
@@ -180,48 +138,49 @@ func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, e
 		dem[i] = s.Demand * zeta / float64(k)
 	}
 
-	m := float64(p.G.NumEdges())
+	m := p.G.NumEdges()
 	// delta = (m/(1-eps))^(-1/eps), floored against float64 underflow at
 	// extreme accuracy targets (see deltaFloor).
-	delta := math.Pow(m/(1-eps), -1/eps)
+	delta := math.Pow(float64(m)/(1-eps), -1/eps)
 	if delta < deltaFloor {
 		delta = deltaFloor
 	}
 	vals := graph.NewLengths(p.G, 0)
-	bigD := 0.0 // D = sum_e c_e d_e, the dual objective / stop criterion
+	bigD := 0.0
 	for e := range vals {
 		vals[e] = delta / p.G.Edges[e].Capacity
 		bigD += delta
 	}
+	var anchor *mcfAnchor
+	if logged {
+		anchor = &mcfAnchor{base: append(graph.Lengths(nil), vals...), dem: dem}
+	}
 	// The ledger wraps the initial assignment as its epoch-0 contents, so
 	// every phase-loop inflation below is journaled as a monotone growth and
 	// the plane's cross-round repair can skip untouched sources.
-	if opts.capture != nil {
-		opts.capture.base = append(graph.Lengths(nil), vals...)
-		opts.capture.logs = make([]applyLog, k)
-	}
-	d := graph.NewLengthStoreFrom(vals)
+	gk := newGKState(p.G, eps, graph.NewLengthStoreFrom(vals), k, logged)
+	gk.bigD = bigD
 
-	acc := newFlowAccumulator(p)
-	// Phase budget per doubling round (Lemma 6): t <= 1 + lambda·log_{1+eps}(1/delta)
-	// with log_{1+eps}(1/delta) = (1/eps)·log_{1+eps}(m/(1-eps)); the
-	// algorithm must stop within T = 2·log_{1+eps}(1/delta) phases while
-	// lambda_scaled <= 2 (allowing slack for the approximate betas).
-	budget := int(2.5*math.Log(m/(1-eps))/math.Log(1+eps)/eps) + 2
+	budget := phaseBudget(m, eps)
 	maxPhases := opts.MaxPhases
 	if maxPhases == 0 {
 		// At most ~log2(k)+1 doubling rounds of `budget` phases each.
-		maxPhases = budget * (bits(k) + 2)
+		maxPhases = budget * (bits.Len(uint(k)) + 2)
 	}
 
-	rem := make([]float64, k)
-	pending := make([]int, 0, k)
+	// One phase routes every session's scaled demand (see gkState.phase);
+	// almost always each tree's bottleneck exceeds the scaled demand and a
+	// phase is a single round.
+	all := make([]int, k)
+	for i := range all {
+		all[i] = i
+	}
 	phases := 0
 	sinceDoubling := 0
 	doublings := 0
-	for bigD < 1 {
+	for gk.bigD < 1 {
 		if phases >= maxPhases {
-			return nil, fmt.Errorf("core: MaxConcurrentFlow exceeded %d phases", maxPhases)
+			return nil, nil, fmt.Errorf("core: MaxConcurrentFlow exceeded %d phases", maxPhases)
 		}
 		if sinceDoubling >= budget {
 			// lambda_scaled > 2: double demands to halve it (Sec. III-C).
@@ -230,78 +189,32 @@ func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, e
 			}
 			doublings++
 			sinceDoubling = 0
-			if doublings > bits(k)+8 {
-				return nil, fmt.Errorf("core: demand doubling diverged after %d rounds", doublings)
+			if doublings > bits.Len(uint(k))+8 {
+				return nil, nil, fmt.Errorf("core: demand doubling diverged after %d rounds", doublings)
 			}
 		}
-		// One phase: route every session's scaled demand. Each round batches
-		// the pending sessions' min-tree computations against the current
-		// lengths, then applies them in ascending session order; a session
-		// whose tree bottleneck is below its remaining demand stays pending
-		// and gets a fresh tree (under the moved lengths) next round. Almost
-		// always the bottleneck exceeds the scaled demand and a phase is a
-		// single round.
-		pending = pending[:0]
-		for i := 0; i < k; i++ {
-			rem[i] = dem[i]
-			pending = append(pending, i)
-		}
-		for len(pending) > 0 && bigD < 1 {
-			results := runner.MinTrees(d, pending)
-			acc.sol.MSTOps += len(pending)
-			// next reuses pending's backing array: position pos is read
-			// before any write can reach index pos (one append per
-			// processed position), so the in-place filter is safe.
-			next := pending[:0]
-			for pos := 0; pos < len(pending) && bigD < 1; pos++ {
-				i := pending[pos]
-				if results[pos].Err != nil {
-					return nil, fmt.Errorf("core: MCF oracle %d: %w", i, results[pos].Err)
-				}
-				t := results[pos].Tree
-				c := rem[i]
-				for _, use := range t.Use() {
-					if v := p.G.Edges[use.Edge].Capacity / float64(use.Count); v < c {
-						c = v
-					}
-				}
-				pos := acc.add(i, t, c)
-				rem[i] -= c
-				for _, use := range t.Use() {
-					ce := p.G.Edges[use.Edge].Capacity
-					grow := bumpFactor(eps, use.Count, c, ce)
-					bigD += ce * d.At(use.Edge) * (grow - 1)
-					d.Bump(use.Edge, grow)
-				}
-				if opts.capture != nil {
-					opts.capture.logs[i].record(pos, t, c)
-				}
-				if rem[i] > 1e-15 {
-					next = append(next, i)
-				}
-			}
-			pending = next
+		if err := gk.phase(runner, all, dem, true); err != nil {
+			return nil, nil, fmt.Errorf("core: MCF %w", err)
 		}
 		phases++
 		sinceDoubling++
 	}
 
-	sol := acc.sol
-	sol.Phases = phases
 	// Phase-loop counters only: the beta prestep's single-session planes
 	// dedup exactly 1.0 by construction (members within a session are
 	// distinct), so merging them here would drag the reported dedup factor
 	// toward 1 and hide the cross-session sharing the metric exists to
 	// surface. They are reported separately on MCFResult.PrestepPlane.
-	sol.Plane = runner.Metrics()
-	if c := opts.capture; c != nil {
-		// Pre-scale flows: the warm allocator accumulates further raw flow at
-		// this level and rescales to exact feasibility itself on Snapshot.
-		c.raw = make([][]TreeFlow, k)
-		for i, fs := range sol.Flows {
-			c.raw[i] = append([]TreeFlow(nil), fs...)
+	sol := &Solution{G: p.G, Sessions: p.Sessions, Flows: gk.raw, MSTOps: gk.ops, Phases: phases, Plane: runner.Metrics()}
+	if logged {
+		// The anchor keeps the pre-scale flows: the warm allocator
+		// accumulates further raw flow at this level and rescales to exact
+		// feasibility itself on Snapshot.
+		sol.Flows = make([][]TreeFlow, k)
+		for i, fs := range gk.raw {
+			sol.Flows[i] = append([]TreeFlow(nil), fs...)
 		}
-		c.ledger, c.dem, c.bigD, c.phases = d, dem, bigD, phases
+		anchor.gk, anchor.phases = gk, phases
 	}
 	// Exact feasibility scaling, uniform across sessions (preserves the
 	// fairness ratios); upper-bounded by the Lemma 4 factor
@@ -312,23 +225,24 @@ func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, e
 	res := &MCFResult{Solution: sol, PrestepMSTOps: prestepOps, PrestepPlane: prestepPlane, Betas: betas}
 	res.Lambda = sol.ConcurrentRatio()
 
-	if opts.SurplusPass {
+	if opts.SurplusPass && !logged {
 		seps := opts.SurplusEpsilon
 		if seps == 0 {
 			seps = eps
 		}
-		if err := addSurplus(p, sol, seps, opts); err != nil {
-			return nil, err
+		if err := addSurplus(p, gk, sol, seps, opts); err != nil {
+			return nil, nil, err
 		}
 		sol.ScaleToFeasible()
 	}
-	return res, nil
+	return res, anchor, nil
 }
 
 // addSurplus runs a MaxFlow pass on the residual capacities left by sol and
-// merges the extra flow into sol. Edge identities are preserved because the
-// residual graph has the same (sorted) edge set.
-func addSurplus(p *Problem, sol *Solution, eps float64, opts MaxConcurrentFlowOptions) error {
+// merges the extra flow into sol, whose Flows alias gk's raw flows. Edge
+// identities are preserved because the residual graph has the same (sorted)
+// edge set.
+func addSurplus(p *Problem, gk *gkState, sol *Solution, eps float64, opts MaxConcurrentFlowOptions) error {
 	load := sol.LinkFlows()
 	b := graph.NewBuilder(p.G.NumNodes())
 	const floorCap = 1e-9 // builder requires positive capacities
@@ -352,35 +266,14 @@ func addSurplus(p *Problem, sol *Solution, eps float64, opts MaxConcurrentFlowOp
 	}
 	sol.MSTOps += extra.MSTOps
 	sol.Plane.Merge(extra.Plane)
-	// Trees from the residual problem reference identical edge ids; merge.
-	acc := &flowAccumulator{sol: sol, index: make([]map[uint64]int, len(sol.Flows))}
-	for i := range acc.index {
-		acc.index[i] = make(map[uint64]int, len(sol.Flows[i]))
-		for pos, tf := range sol.Flows[i] {
-			acc.index[i][tf.Tree.KeyHash()] = pos
-		}
-	}
+	// Trees from the residual problem reference identical edge ids; merging
+	// through gk's index folds a repeated tree into its existing TreeFlow.
 	for i, flows := range extra.Flows {
 		for _, tf := range flows {
 			if tf.Rate > 0 {
-				acc.add(i, tf.Tree, tf.Rate)
+				gk.add(i, tf.Tree, tf.Rate)
 			}
 		}
 	}
 	return nil
-}
-
-func bits(k int) int {
-	b := 0
-	for v := k; v > 0; v >>= 1 {
-		b++
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -57,8 +57,7 @@ func MaxFlow(p *Problem, opts MaxFlowOptions) (*Solution, error) {
 	}
 	delta := maxFlowDelta(eps, p.MaxReceivers, p.U)
 
-	d := graph.NewLengthStore(p.G, delta)
-	acc := newFlowAccumulator(p)
+	gk := newGKState(p.G, eps, graph.NewLengthStore(p.G, delta), p.K(), false)
 	// One worker pool plus per-worker scratch for the whole run: the oracle
 	// fan-out below executes every iteration, and rebuilding goroutines and
 	// buffers each time used to dominate the solver's allocation profile.
@@ -78,8 +77,8 @@ func MaxFlow(p *Problem, opts MaxFlowOptions) (*Solution, error) {
 
 	iter := 0
 	for ; iter < maxIter; iter++ {
-		results := runner.MinTreesLen(d, nil)
-		acc.sol.MSTOps += p.K()
+		results := runner.MinTreesLen(gk.d, nil)
+		gk.ops += p.K()
 		best := -1
 		bestNorm := math.Inf(1)
 		for i, r := range results {
@@ -95,25 +94,15 @@ func MaxFlow(p *Problem, opts MaxFlowOptions) (*Solution, error) {
 		if bestNorm >= 1 {
 			break
 		}
+		// Saturate the tree's bottleneck c = min_e c_e/n_e(t).
 		t := results[best].Tree
-		// Bottleneck capacity c = min_e c_e/n_e(t).
-		c := math.Inf(1)
-		for _, use := range t.Use() {
-			if v := p.G.Edges[use.Edge].Capacity / float64(use.Count); v < c {
-				c = v
-			}
-		}
-		acc.add(best, t, c)
-		for _, use := range t.Use() {
-			d.Bump(use.Edge, bumpFactor(eps, use.Count, c, p.G.Edges[use.Edge].Capacity))
-		}
+		gk.apply(best, t, t.Bottleneck(p.G))
 	}
 	if iter >= maxIter {
 		return nil, fmt.Errorf("core: MaxFlow did not converge within %d iterations", maxIter)
 	}
 
-	sol := acc.sol
-	sol.Plane = runner.Metrics()
+	sol := &Solution{G: p.G, Sessions: p.Sessions, Flows: gk.raw, MSTOps: gk.ops, Plane: runner.Metrics()}
 	// Lemma 2 scaling: dividing by log_{1+eps}((1+eps)/delta) is feasible;
 	// dividing by the measured congestion is never worse and is exactly
 	// feasible, so use it (it is upper-bounded by the lemma's factor).

@@ -26,15 +26,13 @@ type Online struct {
 	d  *graph.LengthStore
 	le []float64 // congestion per edge at full demands
 
+	// Leave replays the survivors' length updates from sessions and trees.
 	sessions []*overlay.Session
 	trees    []*overlay.Tree
 	active   []bool
-	// factors[idx] records the multiplicative length updates session idx
-	// applied, so Leave can roll them back exactly.
-	factors [][]edgeFactor
-	mstOps  int
-	nActive int
-	scratch *overlay.Scratch // reused across Join calls
+	mstOps   int
+	nActive  int
+	scratch  *overlay.Scratch // reused across Join calls
 
 	// Leave scratch: edge membership bitmap plus the affected-edge list,
 	// reused across calls so departures allocate nothing and the rebuild
@@ -45,11 +43,13 @@ type Online struct {
 	affectedList []graph.EdgeID
 }
 
-// edgeFactor is one multiplicative length update applied at join time.
-type edgeFactor struct {
-	edge   graph.EdgeID
-	factor float64
-	frac   float64 // congestion contribution n_e·dem/c_e
+// onlineBump returns the congestion contribution n_e·dem/c_e of a tree that
+// crosses an edge of capacity ce n times at demand dem, and the matching
+// length update factor 1+mu·frac. Join and Leave both call it, so a replayed
+// factor is bitwise the one Join applied.
+func onlineBump(mu float64, n int, dem, ce float64) (frac, factor float64) {
+	frac = float64(n) * dem / ce
+	return frac, 1 + mu*frac
 }
 
 // NewOnline creates an online allocator over g with step size mu (the
@@ -77,19 +77,14 @@ func (o *Online) Join(oracle overlay.TreeOracle) (*overlay.Tree, error) {
 		return nil, fmt.Errorf("core: online join session %d: %w", s.ID, err)
 	}
 	o.mstOps++
-	var fs []edgeFactor
 	for _, use := range t.Use() {
-		ce := o.g.Edges[use.Edge].Capacity
-		frac := float64(use.Count) * s.Demand / ce
-		factor := 1 + o.mu*frac
+		frac, factor := onlineBump(o.mu, use.Count, s.Demand, o.g.Edges[use.Edge].Capacity)
 		o.d.Bump(use.Edge, factor)
 		o.le[use.Edge] += frac
-		fs = append(fs, edgeFactor{edge: use.Edge, factor: factor, frac: frac})
 	}
 	o.sessions = append(o.sessions, s)
 	o.trees = append(o.trees, t)
 	o.active = append(o.active, true)
-	o.factors = append(o.factors, fs)
 	o.nActive++
 	return t, nil
 }
@@ -110,7 +105,7 @@ func (o *Online) Leave(idx int) error {
 	o.active[idx] = false
 	o.nActive--
 	// Rebuild the affected edges' length and congestion from the surviving
-	// sessions' recorded factors. Recomputing (instead of dividing the
+	// sessions' trees and demands. Recomputing (instead of dividing the
 	// factor back out) makes Leave bit-exact: the state equals what
 	// replaying the remaining updates in arrival order would produce, so
 	// deterministic tie-breaks in later MinTree calls are preserved.
@@ -118,24 +113,23 @@ func (o *Online) Leave(idx int) error {
 		o.affected = make([]bool, o.g.NumEdges())
 	}
 	o.affectedList = o.affectedList[:0]
-	for _, f := range o.factors[idx] {
-		if !o.affected[f.edge] {
-			o.affected[f.edge] = true
-			o.affectedList = append(o.affectedList, f.edge)
-		}
+	for _, use := range o.trees[idx].Use() {
+		o.affected[use.Edge] = true
+		o.affectedList = append(o.affectedList, use.Edge)
 	}
 	for _, e := range o.affectedList {
 		o.d.Set(e, 1/o.g.Edges[e].Capacity)
 		o.le[e] = 0
 	}
-	for j, fs := range o.factors {
+	for j, t := range o.trees {
 		if !o.active[j] {
 			continue
 		}
-		for _, f := range fs {
-			if o.affected[f.edge] {
-				o.d.Bump(f.edge, f.factor)
-				o.le[f.edge] += f.frac
+		for _, use := range t.Use() {
+			if o.affected[use.Edge] {
+				frac, factor := onlineBump(o.mu, use.Count, o.sessions[j].Demand, o.g.Edges[use.Edge].Capacity)
+				o.d.Bump(use.Edge, factor)
+				o.le[use.Edge] += frac
 			}
 		}
 	}

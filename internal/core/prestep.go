@@ -98,7 +98,7 @@ func buildPrestepSeeds(p *Problem, eps float64, workers int, seeds []*overlay.Pl
 		if _, ok := o.(overlay.PlaneOracle); !ok {
 			return overlay.PlaneStats{} // mixed or fixed-routing: no seeding
 		}
-		key := deltaKey{receivers: p.Sessions[i].Receivers(), u: maxInt(o.MaxRouteHops(), 1)}
+		key := deltaKey{receivers: p.Sessions[i].Receivers(), u: max(o.MaxRouteHops(), 1)}
 		if _, seen := groups[key]; !seen {
 			order = append(order, key)
 		}
@@ -145,6 +145,6 @@ func singleSessionProblem(p *Problem, i int) *Problem {
 		Oracles:      []overlay.TreeOracle{p.Oracles[i]},
 		Mode:         p.Mode,
 		MaxReceivers: p.Sessions[i].Receivers(),
-		U:            maxInt(p.Oracles[i].MaxRouteHops(), 1),
+		U:            max(p.Oracles[i].MaxRouteHops(), 1),
 	}
 }

@@ -42,37 +42,6 @@ func newSolution(p *Problem) *Solution {
 	return &Solution{G: p.G, Sessions: p.Sessions, Flows: make([][]TreeFlow, len(p.Sessions))}
 }
 
-// flowAccumulator indexes trees by their canonical key digest (KeyHash) so
-// repeated selections of one tree accumulate into a single TreeFlow. The
-// hashed key keeps the per-iteration accumulate step allocation-free, where
-// the string Key built ~O(|members| * route length) bytes per call.
-type flowAccumulator struct {
-	sol   *Solution
-	index []map[uint64]int // per session: tree key hash -> position in Flows[i]
-}
-
-func newFlowAccumulator(p *Problem) *flowAccumulator {
-	acc := &flowAccumulator{sol: newSolution(p), index: make([]map[uint64]int, len(p.Sessions))}
-	for i := range acc.index {
-		acc.index[i] = make(map[uint64]int)
-	}
-	return acc
-}
-
-// add accrues rate onto tree t of session i and returns the tree's position
-// in Flows[i].
-func (a *flowAccumulator) add(i int, t *overlay.Tree, rate float64) int {
-	key := t.KeyHash()
-	if pos, ok := a.index[i][key]; ok {
-		a.sol.Flows[i][pos].Rate += rate
-		return pos
-	}
-	pos := len(a.sol.Flows[i])
-	a.index[i][key] = pos
-	a.sol.Flows[i] = append(a.sol.Flows[i], TreeFlow{Tree: t, Rate: rate})
-	return pos
-}
-
 // SessionRate returns the total rate of session i (Σ_j f^i_j).
 func (s *Solution) SessionRate(i int) float64 {
 	total := 0.0

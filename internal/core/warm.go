@@ -15,20 +15,16 @@ import (
 // cold on every event. The mechanism reuses the Garg–Könemann invariant that
 // the phase loop already maintains:
 //
-//   - A cold anchor solve runs MaxConcurrentFlow once and captures, instead
-//     of discarding, its terminal internal state: the length ledger d, the
-//     pre-scale per-session raw flows, the per-session application logs, the
-//     final scaled demands, and the dual objective D = Σ_e c_e·d_e (the loop
-//     stops exactly when D ≥ 1). A session's application log (applyLog)
-//     attributes its length inflation: one {arena offset, edge count, rate}
-//     entry per tree it routed, over a per-session arena that stores each
-//     distinct raw tree's edge multiplicities once. The log is pointer-free
-//     and grows per tree application, not per bumped edge.
+//   - A cold anchor solve runs MaxConcurrentFlow once with application
+//     logging and keeps, instead of discarding, its terminal gkState (length
+//     ledger, dual objective D = Σ_e c_e·d_e, pre-scale raw flows and
+//     application logs; the loop stops exactly when D ≥ 1) plus the final
+//     scaled demands. Warm repair then routes through the same
+//     gkState.phase and gkState.apply as the cold loop.
 //   - A Join routes only the newcomer's fair share — demand_k times the
 //     anchored raw-rate-per-demand ratio — under the live lengths, in
-//     anchor-phase-sized chunks through the same BatchRunner (so the shared
-//     SSSP plane and its dirty-source repair absorb most of the Dijkstra
-//     work), applying the standard (1+ε·n_e·c/c_e) inflations.
+//     anchor-phase-sized chunks through a BatchRunner whose shared SSSP
+//     plane and dirty-source repair absorb most of the Dijkstra work.
 //   - A Leave rolls the departed session's length inflation back exactly —
 //     the edges of its arena are Set to the anchor base and every surviving
 //     session's logged applications are replayed onto them in slot order,
@@ -126,17 +122,14 @@ type Warm struct {
 
 	runner *overlay.BatchRunner // lazily created; oracle id == slot
 
-	// Anchored state (d == nil until the first cold solve).
-	d        *graph.LengthStore
+	// Anchored state (gk == nil until the first cold solve); gk is indexed
+	// by slot.
+	gk       *gkState
 	base     graph.Lengths // anchor epoch-0 lengths delta/c_e
-	raw      [][]TreeFlow  // per slot: pre-scale flows
-	rawIndex []map[uint64]int
-	logs     []applyLog  // per slot: tree applications, for exact rollback
-	dem      []float64   // per slot: scaled per-phase demand
-	demScale float64     // dem_i / demand_i at the anchor (uniform)
-	bigD     float64     // dual objective D = Σ_e c_e·d_e
-	phases   int         // anchor phase count (catch-up chunk granularity)
-	shrinkOK graph.Epoch // ledger epoch of the last self-inflicted shrink
+	dem      []float64     // per slot: scaled per-phase demand
+	demScale float64       // dem_i / demand_i at the anchor (uniform)
+	phases   int           // anchor phase count (catch-up chunk granularity)
+	shrinkOK graph.Epoch   // ledger epoch of the last self-inflicted shrink
 
 	pendingJoins []int // slots joined since the last refresh, ascending
 	// pendingLeaveDem accumulates the demand of sessions rolled back since
@@ -149,9 +142,7 @@ type Warm struct {
 
 	stats WarmStats
 
-	// Reused scratch.
-	rem          []float64
-	pending      []int
+	// Reused rollback scratch.
 	affected     []bool
 	affectedList []graph.EdgeID
 }
@@ -187,10 +178,10 @@ func (w *Warm) Join(s *overlay.Session, oracle overlay.TreeOracle) error {
 	if w.runner != nil {
 		w.runner.AddOracle(oracle)
 	}
-	if w.d != nil {
-		w.raw = append(w.raw, nil)
-		w.rawIndex = append(w.rawIndex, nil)
-		w.logs = append(w.logs, applyLog{})
+	if w.gk != nil {
+		w.gk.raw = append(w.gk.raw, nil)
+		w.gk.index = append(w.gk.index, nil)
+		w.gk.logs = append(w.gk.logs, applyLog{})
 		w.dem = append(w.dem, 0)
 		w.pendingJoins = append(w.pendingJoins, s.ID)
 	}
@@ -217,7 +208,7 @@ func (w *Warm) Leave(slot int) error {
 	w.nActive--
 	w.stats.Leaves++
 	w.dirty = true
-	if w.d == nil || w.opts.RepairPhaseBudget < 0 {
+	if w.gk == nil || w.opts.RepairPhaseBudget < 0 {
 		// Unanchored, or every refresh re-anchors cold and discards the
 		// ledger: there is nothing worth rolling back.
 		return nil
@@ -236,7 +227,7 @@ func (w *Warm) Leave(slot int) error {
 	// latched the cold re-anchor (capacities changed under the recorded
 	// bumps) — skip the rollback (the bump attribution is untrustworthy
 	// anyway) and keep the cold latch.
-	if w.forceCold || !w.d.MonotoneSince(w.shrinkOK) {
+	if w.forceCold || !w.gk.d.MonotoneSince(w.shrinkOK) {
 		w.forceCold = true
 		return nil
 	}
@@ -251,49 +242,50 @@ func (w *Warm) Leave(slot int) error {
 // applications are replayed onto them with factors recomputed by
 // bumpFactor, bitwise the ones originally applied.
 func (w *Warm) rollback(slot int) {
-	if len(w.logs[slot].apps) == 0 && len(w.raw[slot]) == 0 {
+	gk := w.gk
+	if len(gk.logs[slot].apps) == 0 && len(gk.raw[slot]) == 0 {
 		return
 	}
 	if w.affected == nil {
 		w.affected = make([]bool, w.g.NumEdges())
 	}
 	w.affectedList = w.affectedList[:0]
-	for _, u := range w.logs[slot].arena {
+	for _, u := range gk.logs[slot].arena {
 		if !w.affected[u.Edge] {
 			w.affected[u.Edge] = true
 			w.affectedList = append(w.affectedList, u.Edge)
 		}
 	}
 	for _, e := range w.affectedList {
-		w.bigD -= w.g.Edges[e].Capacity * w.d.At(e)
-		w.d.Set(e, w.base[e])
+		gk.bigD -= w.g.Edges[e].Capacity * gk.d.At(e)
+		gk.d.Set(e, w.base[e])
 	}
 	for j := range w.sessions {
 		if !w.active[j] {
 			continue
 		}
-		l := &w.logs[j]
+		l := &gk.logs[j]
 		for _, a := range l.apps {
 			for _, u := range l.arena[a.off : a.off+a.n] {
 				if w.affected[u.Edge] {
-					w.d.Bump(u.Edge, bumpFactor(w.eps, u.Count, a.rate, w.g.Edges[u.Edge].Capacity))
+					gk.d.Bump(u.Edge, bumpFactor(w.eps, u.Count, a.rate, w.g.Edges[u.Edge].Capacity))
 				}
 			}
 		}
 	}
 	for _, e := range w.affectedList {
-		w.bigD += w.g.Edges[e].Capacity * w.d.At(e)
+		gk.bigD += w.g.Edges[e].Capacity * gk.d.At(e)
 		w.affected[e] = false
 	}
-	w.raw[slot] = nil
-	w.rawIndex[slot] = nil
-	w.logs[slot] = applyLog{}
+	gk.raw[slot] = nil
+	gk.index[slot] = nil
+	gk.logs[slot] = applyLog{}
 	w.dem[slot] = 0
 	// The Sets above are self-inflicted shrinks: sanction them so the next
 	// monotonicity check only trips on *external* ledger mutation. The plane
 	// repair sees the shrink through the ledger journal regardless and
 	// refills the affected rows.
-	w.shrinkOK = w.d.Epoch()
+	w.shrinkOK = gk.d.Epoch()
 }
 
 // Fault records an underlay capacity mutation on edge e. The caller has
@@ -310,15 +302,15 @@ func (w *Warm) rollback(slot int) {
 // bump attribution were computed under the old capacities, so incremental
 // repair arithmetic is no longer trustworthy even for a monotone move.
 func (w *Warm) Fault(e graph.EdgeID, lengthFactor float64) error {
-	if e < 0 || (w.d != nil && e >= graph.EdgeID(w.d.Len())) || e >= graph.EdgeID(w.g.NumEdges()) {
+	if e < 0 || (w.gk != nil && e >= graph.EdgeID(w.gk.d.Len())) || e >= graph.EdgeID(w.g.NumEdges()) {
 		return fmt.Errorf("core: warm fault: edge %d out of range", e)
 	}
 	if lengthFactor <= 0 {
 		return fmt.Errorf("core: warm fault: length factor %v must be positive", lengthFactor)
 	}
 	w.stats.UnderlayEvents++
-	if w.d != nil && lengthFactor != 1 {
-		w.d.Bump(e, lengthFactor)
+	if w.gk != nil && lengthFactor != 1 {
+		w.gk.d.Bump(e, lengthFactor)
 	}
 	w.forceCold = true
 	w.dirty = true
@@ -337,7 +329,7 @@ func (w *Warm) Active(slot int) bool {
 func (w *Warm) ActiveSessions() int { return w.nActive }
 
 // Anchored reports whether a cold anchor solve has run yet.
-func (w *Warm) Anchored() bool { return w.d != nil }
+func (w *Warm) Anchored() bool { return w.gk != nil }
 
 // Stats returns a snapshot of the allocator's counters.
 func (w *Warm) Stats() WarmStats {
@@ -355,10 +347,10 @@ func (w *Warm) Refresh() error {
 	if w.nActive == 0 {
 		return fmt.Errorf("core: warm refresh with no active sessions")
 	}
-	if !w.dirty && w.d != nil {
+	if !w.dirty && w.gk != nil {
 		return nil
 	}
-	if w.d == nil || w.opts.RepairPhaseBudget < 0 || w.forceCold || !w.d.MonotoneSince(w.shrinkOK) {
+	if w.gk == nil || w.opts.RepairPhaseBudget < 0 || w.forceCold || !w.gk.d.MonotoneSince(w.shrinkOK) {
 		return w.cold()
 	}
 	// Amortized re-anchor: once warm repair has cost a couple of cold solves'
@@ -369,12 +361,16 @@ func (w *Warm) Refresh() error {
 	if w.repairSpent > warmReanchorFactor*w.phases*w.nActive {
 		return w.cold()
 	}
-	if err := w.warmRepair(); err != nil {
+	err := w.warmRepair()
+	// Fold the repair's oracle calls in before a fallback replaces the state.
+	w.stats.MSTOps += w.gk.ops
+	w.gk.ops = 0
+	if err != nil {
 		if errors.Is(err, errWarmFallback) {
 			w.stats.WarmFallbacks++
 			return w.cold()
 		}
-		return err
+		return fmt.Errorf("core: warm repair %w", err)
 	}
 	w.stats.WarmRefreshes++
 	w.dirty = false
@@ -395,7 +391,7 @@ func (w *Warm) ensureRunner() {
 // joining session must be routed up to for the allocation to stay fair.
 func (w *Warm) rawRatio() float64 {
 	ratio := 0.0
-	for slot, fs := range w.raw {
+	for slot, fs := range w.gk.raw {
 		if !w.active[slot] || len(fs) == 0 {
 			continue
 		}
@@ -408,74 +404,6 @@ func (w *Warm) rawRatio() float64 {
 		}
 	}
 	return ratio
-}
-
-// addRaw accrues raw flow onto tree t of slot, deduplicating by tree key,
-// and returns the tree's position in raw[slot].
-func (w *Warm) addRaw(slot int, t *overlay.Tree, rate float64) int {
-	if w.rawIndex[slot] == nil {
-		w.rawIndex[slot] = make(map[uint64]int, len(w.raw[slot]))
-		for pos, tf := range w.raw[slot] {
-			w.rawIndex[slot][tf.Tree.KeyHash()] = pos
-		}
-	}
-	key := t.KeyHash()
-	if pos, ok := w.rawIndex[slot][key]; ok {
-		w.raw[slot][pos].Rate += rate
-		return pos
-	}
-	pos := len(w.raw[slot])
-	w.rawIndex[slot][key] = pos
-	w.raw[slot] = append(w.raw[slot], TreeFlow{Tree: t, Rate: rate})
-	return pos
-}
-
-// routePhase routes amounts[slot] for every listed slot through one phase of
-// batched oracle rounds against the live ledger — the identical round
-// structure (and length updates) of the cold phase loop. When stopAtBigD is
-// set the phase stops early once the dual objective reaches 1, mirroring the
-// cold loop's mid-phase stop.
-func (w *Warm) routePhase(slots []int, amounts []float64, stopAtBigD bool) error {
-	if len(w.rem) < len(w.sessions) {
-		w.rem = append(w.rem, make([]float64, len(w.sessions)-len(w.rem))...)
-	}
-	w.pending = w.pending[:0]
-	for i, slot := range slots {
-		w.rem[slot] = amounts[i]
-		w.pending = append(w.pending, slot)
-	}
-	pending := w.pending
-	for len(pending) > 0 && (!stopAtBigD || w.bigD < 1) {
-		results := w.runner.MinTrees(w.d, pending)
-		w.stats.MSTOps += len(pending)
-		next := pending[:0]
-		for pos := 0; pos < len(pending) && (!stopAtBigD || w.bigD < 1); pos++ {
-			slot := pending[pos]
-			if results[pos].Err != nil {
-				return fmt.Errorf("core: warm repair oracle %d: %w", slot, results[pos].Err)
-			}
-			t := results[pos].Tree
-			c := w.rem[slot]
-			for _, use := range t.Use() {
-				if v := w.g.Edges[use.Edge].Capacity / float64(use.Count); v < c {
-					c = v
-				}
-			}
-			w.logs[slot].record(w.addRaw(slot, t, c), t, c)
-			w.rem[slot] -= c
-			for _, use := range t.Use() {
-				ce := w.g.Edges[use.Edge].Capacity
-				grow := bumpFactor(w.eps, use.Count, c, ce)
-				w.bigD += ce * w.d.At(use.Edge) * (grow - 1)
-				w.d.Bump(use.Edge, grow)
-			}
-			if w.rem[slot] > 1e-15 {
-				next = append(next, slot)
-			}
-		}
-		pending = next
-	}
-	return nil
 }
 
 // warmRepair restores the allocation invariants incrementally: catch-up
@@ -531,7 +459,7 @@ func (w *Warm) warmRepair() error {
 			if !charge(len(slots)) {
 				return errWarmFallback
 			}
-			if err := w.routePhase(slots, chunks, false); err != nil {
+			if err := w.gk.phase(w.runner, slots, chunks, false); err != nil {
 				return err
 			}
 		}
@@ -543,7 +471,7 @@ func (w *Warm) warmRepair() error {
 		rebalance = int(math.Ceil(warmRebalanceFactor * float64(w.phases) * churnDem / totDem))
 	}
 
-	if rebalance > 0 || w.bigD < 1 {
+	if rebalance > 0 || w.gk.bigD < 1 {
 		slots := make([]int, 0, w.nActive)
 		amounts := make([]float64, 0, w.nActive)
 		for slot := range w.sessions {
@@ -556,7 +484,7 @@ func (w *Warm) warmRepair() error {
 			if !charge(len(slots)) {
 				return errWarmFallback
 			}
-			if err := w.routePhase(slots, amounts, false); err != nil {
+			if err := w.gk.phase(w.runner, slots, amounts, false); err != nil {
 				return err
 			}
 		}
@@ -564,13 +492,12 @@ func (w *Warm) warmRepair() error {
 		// (Lemma 6): re-growing from a rollback needs strictly fewer phases
 		// than the anchor's own doubling round did, so tripping this means
 		// drift — re-anchor cold rather than loop.
-		m := float64(w.g.NumEdges())
-		safety := int(2.5*math.Log(m/(1-w.eps))/math.Log(1+w.eps)/w.eps) + 2
-		for ph := 0; w.bigD < 1; ph++ {
+		safety := phaseBudget(w.g.NumEdges(), w.eps)
+		for ph := 0; w.gk.bigD < 1; ph++ {
 			if ph >= safety || !charge(len(slots)) {
 				return errWarmFallback
 			}
-			if err := w.routePhase(slots, amounts, true); err != nil {
+			if err := w.gk.phase(w.runner, slots, amounts, true); err != nil {
 				return err
 			}
 		}
@@ -581,7 +508,7 @@ func (w *Warm) warmRepair() error {
 }
 
 // cold re-anchors: a full MaxConcurrentFlow solve over the active sessions,
-// whose terminal state is captured and mapped back onto the slots. All warm
+// whose logged terminal state is adopted slot by slot. All warm
 // state (including any partially applied repair) is discarded — the anchor
 // builds its own problem, oracles, and ledger from scratch.
 func (w *Warm) cold() error {
@@ -598,30 +525,31 @@ func (w *Warm) cold() error {
 	if err != nil {
 		return fmt.Errorf("core: warm cold anchor: %w", err)
 	}
-	cap := &warmCapture{}
-	res, err := MaxConcurrentFlow(p, MaxConcurrentFlowOptions{
-		Epsilon: w.eps, SolverOptions: w.opts.SolverOptions,
-		capture: cap,
-	})
+	res, anchor, err := maxConcurrentFlow(p, MaxConcurrentFlowOptions{Epsilon: w.eps, SolverOptions: w.opts.SolverOptions}, true)
 	if err != nil {
 		return fmt.Errorf("core: warm cold anchor: %w", err)
 	}
+	// Adopt the anchor's state slot by slot; each slot's tree index is
+	// rebuilt on its first add.
 	n := len(w.sessions)
-	w.d, w.base, w.bigD, w.phases = cap.ledger, cap.base, cap.bigD, cap.phases
-	if w.phases < 1 {
-		w.phases = 1
-	}
-	w.demScale = cap.dem[0] / denseSessions[0].Demand
-	w.raw = make([][]TreeFlow, n)
-	w.rawIndex = make([]map[uint64]int, n)
-	w.logs = make([]applyLog, n)
+	dense := anchor.gk
+	w.gk = newGKState(w.g, w.eps, dense.d, n, true)
+	w.gk.bigD = dense.bigD
+	w.base, w.phases = anchor.base, max(anchor.phases, 1)
+	w.demScale = anchor.dem[0] / denseSessions[0].Demand
 	w.dem = make([]float64, n)
-	for dense, slot := range denseToSlot {
-		w.raw[slot] = cap.raw[dense]
-		w.logs[slot] = cap.logs[dense]
-		w.dem[slot] = cap.dem[dense]
+	for i, slot := range denseToSlot {
+		w.gk.raw[slot], w.gk.logs[slot], w.dem[slot] = dense.raw[i], dense.logs[i], anchor.dem[i]
+		// A tree's key hashes its session id: re-key the anchor's trees
+		// from the dense id to the slot's, so the trees warm repair routes
+		// for this slot merge into them.
+		if i != slot {
+			for j, tf := range w.gk.raw[slot] {
+				w.gk.raw[slot][j].Tree = overlay.NewTree(slot, tf.Tree.Pairs, tf.Tree.Routes)
+			}
+		}
 	}
-	w.shrinkOK = w.d.Epoch()
+	w.shrinkOK = w.gk.d.Epoch()
 	w.pendingJoins = w.pendingJoins[:0]
 	w.pendingLeaveDem = 0
 	w.dirty = false
@@ -651,8 +579,8 @@ func (w *Warm) Snapshot() (*Solution, error) {
 		}
 		newID := len(sessions)
 		rs := &overlay.Session{ID: newID, Members: s.Members, Demand: s.Demand}
-		fs := make([]TreeFlow, 0, len(w.raw[slot]))
-		for _, tf := range w.raw[slot] {
+		fs := make([]TreeFlow, 0, len(w.gk.raw[slot]))
+		for _, tf := range w.gk.raw[slot] {
 			if tf.Rate > 0 {
 				fs = append(fs, TreeFlow{Tree: overlay.NewTree(newID, tf.Tree.Pairs, tf.Tree.Routes), Rate: tf.Rate})
 			}

@@ -46,7 +46,7 @@ func TestWarmExternalShrinkForcesColdResolve(t *testing.T) {
 
 	// Simulate external drift: shrink an edge behind the allocator's back,
 	// then dirty the allocation so the next snapshot must refresh.
-	w.d.Set(0, w.base[0])
+	w.gk.d.Set(0, w.base[0])
 	if err := w.Leave(2); err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +127,14 @@ func TestWarmFaultBeforeLeaveFallsBackColdFirst(t *testing.T) {
 	if !w.forceCold {
 		t.Fatal("fault must latch the cold fallback")
 	}
-	epochAfterFault := w.d.Epoch()
+	epochAfterFault := w.gk.d.Epoch()
 
 	// The Leave must take the cold latch branch and never replay the
 	// rollback: zero ledger mutations.
 	if err := w.Leave(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.d.Epoch(); got != epochAfterFault {
+	if got := w.gk.d.Epoch(); got != epochAfterFault {
 		t.Fatalf("Leave after a fault mutated the ledger (%d -> %d): rollback ran before the cold fallback", epochAfterFault, got)
 	}
 
