@@ -9,7 +9,7 @@ BENCHFLAGS ?=
 # number alone doesn't say, e.g. "1-core container, worker sweeps collapse").
 BENCHNOTE ?=
 
-.PHONY: all build test race fmt fmt-check vet api-check api-write bench bench-smoke bench-scale bench-scale-json clean
+.PHONY: all build test race fmt fmt-check vet api-check api-write determinism bench bench-smoke bench-scale bench-scale-json clean
 
 all: build test
 
@@ -43,6 +43,29 @@ api-write:
 	$(GO) run ./cmd/apisurface -write
 	$(GO) run ./cmd/apisurface -dir internal/admin -file ADMIN_SURFACE.txt -write
 
+# Determinism gate (the CI "Determinism gate" job runs exactly this): solver
+# outputs must be a bit-identical function of the seed, never of the worker
+# count, goroutine scheduling or the SSSP plane mode. Nine detdump runs —
+# workers 1/2/8 plus a second 8-worker run in the default subtree mode,
+# -plane full at workers 1 and 8, -plane off at workers 1/2/8 — each diffed
+# against the -workers 1 run. One run takes about 1.5 min on 2 cores.
+DETDUMP_DIFFS = detdump-w2.txt detdump-w8.txt detdump-w8-again.txt \
+	detdump-w1-full.txt detdump-w8-full.txt \
+	detdump-w1-off.txt detdump-w2-off.txt detdump-w8-off.txt
+
+determinism:
+	$(GO) run ./cmd/detdump -workers 1 > detdump-w1.txt
+	$(GO) run ./cmd/detdump -workers 2 > detdump-w2.txt
+	$(GO) run ./cmd/detdump -workers 8 > detdump-w8.txt
+	$(GO) run ./cmd/detdump -workers 8 > detdump-w8-again.txt
+	$(GO) run ./cmd/detdump -workers 1 -plane full > detdump-w1-full.txt
+	$(GO) run ./cmd/detdump -workers 8 -plane full > detdump-w8-full.txt
+	$(GO) run ./cmd/detdump -workers 1 -plane off > detdump-w1-off.txt
+	$(GO) run ./cmd/detdump -workers 2 -plane off > detdump-w2-off.txt
+	$(GO) run ./cmd/detdump -workers 8 -plane off > detdump-w8-off.txt
+	for f in $(DETDUMP_DIFFS); do diff -u detdump-w1.txt "$$f" || exit 1; done
+	@echo "determinism gate passed: $$(wc -l < detdump-w1.txt) fingerprint lines identical across workers 1/2/8 x plane subtree/full/off (9 runs)"
+
 # Full benchmark suite (paper tables/figures + scale tier).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
@@ -71,4 +94,4 @@ bench-scale-json:
 
 clean:
 	$(GO) clean ./...
-	rm -f *.test *.prof *.out bench-smoke.txt bench-scale.txt
+	rm -f *.test *.prof *.out bench-smoke.txt bench-scale.txt detdump-*.txt

@@ -839,12 +839,10 @@ func BenchmarkScalePlaneRepairLivestream(b *testing.B) {
 }
 
 // BenchmarkScalePlaneRepairMCF10k runs the 10,000-node arbitrary-routing
-// MCF in both repair modes: the batched beta prestep shares one seed plane
-// across its same-delta subproblems (PrestepPlane.Seeded rows copied
-// instead of Dijkstra'd) and every subproblem plus the phase loop repairs
-// across rounds (Skipped). The heaviest tier configuration, so
-// it skips under -short like the other 10k benches; run it via
-// `make bench-scale` without BENCHFLAGS overrides.
+// MCF in both repair modes: every beta prestep subproblem and the phase
+// loop repair their own planes across rounds (Skipped). The heaviest tier
+// configuration, so it skips under -short like the other 10k benches; run
+// it via `make bench-scale` without BENCHFLAGS overrides.
 func BenchmarkScalePlaneRepairMCF10k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("heavy scale benchmark skipped in -short mode")
@@ -868,8 +866,8 @@ func BenchmarkScalePlaneRepairMCF10k(b *testing.B) {
 				if res.Lambda <= 0 {
 					b.Fatalf("lambda %v", res.Lambda)
 				}
-				if res.PrestepPlane.Seeded == 0 || res.PrestepPlane.Skipped == 0 {
-					b.Fatalf("prestep seeding/repair never fired: %+v", res.PrestepPlane)
+				if res.PrestepPlane.Skipped == 0 {
+					b.Fatalf("prestep repair never fired: %+v", res.PrestepPlane)
 				}
 			}
 		})

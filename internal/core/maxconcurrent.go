@@ -17,9 +17,10 @@ type MaxConcurrentFlowOptions struct {
 	Epsilon float64
 	// SolverOptions sets the worker-pool size and the shared SSSP plane mode
 	// of every batched oracle round this solve runs: the beta prestep fans
-	// its independent per-session maximum flows and seed planes out across
-	// the workers, the phase loop fans each round of pending-session oracle
-	// calls out to a persistent pool, and the surplus pass inherits both.
+	// its independent per-session maximum flows out across the workers (each
+	// on one worker with its own plane), the phase loop fans each round of
+	// pending-session oracle calls out to a persistent pool, and the surplus
+	// pass inherits both.
 	SolverOptions
 	// SurplusPass, when set, routes additional MaxFlow-style traffic on the
 	// residual capacities after the fair share is secured. The paper's
@@ -28,10 +29,6 @@ type MaxConcurrentFlowOptions struct {
 	// capacity back-filling ("further lowering the rate of session 1 does
 	// not help increasing the rate of session 2").
 	SurplusPass bool
-	// SurplusEpsilon is the epsilon for the surplus pass (default: Epsilon).
-	SurplusEpsilon float64
-	// MaxPhases overrides the phase safety bound (0 = automatic).
-	MaxPhases int
 }
 
 // mcfAnchor is the state of a logged MaxConcurrentFlow solve at the moment
@@ -59,10 +56,8 @@ type MCFResult struct {
 	// per-session maximum flows beta_i used for demand scaling — the second
 	// running-time component reported in Table IV.
 	PrestepMSTOps int
-	// PrestepPlane aggregates the beta prestep's plane counters — the
-	// cross-subproblem seed fills (Rounds/Sources/Requests of the seed
-	// planes), each subproblem's seed copies (Seeded) and cross-round
-	// repair skips (Skipped/Repaired) — kept apart from
+	// PrestepPlane sums the beta prestep subproblems' own plane counters
+	// (each MaxFlow's fills and cross-round skips/repairs), kept apart from
 	// Solution.Plane: a prestep subproblem has one session, whose
 	// *within-batch* dedup is exactly 1.0, so folding these in would dilute
 	// the phase loop's cross-session dedup ratio.
@@ -118,9 +113,8 @@ func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool) (
 	defer runner.Close()
 	workers := runner.Workers()
 
-	// Pre-step: beta_i = single-session maximum flow, for demand scaling.
-	// See prestep.go for the batched formulation (cross-subproblem seed
-	// plane + per-subproblem persistent planes).
+	// Pre-step: beta_i = single-session maximum flow, for demand scaling,
+	// fanned out per session (prestep.go).
 	betas, prestepOps, prestepPlane, err := prestepBetas(p, eps, workers, opts)
 	if err != nil {
 		return nil, nil, err
@@ -162,11 +156,8 @@ func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool) (
 	gk.bigD = bigD
 
 	budget := phaseBudget(m, eps)
-	maxPhases := opts.MaxPhases
-	if maxPhases == 0 {
-		// At most ~log2(k)+1 doubling rounds of `budget` phases each.
-		maxPhases = budget * (bits.Len(uint(k)) + 2)
-	}
+	// At most ~log2(k)+1 doubling rounds of `budget` phases each.
+	maxPhases := budget * (bits.Len(uint(k)) + 2)
 
 	// One phase routes every session's scaled demand (see gkState.phase);
 	// almost always each tree's bottleneck exceeds the scaled demand and a
@@ -226,11 +217,7 @@ func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool) (
 	res.Lambda = sol.ConcurrentRatio()
 
 	if opts.SurplusPass && !logged {
-		seps := opts.SurplusEpsilon
-		if seps == 0 {
-			seps = eps
-		}
-		if err := addSurplus(p, gk, sol, seps, opts); err != nil {
+		if err := addSurplus(p, gk, sol, opts); err != nil {
 			return nil, nil, err
 		}
 		sol.ScaleToFeasible()
@@ -242,7 +229,7 @@ func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool) (
 // merges the extra flow into sol, whose Flows alias gk's raw flows. Edge
 // identities are preserved because the residual graph has the same (sorted)
 // edge set.
-func addSurplus(p *Problem, gk *gkState, sol *Solution, eps float64, opts MaxConcurrentFlowOptions) error {
+func addSurplus(p *Problem, gk *gkState, sol *Solution, opts MaxConcurrentFlowOptions) error {
 	load := sol.LinkFlows()
 	b := graph.NewBuilder(p.G.NumNodes())
 	const floorCap = 1e-9 // builder requires positive capacities
@@ -260,7 +247,7 @@ func addSurplus(p *Problem, gk *gkState, sol *Solution, eps float64, opts MaxCon
 	if err != nil {
 		return fmt.Errorf("core: surplus problem: %w", err)
 	}
-	extra, err := MaxFlow(rp, MaxFlowOptions{Epsilon: eps, SolverOptions: opts.SolverOptions})
+	extra, err := MaxFlow(rp, MaxFlowOptions{Epsilon: opts.Epsilon, SolverOptions: opts.SolverOptions})
 	if err != nil {
 		return fmt.Errorf("core: surplus pass: %w", err)
 	}

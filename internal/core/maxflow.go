@@ -18,14 +18,6 @@ type MaxFlowOptions struct {
 	// spanning-tree computations fan out across, and the shared SSSP plane
 	// mode.
 	SolverOptions
-	// MaxIterations overrides the default safety bound (0 = automatic).
-	MaxIterations int
-
-	// seedPlane optionally carries a prestep seed plane whose rows were
-	// computed under this solve's exact initial lengths; see
-	// overlay.BatchOptions.Seed. Package-internal: only the MCF beta
-	// prestep sets it.
-	seedPlane *overlay.Plane
 }
 
 // RatioToEpsilon converts a target approximation ratio r (e.g. 0.95) to the
@@ -55,7 +47,16 @@ func MaxFlow(p *Problem, opts MaxFlowOptions) (*Solution, error) {
 	if eps <= 0 || eps > 0.5 {
 		return nil, fmt.Errorf("core: MaxFlow epsilon %v outside (0, 0.5]", eps)
 	}
-	delta := maxFlowDelta(eps, p.MaxReceivers, p.U)
+	// Lemma 3: delta = (1+eps)^(1-1/eps) / ((|Smax|-1)·U)^(1/eps). For
+	// extreme accuracy targets the formula underflows float64 (e.g. 48^-200
+	// at eps=0.005), so it is floored at deltaFloor. A larger delta only stops
+	// the length-update loop earlier — the returned flow is still exactly
+	// feasible via the measured-congestion rescale, and the empirical gap is
+	// far below the requested eps (validated against the exact LP in tests).
+	delta := math.Pow(1+eps, 1-1/eps) / math.Pow(float64(p.MaxReceivers)*float64(p.U), 1/eps)
+	if delta < deltaFloor {
+		delta = deltaFloor
+	}
 
 	gk := newGKState(p.G, eps, graph.NewLengthStore(p.G, delta), p.K(), false)
 	// One worker pool plus per-worker scratch for the whole run: the oracle
@@ -64,16 +65,11 @@ func MaxFlow(p *Problem, opts MaxFlowOptions) (*Solution, error) {
 	runner := overlay.NewBatchRunnerOpts(p.G, p.Oracles, overlay.BatchOptions{
 		Workers: opts.Workers,
 		Plane:   opts.Plane,
-		Seed:    opts.seedPlane,
 	})
 	defer runner.Close()
 
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		// Lemma 1: at most |E|·log_{1+eps}((1+eps)/delta) augmentations.
-		bound := float64(p.G.NumEdges()) * math.Log((1+eps)/delta) / math.Log(1+eps)
-		maxIter = int(bound) + 16
-	}
+	// Lemma 1: at most |E|·log_{1+eps}((1+eps)/delta) augmentations.
+	maxIter := int(float64(p.G.NumEdges())*math.Log((1+eps)/delta)/math.Log(1+eps)) + 16
 
 	iter := 0
 	for ; iter < maxIter; iter++ {
@@ -110,23 +106,6 @@ func MaxFlow(p *Problem, opts MaxFlowOptions) (*Solution, error) {
 		sol.Scale(1 / cong)
 	}
 	return sol, nil
-}
-
-// maxFlowDelta returns the Garg–Könemann initial length for the M1 FPTAS:
-// delta = (1+eps)^(1-1/eps) / ((|Smax|-1)·U)^(1/eps) (Lemma 3). For extreme
-// accuracy targets the formula underflows float64 (e.g. 48^-200 at
-// eps=0.005); it is floored at deltaFloor. A larger delta only stops the
-// length-update loop earlier — the returned flow is still exactly feasible
-// via the measured-congestion rescale, and the empirical gap is far below
-// the requested eps (validated against the exact LP in tests). Exposed as a
-// helper so the MCF beta prestep can group subproblems that share an initial
-// length function (same |Smax| and U => same delta, bit for bit).
-func maxFlowDelta(eps float64, maxReceivers, u int) float64 {
-	delta := math.Pow(1+eps, 1-1/eps) / math.Pow(float64(maxReceivers)*float64(u), 1/eps)
-	if delta < deltaFloor {
-		delta = deltaFloor
-	}
-	return delta
 }
 
 // WeightedObjective returns the M1 objective Σ_i w_i·rate_i of a solution

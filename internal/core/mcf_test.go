@@ -140,31 +140,35 @@ func TestMCFSurplusPassOnlyAdds(t *testing.T) {
 }
 
 func TestMCFBetasAreSingleSessionMaxFlows(t *testing.T) {
-	// Beta values reported by the prestep must match running MaxFlow on
-	// each session alone.
+	// Beta values reported by the prestep must be bitwise the result of
+	// running MaxFlow on each session alone, in both routing modes. The
+	// sessions share members and repeat sizes, so several subproblems start
+	// from the same initial lengths and read the same plane sources.
 	net, err := topology.Waxman(topology.DefaultWaxman(30), rng.New(31))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sets := [][]graph.NodeID{{0, 10, 20}, {5, 25}}
-	p := buildProblem(t, net.Graph, sets, nil, core.RoutingIP)
+	sets := [][]graph.NodeID{{0, 10, 20}, {5, 25}, {0, 10, 25}, {5, 20}, {10, 20, 25}}
 	const eps = 0.1
-	res, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{Epsilon: eps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sets {
-		solo := buildProblem(t, net.Graph, sets[i:i+1], nil, core.RoutingIP)
-		mf, err := core.MaxFlow(solo, core.MaxFlowOptions{Epsilon: eps})
+	for _, mode := range []core.RoutingMode{core.RoutingIP, core.RoutingArbitrary} {
+		p := buildProblem(t, net.Graph, sets, nil, mode)
+		res, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{Epsilon: eps})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v: %v", mode, err)
 		}
-		if math.Abs(res.Betas[i]-mf.SessionRate(0)) > 1e-9 {
-			t.Fatalf("beta[%d] = %v, solo max flow %v", i, res.Betas[i], mf.SessionRate(0))
+		for i := range sets {
+			solo := buildProblem(t, net.Graph, sets[i:i+1], nil, mode)
+			mf, err := core.MaxFlow(solo, core.MaxFlowOptions{Epsilon: eps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Betas[i] != mf.SessionRate(0) {
+				t.Fatalf("%v: beta[%d] = %.17g, solo max flow %.17g", mode, i, res.Betas[i], mf.SessionRate(0))
+			}
 		}
-	}
-	if res.PrestepMSTOps <= 0 {
-		t.Fatal("prestep ops not counted")
+		if res.PrestepMSTOps <= 0 {
+			t.Fatalf("%v: prestep ops not counted", mode)
+		}
 	}
 }
 

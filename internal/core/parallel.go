@@ -2,12 +2,13 @@ package core
 
 import "sync"
 
-// parallelFor runs fn(i) for i in [0,n) across at most workers goroutines
+// ParallelFor runs fn(i) for i in [0,n) across at most workers goroutines
 // and blocks until all complete. fn must be safe to run concurrently for
 // distinct i and must write only to i-indexed slots, so results are
 // independent of scheduling. workers <= 1 degrades to an inline loop.
-// Used by the MCF beta prestep to fan the per-session MaxFlows out.
-func parallelFor(workers, n int, fn func(i int)) {
+// The MCF beta prestep fans its per-session MaxFlows out with it, and the
+// experiment harnesses their independent trials and instances.
+func ParallelFor(workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}

@@ -382,7 +382,6 @@ func (w *Warm) ensureRunner() {
 		w.runner = overlay.NewBatchRunnerOpts(w.g, append([]overlay.TreeOracle(nil), w.oracles...), overlay.BatchOptions{
 			Workers: w.opts.Workers,
 			Plane:   w.opts.Plane,
-			Dynamic: true,
 		})
 	}
 }

@@ -171,7 +171,7 @@ func ChurnRun(seed uint64, cfg ChurnConfig) (*ChurnReport, error) {
 		plane.Fill(delays, workers)
 		planeMetrics = overlay.PlaneStats{Rounds: 1, Sources: plane.NumSources(), Requests: requests}
 	}
-	parallelWorkers(workers, len(trace.Sessions), func(i int) {
+	core.ParallelFor(workers, len(trace.Sessions), func(i int) {
 		spec := trace.Sessions[i]
 		s, err := overlay.NewSession(i, spec.Members, spec.Demand)
 		if err != nil {

@@ -147,7 +147,6 @@ func FaultSolveRun(seed uint64, cfg FaultSolveConfig) (*FaultSolveReport, error)
 	runner := overlay.NewBatchRunnerOpts(g, si.Problem.Oracles, overlay.BatchOptions{
 		Workers: cfg.Workers,
 		Plane:   cfg.Plane,
-		Dynamic: true,
 	})
 	defer runner.Close()
 

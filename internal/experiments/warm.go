@@ -35,7 +35,7 @@ type WarmChurnConfig struct {
 	// outputs are independent of both knobs.
 	core.SolverOptions
 	// SnapshotEvery refreshes the fair allocation every N churn events
-	// (default 4) — the consumer polling cadence.
+	// (default 1: one snapshot per event) — the consumer polling cadence.
 	SnapshotEvery int
 	// ColdBaseline disables warm-start (every refresh re-solves from
 	// scratch); the warm row's speedup is measured against this.

@@ -33,8 +33,8 @@ type BatchResult struct {
 // BatchOptions configures a BatchRunner beyond the oracle set.
 type BatchOptions struct {
 	// Workers is the worker-pool size: <= 0 means GOMAXPROCS. The pool is
-	// clamped to the oracle count unless the shared plane is active (plane
-	// rows can outnumber oracles, so extra workers still help stage 1).
+	// never clamped to the oracle count: idle workers cost nothing, plane
+	// rows can outnumber oracles, and single-slot batches run inline.
 	Workers int
 	// Plane selects the shared SSSP plane mode (see PlaneMode); the zero
 	// value is PlaneSubtree. With the plane on, each batch first ensures one
@@ -52,24 +52,10 @@ type BatchOptions struct {
 	// certificate holds — monotone ledger window, strictly positive lengths
 	// (LengthStore.AllPositive), an exact (never serviceable-skipped) row,
 	// and a known dirty-root set — and refilled in full otherwise. Outputs
-	// are bitwise identical in every mode. The plane is a no-op for oracle
-	// sets without a PlaneOracle (e.g. all fixed-routing).
+	// are bitwise identical in every mode. The plane is created with the
+	// first PlaneOracle, at construction or in AddOracle, so a runner over
+	// fixed-routing oracles only never carries one.
 	Plane PlaneMode
-	// Seed optionally names a read-only plane whose rows were filled under
-	// lengths bitwise identical to the epoch-0 contents of the ledgers this
-	// runner will see. Rows first staged while the ledger is monotone-clean
-	// since epoch 0 are copied from the seed (O(n)) instead of computed
-	// (O((n+m)log n)) — the MCF beta prestep shares one seed across all
-	// same-delta subproblems this way. The seed must not be mutated while
-	// any runner holds it.
-	Seed *Plane
-	// Dynamic declares that the oracle set will grow after construction via
-	// AddOracle (the warm-start allocator admits sessions over the runner's
-	// lifetime). It keeps the worker pool at the requested size instead of
-	// clamping it to the (possibly empty) initial oracle count, and — unless
-	// the plane is off — creates the plane eagerly, since a plane-aware
-	// oracle may arrive later even if none exists yet.
-	Dynamic bool
 }
 
 // BatchRunner evaluates many oracles' MinTree under a shared length ledger
@@ -88,8 +74,8 @@ type BatchOptions struct {
 // batch runs as two stages. Stage 1 walks the distinct member sources of the
 // batch's plane-aware oracles — in batch order, so row assignment is
 // canonical — and classifies each row: already proven current
-// (cross-round repair skip), copyable from a prestep seed, or needing a
-// fill; the fills fan across the worker pool, each worker using pooled
+// (cross-round repair skip), subtree-repairable, or needing a fill; the
+// fills and repairs fan across the worker pool, each worker using pooled
 // Dijkstra buffers. Stage 2 evaluates the batch slots as before, except
 // plane-aware oracles assemble their overlay weights and routes from the
 // plane rows instead of re-running per-member Dijkstras. The WaitGroup
@@ -103,7 +89,7 @@ type BatchRunner struct {
 	// otherwise (lazily created; avoids channel round-trips for one job).
 	seq *Scratch
 
-	// Shared SSSP plane (nil when disabled or no oracle can use it).
+	// Shared SSSP plane (nil while disabled or no oracle can use it).
 	// planeLive marks that the current batch staged and filled rows, so
 	// eval may read them; filling flips the meaning of a job from "evaluate
 	// batch slot" to "fill plane row". All these fields are written by the
@@ -111,8 +97,7 @@ type BatchRunner struct {
 	plane     *Plane
 	planeLive bool
 	filling   bool
-	subtree   bool
-	seed      *Plane
+	mode      PlaneMode
 	// walkedTo is the ledger epoch up to which the per-batch journal walk has
 	// fanned touches through the plane's inverted index (stagePlane replays
 	// (walkedTo, cur] once per batch, for all rows at once).
@@ -122,7 +107,7 @@ type BatchRunner struct {
 	minLen float64
 	// targets[src] is the static set of co-members whose reads row src
 	// serves; the dirty-source repair check walks exactly these stored
-	// paths. Built once at construction (nil when the plane is off).
+	// paths. Built with the plane and grown by AddOracle (nil without one).
 	targets map[graph.NodeID][]graph.NodeID
 	// cache[i] is oracle i's last plane-assembled tree with the ledger epoch
 	// it was built at (nil tree = empty). When every member row of the
@@ -174,49 +159,23 @@ func NewBatchRunner(g *graph.Graph, oracles []TreeOracle, workers int) *BatchRun
 }
 
 // NewBatchRunnerOpts builds a runner over oracles. Workers <= 0 means
-// GOMAXPROCS, and the pool is never larger than the oracle set unless the
-// plane is active. With one worker the runner degrades to a single-scratch
+// GOMAXPROCS. With one worker the runner degrades to a single-scratch
 // sequential path with zero goroutines; results are identical either way —
-// and identical in every plane mode.
+// and identical in every plane mode. The oracle set may grow later through
+// AddOracle.
 func NewBatchRunnerOpts(g *graph.Graph, oracles []TreeOracle, opts BatchOptions) *BatchRunner {
-	var plane *Plane
-	if opts.Plane != PlaneOff {
-		if opts.Dynamic {
-			plane = NewPlane(g)
-		} else {
-			for _, o := range oracles {
-				if _, ok := o.(PlaneOracle); ok {
-					plane = NewPlane(g)
-					break
-				}
-			}
-		}
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if plane == nil && !opts.Dynamic && workers > len(oracles) {
-		workers = len(oracles)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	r := &BatchRunner{
-		g: g, oracles: oracles, workers: workers,
-		plane: plane, subtree: opts.Plane == PlaneSubtree,
-		seed: opts.Seed,
-		out:  make([]BatchResult, len(oracles)),
+		g: g, oracles: oracles, workers: workers, mode: opts.Plane,
+		out: make([]BatchResult, len(oracles)),
 	}
-	if plane != nil {
-		r.targets = planeTargets(oracles)
-		r.cache = make([]treeCacheEntry, len(oracles))
-		r.useCache = make([]bool, len(oracles))
-		if r.subtree {
-			// The inverted edge->rows index only serves subtree
-			// classification; full-refill mode keeps the cheaper per-row
-			// journal-replay check and pays nothing for index maintenance.
-			plane.EnableIndex()
+	for _, o := range oracles {
+		if _, ok := o.(PlaneOracle); ok {
+			r.initPlane()
+			break
 		}
 	}
 	if workers == 1 {
@@ -256,6 +215,25 @@ func (r *BatchRunner) fillJob(pos int, sc *Scratch) {
 		int(r.toRepair[k]), r.d, sc.dijkstra(), r.minLen, r.repairRoots[k], r.repairOut[k][:0])
 }
 
+// initPlane creates the shared plane, unless the mode is PlaneOff, once the
+// oracle set holds its first PlaneOracle: the read targets and tree-cache
+// slots cover every oracle added so far.
+func (r *BatchRunner) initPlane() {
+	if r.mode == PlaneOff {
+		return
+	}
+	r.plane = NewPlane(r.g)
+	r.targets = planeTargets(r.oracles)
+	r.cache = make([]treeCacheEntry, len(r.oracles))
+	r.useCache = make([]bool, len(r.oracles))
+	if r.mode == PlaneSubtree {
+		// The inverted edge->rows index only serves subtree classification;
+		// full-refill mode keeps the cheaper per-row journal-replay check and
+		// pays nothing for index maintenance.
+		r.plane.EnableIndex()
+	}
+}
+
 // Workers returns the resolved worker-pool size.
 func (r *BatchRunner) Workers() int { return r.workers }
 
@@ -270,12 +248,17 @@ func (r *BatchRunner) AddOracle(o TreeOracle) int {
 	id := len(r.oracles)
 	r.oracles = append(r.oracles, o)
 	r.out = append(r.out, BatchResult{})
-	if r.plane != nil {
-		r.cache = append(r.cache, treeCacheEntry{})
-		r.useCache = append(r.useCache, false)
-		if po, ok := o.(PlaneOracle); ok {
-			mergePlaneTargets(r.targets, po.PlaneSources())
+	po, ok := o.(PlaneOracle)
+	if r.plane == nil {
+		if ok {
+			r.initPlane() // sized for the whole set, o included
 		}
+		return id
+	}
+	r.cache = append(r.cache, treeCacheEntry{})
+	r.useCache = append(r.useCache, false)
+	if ok {
+		mergePlaneTargets(r.targets, po.PlaneSources())
 	}
 	return id
 }
@@ -463,7 +446,7 @@ func mergePlaneTargets(targets map[graph.NodeID][]graph.NodeID, members []graph.
 // (accumulating per-row dirty subtree roots); walk the distinct member
 // sources of the batch's plane-aware oracles (in batch order — canonical row
 // assignment), classify each stored row — current (skip),
-// subtree-repairable, seedable (copy), or needing a full fill — and fan the
+// subtree-repairable, or needing a full fill — and fan the
 // fills and repairs across the worker pool in parallel mode. Under PlaneFull
 // the index is never maintained and classification falls back to the per-row
 // journal-replay check. No-op when the plane is off or the batch has no
@@ -487,7 +470,7 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 	cur := ls.Epoch()
 	r.curEpoch = cur
 	r.minLen = ls.MinLengthLB()
-	if r.subtree && r.walkedTo < cur {
+	if r.mode == PlaneSubtree && r.walkedTo < cur {
 		// The per-batch journal walk: fan each touch in (walkedTo, cur]
 		// through the index to the rows whose stored trees use the edge —
 		// O(touched x affected rows) for the whole batch, replacing the old
@@ -532,7 +515,7 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 	r.metrics.Rounds++
 	r.metrics.Requests += requests
 
-	// Classify: current (skip), subtree-repairable, seedable (copy), or fill.
+	// Classify: current (skip), subtree-repairable, or fill.
 	r.toFill = r.toFill[:0]
 	r.toRepair = r.toRepair[:0]
 	r.repairRoots = r.repairRoots[:0]
@@ -540,28 +523,7 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 		row := int(row32)
 		fill := r.plane.FillEpoch(row)
 		if fill < 0 {
-			// New this batch. A seed row is the epoch-0 content; it is
-			// current iff nothing has shrunk and nothing in its tree grew
-			// since epoch 0 — which the pre-index check verifies after the
-			// copy (fill==0 vs cur). The index never saw the copied tree, so
-			// its dirt state says nothing about it: a row accepted via the
-			// target walk is only serviceable, hence exact stays false and
-			// subtree repair waits for the row's first real fill.
-			if r.seed != nil && r.plane.CopyRow(row, r.seed, r.plane.Source(row)) {
-				r.plane.SetFillEpoch(row, 0)
-				if cur == 0 || r.rowCurrent(ls, row) {
-					r.plane.SetFillEpoch(row, cur)
-					r.plane.SetDijkstraEpoch(row, cur)
-					r.plane.setExact(row, cur == 0)
-					r.plane.clearDirty(row)
-					r.plane.indexRow(row)
-					r.metrics.Seeded++
-					continue
-				}
-				// Seed content is stale under these lengths: recompute.
-				r.plane.SetFillEpoch(row, -1)
-			}
-			r.toFill = append(r.toFill, int32(row))
+			r.toFill = append(r.toFill, int32(row)) // new this batch
 			continue
 		}
 		if fill == cur {
@@ -569,7 +531,7 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 			r.metrics.Skipped++
 			continue
 		}
-		if !r.subtree {
+		if r.mode == PlaneFull {
 			// No index maintained: classify with the pre-index per-row check
 			// (journal replay against the whole stored tree, else the exact
 			// target-path walk). Skip/refill decisions may differ from the
@@ -626,7 +588,7 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 			r.metrics.Skipped++
 			continue
 		}
-		if r.subtree && r.plane.rowExact(row) && !r.plane.dirtyLost[row] && ls.AllPositive() &&
+		if r.plane.rowExact(row) && !r.plane.dirtyLost[row] && ls.AllPositive() &&
 			scaleSafe(ls.MinLengthLB(), r.plane.maxDist[row]) {
 			// A read path is dirty, so the row must be recomputed — exactly
 			// where the old classification hit its repair floor with a full

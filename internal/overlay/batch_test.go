@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"runtime"
 	"testing"
 
 	"overcast/internal/graph"
@@ -134,13 +135,14 @@ func TestBatchSubsetEvaluation(t *testing.T) {
 	}
 }
 
-// TestBatchAddOracleGrowsDynamicRunner pins the Dynamic/AddOracle contract
-// the warm-start allocator relies on: a runner that starts (possibly empty)
-// and grows between batches must return, for every batch over the grown set,
-// exactly what a runner built with the full set up front returns — with the
-// plane on and off, across worker counts, and with batches interleaved
-// between the AddOracle calls so stored plane rows and cached trees survive
-// the growth.
+// TestBatchAddOracleGrowsDynamicRunner pins the AddOracle contract the
+// warm-start allocator relies on: a runner that starts empty and grows
+// between batches must return, for every batch over the grown set, exactly
+// what a runner built with the full set up front returns — with the plane on
+// and off, across worker counts, and with batches interleaved between the
+// AddOracle calls so stored plane rows and cached trees survive the growth.
+// The pool keeps its requested size, and the plane appears with the first
+// plane-aware oracle, never before.
 func TestBatchAddOracleGrowsDynamicRunner(t *testing.T) {
 	g, fixed := batchFixture(t, 6)
 	// A couple of plane-aware (arbitrary) oracles exercise the plane-target
@@ -160,13 +162,16 @@ func TestBatchAddOracleGrowsDynamicRunner(t *testing.T) {
 	for _, plane := range planeModes {
 		for _, workers := range []int{1, 3} {
 			static := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: workers, Plane: plane})
-			dyn := NewBatchRunnerOpts(g, nil, BatchOptions{Workers: workers, Plane: plane, Dynamic: true})
+			dyn := NewBatchRunnerOpts(g, nil, BatchOptions{Workers: workers, Plane: plane})
 			if dyn.Workers() != workers {
-				t.Fatalf("dynamic runner clamped its pool to %d before any oracle arrived", dyn.Workers())
+				t.Fatalf("empty runner clamped its pool to %d", dyn.Workers())
 			}
 			for i, o := range oracles {
 				if id := dyn.AddOracle(o); id != i {
 					t.Fatalf("AddOracle returned id %d, want %d", id, i)
+				}
+				if wantPlane := plane != PlaneOff && i >= 4; (dyn.plane != nil) != wantPlane {
+					t.Fatalf("plane=%v after %d adds: has plane %v, want %v", plane, i+1, dyn.plane != nil, wantPlane)
 				}
 				// Batch over the grown prefix between arrivals, under fresh
 				// lengths, and compare slot by slot.
@@ -200,15 +205,20 @@ func intRange(n int) []int {
 	return ids
 }
 
-// TestBatchWorkersResolved pins the pool-size contract: <=0 means GOMAXPROCS
-// and the pool never exceeds the oracle count.
+// TestBatchWorkersResolved pins the pool-size contract: <=0 means GOMAXPROCS,
+// and a pool larger than the oracle set keeps its requested size (idle
+// workers cost nothing, and the set may grow through AddOracle).
 func TestBatchWorkersResolved(t *testing.T) {
 	g, oracles := batchFixture(t, 3)
-	if w := NewBatchRunner(g, oracles, 0).Workers(); w < 1 || w > 3 {
-		t.Fatalf("auto workers = %d, want within [1,3]", w)
+	auto := NewBatchRunner(g, oracles, 0)
+	defer auto.Close()
+	if w := auto.Workers(); w != runtime.GOMAXPROCS(0) {
+		t.Fatalf("auto workers = %d, want GOMAXPROCS = %d", w, runtime.GOMAXPROCS(0))
 	}
-	if w := NewBatchRunner(g, oracles, 64).Workers(); w != 3 {
-		t.Fatalf("oversized pool = %d, want clamp to 3 oracles", w)
+	big := NewBatchRunner(g, oracles, 64)
+	defer big.Close()
+	if w := big.Workers(); w != 64 {
+		t.Fatalf("oversized pool = %d, want the requested 64", w)
 	}
 	r := NewBatchRunner(g, oracles, 1)
 	if r.Workers() != 1 {

@@ -284,24 +284,6 @@ func scaleSafe(minLen, maxDist float64) bool {
 	return minLen > maxDist*0x1p-50
 }
 
-// CopyRow copies src's row content from seed (which must have it staged and
-// filled) into row, marking it valid for the current stamp. It is the
-// prestep seeding path: an O(n) memcpy instead of an O((n+m)log n) Dijkstra,
-// sound exactly when the seed's rows were computed under bitwise-identical
-// lengths. seed is only read, so many planes may copy from one seed
-// concurrently.
-func (p *Plane) CopyRow(row int, seed *Plane, src graph.NodeID) bool {
-	srow := seed.rowOf[src]
-	if srow < 0 {
-		return false
-	}
-	copy(p.dists[row], seed.dists[srow])
-	copy(p.parents[row], seed.parents[srow])
-	p.maxDist[row] = seed.maxDist[srow]
-	p.valid[row] = p.stamp
-	return true
-}
-
 // Fill computes every staged row under d, fanning across at most workers
 // goroutines (<=1 runs inline). It is the standalone entry point for
 // one-shot consumers like the churn harness's oracle prefabrication;
@@ -375,10 +357,6 @@ type PlaneStats struct {
 	// touched edge could alter the row, so the stored content was served
 	// as-is (no Dijkstra at all).
 	Skipped int
-	// Seeded counts rows copied from a prestep seed plane (shared
-	// cross-subproblem rows under the common initial lengths) instead of
-	// computed.
-	Seeded int
 	// SubtreeRepaired counts rows repaired by subtree-scoped Dijkstra
 	// resumption (routing.RepairSubtreesInto) instead of a full refill: only
 	// the stored subtrees below the touched tree edges were recomputed, the
@@ -443,7 +421,6 @@ func (m *PlaneStats) Merge(o PlaneStats) {
 	m.Requests += o.Requests
 	m.Repaired += o.Repaired
 	m.Skipped += o.Skipped
-	m.Seeded += o.Seeded
 	m.SubtreeRepaired += o.SubtreeRepaired
 	m.SubtreeNodes += o.SubtreeNodes
 	m.TreeHits += o.TreeHits

@@ -96,7 +96,7 @@ func (p *Plane) dirtyNew(row int) bool {
 }
 
 // clearDirty resets row's dirt state after it was consumed: by a content
-// write (fill, seed copy, or subtree repair) that made the stored content
+// write (fill or subtree repair) that made the stored content
 // exact again, or by a successful target-walk validation (which verifies
 // every read path clean up to the walk epoch — and read paths are a subset
 // of the stored tree the index watches, so pending dirt carries no further
@@ -124,7 +124,7 @@ func (p *Plane) rowExact(row int) bool { return p.exact[row] }
 func (p *Plane) setExact(row int, v bool) { p.exact[row] = v }
 
 // indexRow appends index entries for every parent edge of row's stored tree
-// (after a full fill or seed copy).
+// (after a full fill).
 func (p *Plane) indexRow(row int) {
 	if p.idx == nil {
 		return

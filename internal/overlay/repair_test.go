@@ -128,51 +128,6 @@ func TestRepairRoundAllocs(t *testing.T) {
 	}
 }
 
-// TestSeedPlaneCopiesFirstBatch pins the prestep seeding contract: a runner
-// whose Seed was filled under the ledger's exact epoch-0 lengths must copy
-// its first-batch rows (Seeded, no Dijkstras for seeded sources) and
-// still produce bitwise the seedless results.
-func TestSeedPlaneCopiesFirstBatch(t *testing.T) {
-	g, oracles := arbBatchFixture(t, 5)
-	const init = 1.25
-	seed := NewPlane(g)
-	for _, o := range oracles {
-		for _, s := range o.(PlaneOracle).PlaneSources() {
-			seed.Stage(s)
-		}
-	}
-	seed.Fill(graph.NewLengths(g, init), 2)
-
-	seeded := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 1, Seed: seed})
-	defer seeded.Close()
-	plain := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 1})
-	defer plain.Close()
-
-	lsA, lsB := graph.NewLengthStore(g, init), graph.NewLengthStore(g, init)
-	for round := 0; round < 3; round++ {
-		got := seeded.MinTreesLen(lsA, nil)
-		want := plain.MinTreesLen(lsB, nil)
-		for i := range got {
-			if got[i].Err != nil || want[i].Err != nil {
-				t.Fatalf("round %d oracle %d: %v / %v", round, i, got[i].Err, want[i].Err)
-			}
-			if got[i].Tree.Key() != want[i].Tree.Key() || got[i].Len != want[i].Len {
-				t.Fatalf("round %d oracle %d: seeded result differs from plain", round, i)
-			}
-		}
-		// Advance both ledgers identically.
-		bumpTreeEdges(lsA, want[round%len(want)].Tree)
-		bumpTreeEdges(lsB, want[round%len(want)].Tree)
-	}
-	ms, mp := seeded.Metrics(), plain.Metrics()
-	if ms.Seeded == 0 {
-		t.Fatalf("seed plane never fired: %+v", ms)
-	}
-	if ms.Sources >= mp.Sources {
-		t.Fatalf("seeding saved no Dijkstras: %d vs %d", ms.Sources, mp.Sources)
-	}
-}
-
 // TestTreeCacheServesIdenticalTrees pins the tree cache: when nothing moved
 // between two batches on one ledger, the second batch serves every slot
 // from the cache (TreeHits) with trees bitwise equal to a direct call.
