@@ -20,7 +20,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -timeout 1800s ./internal/core/... ./internal/overlay/... ./internal/sim/...
+	$(GO) test -race -timeout 1800s ./internal/core/... ./internal/overlay/... ./internal/sim/... ./internal/admin/... .
 
 fmt:
 	gofmt -w .

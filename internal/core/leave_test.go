@@ -60,6 +60,10 @@ func TestLeaveRestoresState(t *testing.T) {
 	if churned.ActiveSessions() != 0 {
 		t.Fatal("active count wrong")
 	}
+	// The departed session's tree is released: its congestion reads 0.
+	if l := churned.SessionMaxCongestion(0); l != 0 {
+		t.Fatalf("departed session congestion %v, want 0", l)
+	}
 	nextTree, err := churned.Join(ringOracle(t, g, rt, 1, []graph.NodeID{0, 3}))
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,8 @@ type Online struct {
 	d  *graph.LengthStore
 	le []float64 // congestion per edge at full demands
 
-	// Leave replays the survivors' length updates from sessions and trees.
+	// Leave replays the survivors' length updates from sessions and trees;
+	// a departed session's tree is released (nil).
 	sessions []*overlay.Session
 	trees    []*overlay.Tree
 	active   []bool
@@ -136,6 +137,7 @@ func (o *Online) Leave(idx int) error {
 	for _, e := range o.affectedList {
 		o.affected[e] = false
 	}
+	o.trees[idx] = nil
 	return nil
 }
 
@@ -158,8 +160,12 @@ func (o *Online) MaxCongestion() float64 {
 }
 
 // SessionMaxCongestion returns l^i_max for the idx-th admitted session: the
-// maximum current congestion over the physical edges of its tree.
+// maximum current congestion over the physical edges of its tree, or 0 once
+// the session has left (its tree is released).
 func (o *Online) SessionMaxCongestion(idx int) float64 {
+	if o.trees[idx] == nil {
+		return 0
+	}
 	max := 0.0
 	for _, use := range o.trees[idx].Use() {
 		if l := o.le[use.Edge]; l > max {
@@ -171,9 +177,6 @@ func (o *Online) SessionMaxCongestion(idx int) float64 {
 
 // MSTOps returns the number of spanning-tree computations performed.
 func (o *Online) MSTOps() int { return o.mstOps }
-
-// Tree returns the tree assigned to the idx-th admitted session.
-func (o *Online) Tree(idx int) *overlay.Tree { return o.trees[idx] }
 
 // Finalize produces the exactly feasible solution over the *active*
 // sessions: session i carries dem(i)/l^i_max along its tree. Feasibility:

@@ -208,6 +208,13 @@ func (w *Warm) Leave(slot int) error {
 	w.nActive--
 	w.stats.Leaves++
 	w.dirty = true
+	// A departed slot is never routed again: drop its oracle (route tables,
+	// memoized trees) here and in the runner, so memory stays bounded by the
+	// active sessions rather than by every session ever joined.
+	w.oracles[slot] = nil
+	if w.runner != nil {
+		w.runner.Release(slot)
+	}
 	if w.gk == nil || w.opts.RepairPhaseBudget < 0 {
 		// Unanchored, or every refresh re-anchors cold and discards the
 		// ledger: there is nothing worth rolling back.
@@ -379,7 +386,7 @@ func (w *Warm) Refresh() error {
 
 func (w *Warm) ensureRunner() {
 	if w.runner == nil {
-		w.runner = overlay.NewBatchRunnerOpts(w.g, append([]overlay.TreeOracle(nil), w.oracles...), overlay.BatchOptions{
+		w.runner = overlay.NewBatchRunnerOpts(w.g, w.oracles, overlay.BatchOptions{
 			Workers: w.opts.Workers,
 			Plane:   w.opts.Plane,
 		})

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"hash"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
+	"weak"
 
 	"overcast/internal/graph"
 	"overcast/internal/overlay"
@@ -48,89 +51,185 @@ func TestWarmLedgerFingerprint(t *testing.T) {
 }
 
 func warmLedgerFingerprint(t *testing.T, mode RoutingMode, budget int) (uint64, WarmStats) {
+	c := newWarmChurn(t, mode, budget)
+	defer c.w.Close()
+	for slot := 0; slot < 4; slot++ {
+		c.join(slot)
+	}
+	c.snap() // cold anchor
+	c.join(4)
+	c.join(5)
+	c.snap() // warm catch-up of two joins
+	c.leave(1)
+	c.leave(4)
+	c.snap()
+	c.join(6)
+	c.leave(6) // pending join: no rollback
+	c.leave(0)
+	c.snap()
+	return c.h.Sum64(), c.w.Stats()
+}
+
+// warmChurn drives a scripted churn sequence over seven fixed member sets on
+// a 30-node Waxman graph and hashes the warm ledger and snapshot state along
+// the way: the ledger after every leave (unless every refresh re-anchors
+// cold), and the ledger plus every snapshot tree's key and rate after every
+// snapshot. alive[slot] weakly tracks the oracle each join handed over.
+type warmChurn struct {
+	t      *testing.T
+	g      *graph.Graph
+	mode   RoutingMode
+	budget int
+	sets   [][]graph.NodeID
+	w      *Warm
+	h      hash.Hash64
+	alive  map[int]func() bool // slot -> is its oracle still reachable
+}
+
+func newWarmChurn(t *testing.T, mode RoutingMode, budget int) *warmChurn {
 	t.Helper()
 	r := rng.New(91)
 	net, err := topology.Waxman(topology.DefaultWaxman(30), r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := net.Graph
 	perm := r.Perm(30)
-	memberSets := [][]graph.NodeID{
-		perm[0:4], perm[4:7], perm[7:10], perm[10:15], perm[15:18], perm[18:22], perm[22:25],
-	}
-	w, err := NewWarm(g, mode, nil, WarmOptions{Epsilon: 0.1, RepairPhaseBudget: budget, SolverOptions: SolverOptions{Workers: 2}})
+	w, err := NewWarm(net.Graph, mode, nil, WarmOptions{Epsilon: 0.1, RepairPhaseBudget: budget, SolverOptions: SolverOptions{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
+	return &warmChurn{
+		t: t, g: net.Graph, mode: mode, budget: budget, w: w, h: fnv.New64a(),
+		sets: [][]graph.NodeID{
+			perm[0:4], perm[4:7], perm[7:10], perm[10:15], perm[15:18], perm[18:22], perm[22:25],
+		},
+		alive: map[int]func() bool{},
+	}
+}
 
-	h := fnv.New64a()
-	word := func(v uint64) {
-		var b [8]byte
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
+func (c *warmChurn) word(v uint64) {
+	var b [8]byte
+	for i := range b {
+		b[i] = byte(v >> (8 * i))
 	}
-	ledger := func() {
-		for _, v := range w.gk.d.Values() {
-			word(math.Float64bits(v))
-		}
+	c.h.Write(b[:])
+}
+
+func (c *warmChurn) ledger() {
+	for _, v := range c.w.gk.d.Values() {
+		c.word(math.Float64bits(v))
 	}
-	join := func(slot int) {
-		s, err := overlay.NewSession(slot, memberSets[slot], float64(1+slot%3))
+}
+
+func (c *warmChurn) join(slot int) {
+	c.t.Helper()
+	s, err := overlay.NewSession(slot, c.sets[slot], float64(1+slot%3))
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	var o overlay.TreeOracle
+	if c.mode == RoutingArbitrary {
+		ao, err := overlay.NewArbitraryOracle(c.g, s)
 		if err != nil {
-			t.Fatal(err)
+			c.t.Fatal(err)
 		}
-		var o overlay.TreeOracle
-		if mode == RoutingArbitrary {
-			o, err = overlay.NewArbitraryOracle(g, s)
-		} else {
-			o, err = overlay.NewFixedOracle(g, routing.NewIPRoutes(g, s.Members), s)
-		}
+		o, c.alive[slot] = ao, reachable(ao)
+	} else {
+		fo, err := overlay.NewFixedOracle(c.g, routing.NewIPRoutes(c.g, s.Members), s)
 		if err != nil {
-			t.Fatal(err)
+			c.t.Fatal(err)
 		}
-		if err := w.Join(s, o); err != nil {
-			t.Fatal(err)
+		o, c.alive[slot] = fo, reachable(fo)
+	}
+	if err := c.w.Join(s, o); err != nil {
+		c.t.Fatal(err)
+	}
+}
+
+// reachable returns a probe that reports whether p is still reachable; it
+// holds p only weakly.
+func reachable[T any](p *T) func() bool {
+	wp := weak.Make(p)
+	return func() bool { return wp.Value() != nil }
+}
+
+func (c *warmChurn) leave(slot int) {
+	c.t.Helper()
+	if err := c.w.Leave(slot); err != nil {
+		c.t.Fatal(err)
+	}
+	if c.budget >= 0 {
+		c.ledger()
+	}
+}
+
+func (c *warmChurn) snap() {
+	c.t.Helper()
+	sol, err := c.w.Snapshot()
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	c.ledger()
+	for i := range sol.Sessions {
+		for _, tf := range sol.Flows[i] {
+			c.word(tf.Tree.KeyHash())
+			c.word(math.Float64bits(tf.Rate))
 		}
 	}
-	leave := func(slot int) {
-		if err := w.Leave(slot); err != nil {
-			t.Fatal(err)
-		}
-		if budget >= 0 {
-			ledger()
-		}
-	}
-	snap := func() {
-		sol, err := w.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ledger()
-		for i := range sol.Sessions {
-			for _, tf := range sol.Flows[i] {
-				word(tf.Tree.KeyHash())
-				word(math.Float64bits(tf.Rate))
+}
+
+// TestWarmLeaveReleasesOracle pins the departed-session release: after
+// Warm.Leave neither the allocator nor its repair runner holds the slot's
+// oracle (a GC collects it), including a runner created lazily after a leave,
+// over an oracle list with a nil slot. The script leaves once before the
+// runner exists and three times after, and the fingerprint of its ledger and
+// snapshots is the one recorded before the release existed, in both routings.
+func TestWarmLeaveReleasesOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode RoutingMode
+		want uint64
+	}{
+		{"ip", RoutingIP, 0x9077b2d1ff10b246},
+		{"arbitrary", RoutingArbitrary, 0x9d281bfaf5c773a7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newWarmChurn(t, tc.mode, 0)
+			defer c.w.Close()
+			released := func(slots ...int) {
+				t.Helper()
+				runtime.GC()
+				for _, slot := range slots {
+					if c.w.oracles[slot] != nil || c.alive[slot]() {
+						t.Fatalf("slot %d: departed session's oracle still reachable", slot)
+					}
+				}
 			}
-		}
+			for slot := 0; slot < 5; slot++ {
+				c.join(slot)
+			}
+			c.snap() // cold anchor: the repair runner does not exist yet
+			c.leave(2)
+			released(2)
+			c.join(5)
+			if c.w.runner != nil {
+				t.Fatal("repair runner exists before the first warm refresh")
+			}
+			c.snap() // warm: the runner is created over a nil slot 2
+			if c.w.runner == nil || c.w.Stats().WarmRefreshes != 1 {
+				t.Fatalf("stats %+v: the second snapshot did not repair warm", c.w.Stats())
+			}
+			c.leave(0)
+			c.leave(5)
+			released(2, 0, 5)
+			c.snap()
+			c.join(6)
+			c.leave(3)
+			released(2, 0, 5, 3)
+			c.snap()
+			if got := c.h.Sum64(); got != tc.want {
+				t.Fatalf("ledger/rate fingerprint %#016x, want %#016x (stats %+v)", got, tc.want, c.w.Stats())
+			}
+		})
 	}
-
-	for slot := 0; slot < 4; slot++ {
-		join(slot)
-	}
-	snap() // cold anchor
-	join(4)
-	join(5)
-	snap() // warm catch-up of two joins
-	leave(1)
-	leave(4)
-	snap()
-	join(6)
-	leave(6) // pending join: no rollback
-	leave(0)
-	snap()
-	return h.Sum64(), w.Stats()
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"overcast/internal/graph"
 )
@@ -64,9 +65,19 @@ type BatchOptions struct {
 // the goroutines and the scratch buffers across all of those batches instead
 // of rebuilding them per call.
 //
+// A pool of W workers is the calling goroutine plus W−1 parked helpers. Each
+// batch stage publishes its job count, wakes min(W−1, n−1) helpers with one
+// token each, and then every participant — the caller included — claims job
+// positions from a shared atomic counter until none are left; the stage ends
+// at a WaitGroup barrier. A batch therefore costs one wake-up per helper, not
+// one channel round trip per slot, and a single-worker runner or a
+// single-job stage is simply the zero-helper case: the caller runs every job
+// itself.
+//
 // The reduction is deterministic by construction: result slot j of a batch
 // always holds oracle ids[j]'s tree, computed under the batch's immutable
-// length snapshot, so neither the worker count nor goroutine scheduling can
+// length snapshot, and job j writes only its own slot (or its own plane
+// row), so neither the worker count nor which goroutine claims a job can
 // change what a caller observes. Oracles must be safe for concurrent reads
 // (both built-in oracles are: MinTreeWith touches only the per-call Scratch).
 //
@@ -75,7 +86,7 @@ type BatchOptions struct {
 // batch's plane-aware oracles — in batch order, so row assignment is
 // canonical — and classifies each row: already proven current
 // (cross-round repair skip), subtree-repairable, or needing a fill; the
-// fills and repairs fan across the worker pool, each worker using pooled
+// fills and repairs fan across the pool, each worker using pooled
 // Dijkstra buffers. Stage 2 evaluates the batch slots as before, except
 // plane-aware oracles assemble their overlay weights and routes from the
 // plane rows instead of re-running per-member Dijkstras. The WaitGroup
@@ -85,18 +96,12 @@ type BatchRunner struct {
 	oracles []TreeOracle
 	workers int
 
-	// Inline scratch: the whole batch when workers == 1, single-slot batches
-	// otherwise (lazily created; avoids channel round-trips for one job).
-	seq *Scratch
-
 	// Shared SSSP plane (nil while disabled or no oracle can use it).
 	// planeLive marks that the current batch staged and filled rows, so
-	// eval may read them; filling flips the meaning of a job from "evaluate
-	// batch slot" to "fill plane row". All these fields are written by the
-	// batch goroutine only, between the pool's channel/WaitGroup barriers.
+	// eval may read them. All these fields are written by the batch
+	// goroutine only, between the pool's fan-out barriers.
 	plane     *Plane
 	planeLive bool
-	filling   bool
 	mode      PlaneMode
 	// walkedTo is the ledger epoch up to which the per-batch journal walk has
 	// fanned touches through the plane's inverted index (stagePlane replays
@@ -139,12 +144,19 @@ type BatchRunner struct {
 	repairOut   [][]graph.NodeID
 	repairOK    []bool
 
-	// Parallel mode: persistent workers fed per-batch via jobs. d, ids and
-	// out describe the current batch; they are published before the job sends
-	// and read by workers via the channel's happens-before edge, and the
-	// WaitGroup barrier orders all slot writes before the caller's reads.
-	jobs    chan int
+	// The fan-out (see fanOut). The batch goroutine publishes the stage
+	// (filling: plane row jobs, else batch-slot evals), its job count and
+	// the batch description (d, ids, wantLen, out) before the wake sends,
+	// so each helper reads them through the channel's happens-before edge;
+	// next is the shared claim counter, and the WaitGroup barrier orders
+	// every job's writes before the caller's reads. sc is the caller's own
+	// scratch: the caller is the pool's last worker.
+	wake    chan struct{}
+	next    atomic.Int64
+	njobs   int64
+	filling bool
 	wg      sync.WaitGroup
+	sc      *Scratch
 	d       graph.Lengths
 	ids     []int
 	wantLen bool
@@ -159,18 +171,21 @@ func NewBatchRunner(g *graph.Graph, oracles []TreeOracle, workers int) *BatchRun
 }
 
 // NewBatchRunnerOpts builds a runner over oracles. Workers <= 0 means
-// GOMAXPROCS. With one worker the runner degrades to a single-scratch
-// sequential path with zero goroutines; results are identical either way —
-// and identical in every plane mode. The oracle set may grow later through
-// AddOracle.
+// GOMAXPROCS. The runner spawns Workers−1 helper goroutines, since the
+// goroutine that runs a batch is the pool's last worker; with one worker
+// there are no helpers and every batch runs on the caller. Results are
+// identical for every pool size and in every plane mode. The oracle set may
+// grow later through AddOracle and shrink through Release; the runner keeps
+// its own copy of the list, so neither touches the caller's slice.
 func NewBatchRunnerOpts(g *graph.Graph, oracles []TreeOracle, opts BatchOptions) *BatchRunner {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	r := &BatchRunner{
-		g: g, oracles: oracles, workers: workers, mode: opts.Plane,
+		g: g, oracles: append([]TreeOracle(nil), oracles...), workers: workers, mode: opts.Plane,
 		out: make([]BatchResult, len(oracles)),
+		sc:  NewScratch(g),
 	}
 	for _, o := range oracles {
 		if _, ok := o.(PlaneOracle); ok {
@@ -178,28 +193,54 @@ func NewBatchRunnerOpts(g *graph.Graph, oracles []TreeOracle, opts BatchOptions)
 			break
 		}
 	}
-	if workers == 1 {
-		r.seq = NewScratch(g)
-		return r
-	}
-	// Workers range over a local copy: Close nils r.jobs, possibly before a
-	// worker has started.
-	jobs := make(chan int)
-	r.jobs = jobs
-	for w := 0; w < workers; w++ {
+	// Helpers range over a local copy: Close nils r.wake, possibly before a
+	// helper has started. The buffer holds one token per helper, so the
+	// wake sends never block.
+	wake := make(chan struct{}, workers-1)
+	r.wake = wake
+	for w := 1; w < workers; w++ {
 		go func() {
 			sc := NewScratch(g)
-			for pos := range jobs {
-				if r.filling {
-					r.fillJob(pos, sc)
-				} else {
-					r.eval(pos, sc)
-				}
+			for range wake {
+				r.claim(sc)
 				r.wg.Done()
 			}
 		}()
 	}
 	return r
+}
+
+// fanOut runs jobs 0..n-1 of the current stage (filling selects plane-row
+// jobs over batch-slot evals) on the caller and up to workers−1 helpers:
+// one token wakes each helper, everyone claims positions from the shared
+// counter, and the WaitGroup barrier ends the stage. Job pos writes only its
+// own output slot or plane row, so the claim order cannot change any result.
+func (r *BatchRunner) fanOut(n int, filling bool) {
+	r.filling = filling
+	r.njobs = int64(n)
+	r.next.Store(0)
+	helpers := max(min(r.workers, n)-1, 0)
+	r.wg.Add(helpers)
+	for h := 0; h < helpers; h++ {
+		r.wake <- struct{}{}
+	}
+	r.claim(r.sc)
+	r.wg.Wait()
+}
+
+// claim runs stage jobs on sc until the counter passes the job count.
+func (r *BatchRunner) claim(sc *Scratch) {
+	for {
+		pos := r.next.Add(1) - 1
+		if pos >= r.njobs {
+			return
+		}
+		if r.filling {
+			r.fillJob(int(pos), sc)
+		} else {
+			r.eval(int(pos), sc)
+		}
+	}
 }
 
 // fillJob runs one stage-1 job: positions below len(toFill) are full row
@@ -261,6 +302,19 @@ func (r *BatchRunner) AddOracle(o TreeOracle) int {
 		mergePlaneTargets(r.targets, po.PlaneSources())
 	}
 	return id
+}
+
+// Release drops the runner's references to oracle id and its cached tree, so
+// a departed session's oracle (route tables, memoized trees) can be
+// collected. Like AddOracle it must be called between batches; id keeps its
+// slot and must never appear in a later batch. The plane's read targets keep
+// the released oracle's co-members: a superset of the live reads only makes
+// the skip check walk a few more stored paths.
+func (r *BatchRunner) Release(id int) {
+	r.oracles[id] = nil
+	if r.cache != nil {
+		r.cache[id] = treeCacheEntry{}
+	}
 }
 
 // Metrics returns a snapshot of the runner's shared-plane counters. Call it
@@ -446,10 +500,9 @@ func mergePlaneTargets(targets map[graph.NodeID][]graph.NodeID, members []graph.
 // (accumulating per-row dirty subtree roots); walk the distinct member
 // sources of the batch's plane-aware oracles (in batch order — canonical row
 // assignment), classify each stored row — current (skip),
-// subtree-repairable, or needing a full fill — and fan the
-// fills and repairs across the worker pool in parallel mode. Under PlaneFull
-// the index is never maintained and classification falls back to the per-row
-// journal-replay check. No-op when the plane is off or the batch has no
+// subtree-repairable, or needing a full fill — and fan the fills and repairs
+// across the worker pool. Under PlaneFull the index is never maintained and
+// classification falls back to the per-row journal-replay check. No-op when the plane is off or the batch has no
 // plane-aware oracle.
 func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 	r.planeLive = false
@@ -623,27 +676,7 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 		r.repairOut = append(r.repairOut, nil)
 		r.repairOK = append(r.repairOK, false)
 	}
-	if r.workers == 1 || nf+nr == 1 {
-		if r.seq == nil {
-			r.seq = NewScratch(r.g)
-		}
-		sp := r.seq.dijkstra()
-		for _, row := range r.toFill {
-			r.plane.FillRow(int(row), r.d, sp)
-		}
-		for k, row := range r.toRepair {
-			r.repairOut[k], r.repairOK[k] = r.plane.RepairRow(
-				int(row), r.d, sp, r.minLen, r.repairRoots[k], r.repairOut[k][:0])
-		}
-	} else {
-		r.filling = true
-		r.wg.Add(nf + nr)
-		for pos := 0; pos < nf+nr; pos++ {
-			r.jobs <- pos
-		}
-		r.wg.Wait()
-		r.filling = false
-	}
+	r.fanOut(nf+nr, true)
 	// Post-barrier bookkeeping, single-writer again: fold repair outcomes
 	// into the metrics, register the rewritten parent edges in the index, and
 	// reset consumed dirt (every row below just became exact content).
@@ -727,32 +760,15 @@ func (r *BatchRunner) run(ls *graph.LengthStore, ids []int, wantLen bool) []Batc
 	}
 	r.d, r.ids, r.wantLen = ls.Values(), ids, wantLen
 	r.stagePlane(ls, n)
-	if r.workers == 1 || n == 1 {
-		// Single slot or single worker: evaluate inline. The parallel
-		// variant's scratch lives in its workers, so the inline path keeps
-		// its own; results are identical (Scratch state never leaks into
-		// outputs).
-		if r.seq == nil {
-			r.seq = NewScratch(r.g)
-		}
-		for pos := 0; pos < n; pos++ {
-			r.eval(pos, r.seq)
-		}
-		return r.out[:n]
-	}
-	r.wg.Add(n)
-	for pos := 0; pos < n; pos++ {
-		r.jobs <- pos
-	}
-	r.wg.Wait()
+	r.fanOut(n, false)
 	return r.out[:n]
 }
 
 // Close releases the worker pool. The runner must not be used afterwards;
 // Close is idempotent.
 func (r *BatchRunner) Close() {
-	if r.jobs != nil {
-		close(r.jobs)
-		r.jobs = nil
+	if r.wake != nil {
+		close(r.wake)
+		r.wake = nil
 	}
 }

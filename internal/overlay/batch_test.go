@@ -1,6 +1,9 @@
 package overlay
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -224,7 +227,7 @@ func TestBatchWorkersResolved(t *testing.T) {
 	if r.Workers() != 1 {
 		t.Fatalf("workers=1 resolved to %d", r.Workers())
 	}
-	r.Close() // sequential runner: Close must be a no-op
+	r.Close() // one-worker runner: no helpers to stop
 }
 
 // TestBatchResultSliceReusedAcrossCalls pins the BatchResult aliasing
@@ -295,6 +298,163 @@ func TestBatchOracleAllocs(t *testing.T) {
 	perOracle := avg / float64(len(ids))
 	if perOracle > 8 {
 		t.Fatalf("batch oracle path allocates %.1f allocs/oracle (avg %.1f/batch), want <= 8", perOracle, avg)
+	}
+}
+
+// mixedBatchFixture alternates fixed-route oracles (even ids) with
+// arbitrary-routing ones (odd ids) over one graph, so batches exercise both
+// the plane's fill stage and the plane-oblivious eval path. The arbitrary
+// sessions share hot members, as in arbBatchFixture, so rows are reused.
+func mixedBatchFixture(t testing.TB, k int) (*graph.Graph, []TreeOracle) {
+	t.Helper()
+	g, oracles := batchFixture(t, k)
+	for i := 1; i < k; i += 2 {
+		members := []graph.NodeID{i % 3, (i % 3) + 1, (i + 11) % 24, (i + 17) % 24}
+		s, err := NewSession(i, dedupNodes(members), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oracles[i], err = NewArbitraryOracle(g, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g, oracles
+}
+
+// sameResults fails unless got and want agree slot by slot, bit for bit.
+func sameResults(t *testing.T, label string, got, want []BatchResult) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+	}
+	for j := range got {
+		if got[j].Err != nil || want[j].Err != nil {
+			t.Fatalf("%s slot %d: %v / %v", label, j, got[j].Err, want[j].Err)
+		}
+		if got[j].Tree.SessionID != want[j].Tree.SessionID || got[j].Tree.Key() != want[j].Tree.Key() ||
+			math.Float64bits(got[j].Len) != math.Float64bits(want[j].Len) {
+			t.Fatalf("%s slot %d: result differs from the reference runner", label, j)
+		}
+	}
+}
+
+// TestBatchClaimLoopMatchesSequential pins the claim-loop fan-out: whichever
+// participant (caller or helper) claims a job, a batch must equal what a
+// one-worker runner returns, bit for bit — trees, lengths and every plane
+// row the fill stage wrote — at batch sizes around the pool size (1, W−1, W,
+// W+1, 3W+1; W−1 is the empty batch at W=1) over id subsets, in every plane
+// mode, through both entry points, and across 50 batches on the same runner
+// while the ledger grows between them. Run under -race it also checks the
+// happens-before edges of the wake tokens and the stage barrier.
+func TestBatchClaimLoopMatchesSequential(t *testing.T) {
+	g, oracles := mixedBatchFixture(t, 29)
+	for _, mode := range planeModes {
+		for _, workers := range []int{1, 2, 8} {
+			ref := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 1, Plane: mode})
+			r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: workers, Plane: mode})
+			if cap(r.wake) != workers-1 {
+				t.Fatalf("workers=%d: %d wake slots, want one per helper", workers, cap(r.wake))
+			}
+			sizes := []int{1, workers - 1, workers, workers + 1, 3*workers + 1}
+			ls := graph.NewLengthStore(g, 1)
+			for batch := 0; batch < 50; batch++ {
+				// Distinct ids (stride 7 is a unit mod 29), rotated per batch.
+				ids := make([]int, sizes[batch%len(sizes)])
+				for j := range ids {
+					ids[j] = (batch*5 + j*7) % len(oracles)
+				}
+				if batch%10 == 9 {
+					ids = nil // the whole set
+				}
+				var got, want []BatchResult
+				if batch%2 == 0 {
+					got, want = r.MinTreesLen(ls, ids), ref.MinTreesLen(ls, ids)
+				} else {
+					got, want = r.MinTrees(ls, ids), ref.MinTrees(ls, ids)
+				}
+				label := fmt.Sprintf("%v workers=%d batch %d", mode, workers, batch)
+				sameResults(t, label, got, want)
+				if r.plane != nil {
+					for _, o := range oracles {
+						po, ok := o.(PlaneOracle)
+						if !ok {
+							continue
+						}
+						for _, s := range po.PlaneSources() {
+							gd, gp, gok := r.plane.Lookup(s)
+							wd, wp, wok := ref.plane.Lookup(s)
+							if gok != wok || !reflect.DeepEqual(gp, wp) {
+								t.Fatalf("%s: plane row %d differs (live %v/%v)", label, s, gok, wok)
+							}
+							for v := range gd {
+								if math.Float64bits(gd[v]) != math.Float64bits(wd[v]) {
+									t.Fatalf("%s: plane row %d dist[%d] differs", label, s, v)
+								}
+							}
+						}
+					}
+				}
+				if len(got) > 0 {
+					bumpTreeEdges(ls, got[batch%len(got)].Tree)
+				}
+			}
+			if r.Metrics() != ref.Metrics() {
+				t.Fatalf("%v workers=%d: plane metrics %+v, want %+v", mode, workers, r.Metrics(), ref.Metrics())
+			}
+			r.Close()
+			ref.Close()
+		}
+	}
+}
+
+// TestBatchReleasedSlots pins the departed-oracle contract: a runner built
+// over an oracle list with nil (departed) slots derives its plane targets
+// from the live oracles only, a runner that Releases ids drops the oracle and
+// its cached tree, and both keep answering batches over the live ids exactly
+// like a runner that never lost an oracle.
+func TestBatchReleasedSlots(t *testing.T) {
+	g, oracles := mixedBatchFixture(t, 12)
+	gone := []int{1, 4, 7}
+	withNil := append([]TreeOracle(nil), oracles...)
+	for _, id := range gone {
+		withNil[id] = nil
+	}
+	var live []int
+	var compact []TreeOracle
+	for i, o := range withNil {
+		if o != nil {
+			live = append(live, i)
+			compact = append(compact, o)
+		}
+	}
+	for _, mode := range planeModes {
+		for _, workers := range []int{1, 3} {
+			opts := BatchOptions{Workers: workers, Plane: mode}
+			full := NewBatchRunnerOpts(g, oracles, opts)
+			lazy := NewBatchRunnerOpts(g, withNil, opts)
+			released := NewBatchRunnerOpts(g, oracles, opts)
+			compacted := NewBatchRunnerOpts(g, compact, opts)
+			if !reflect.DeepEqual(lazy.targets, compacted.targets) {
+				t.Fatalf("%v: targets over nil slots %v, want the live oracles' %v", mode, lazy.targets, compacted.targets)
+			}
+			ls := graph.NewLengthStore(g, 1)
+			released.MinTrees(ls, nil) // cache a tree for every oracle
+			for _, id := range gone {
+				released.Release(id)
+				if released.oracles[id] != nil || (released.cache != nil && released.cache[id].tree != nil) {
+					t.Fatalf("%v: Release(%d) kept the oracle or its cached tree", mode, id)
+				}
+			}
+			for round := 0; round < 6; round++ {
+				want := full.MinTreesLen(ls, live)
+				sameResults(t, mode.String()+" lazy", lazy.MinTreesLen(ls, live), want)
+				sameResults(t, mode.String()+" released", released.MinTreesLen(ls, live), want)
+				bumpTreeEdges(ls, want[round%len(want)].Tree)
+			}
+			for _, r := range []*BatchRunner{full, lazy, released, compacted} {
+				r.Close()
+			}
+		}
 	}
 }
 
