@@ -9,7 +9,7 @@ BENCHFLAGS ?=
 # number alone doesn't say, e.g. "1-core container, worker sweeps collapse").
 BENCHNOTE ?=
 
-.PHONY: all build test race fmt fmt-check vet api-check api-write determinism bench bench-smoke bench-scale bench-scale-json clean
+.PHONY: all build test race fuzz fmt fmt-check vet api-check api-write determinism bench bench-smoke bench-scale bench-scale-json clean
 
 all: build test
 
@@ -21,6 +21,11 @@ test:
 
 race:
 	$(GO) test -race -timeout 1800s ./internal/core/... ./internal/overlay/... ./internal/sim/... ./internal/admin/... .
+
+# Native fuzzing of the Dijkstra heap against its brute-force model for
+# 60 s; the CI test job runs the same command.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexedHeap$$' -fuzztime 60s ./internal/graph
 
 fmt:
 	gofmt -w .

@@ -299,6 +299,11 @@ func TestIndexedHeapPanics(t *testing.T) {
 	h.Pop()
 	func() {
 		defer func() { _ = recover() }()
+		h.Key(0)
+		t.Error("Key of a popped item did not panic")
+	}()
+	func() {
+		defer func() { _ = recover() }()
 		h.Pop()
 		t.Error("Pop on empty heap did not panic")
 	}()

@@ -1,22 +1,35 @@
 package graph
 
 // IndexedHeap is a binary min-heap over items 0..n-1 keyed by float64
-// priorities, with DecreaseKey support. It backs Prim's minimum spanning
-// tree and Dijkstra's shortest paths, the two inner loops of every solver in
-// this library, so it avoids interface dispatch and allocation on the hot
-// path.
+// priorities, with DecreaseKey support. It backs Dijkstra's shortest paths,
+// the inner loop of every arbitrary-routing oracle, so it avoids interface
+// dispatch and allocation on the hot path: each slot holds its key inline
+// next to the item id, and sifts move a hole instead of swapping slots.
+//
+// Items are ordered by (key, item id), a total order, so Pop's result — and
+// hence the pop sequence — does not depend on the heap's internal layout.
 type IndexedHeap struct {
-	keys []float64 // key per item id
-	heap []int     // heap of item ids
-	pos  []int     // pos[item] = index in heap, -1 if absent
+	heap []heapSlot
+	pos  []int32 // pos[item] = index in heap, -1 if absent
+}
+
+// heapSlot is one queued item with its key stored inline, so a comparison
+// reads the slot alone.
+type heapSlot struct {
+	key  float64
+	item int32
+}
+
+// before reports whether a precedes b in (key, item id) order.
+func (a heapSlot) before(b heapSlot) bool {
+	return a.key < b.key || (a.key == b.key && a.item < b.item)
 }
 
 // NewIndexedHeap creates an empty heap over item ids [0, n).
 func NewIndexedHeap(n int) *IndexedHeap {
 	h := &IndexedHeap{
-		keys: make([]float64, n),
-		heap: make([]int, 0, n),
-		pos:  make([]int, n),
+		heap: make([]heapSlot, 0, n),
+		pos:  make([]int32, n),
 	}
 	for i := range h.pos {
 		h.pos[i] = -1
@@ -30,9 +43,15 @@ func (h *IndexedHeap) Len() int { return len(h.heap) }
 // Contains reports whether item is currently queued.
 func (h *IndexedHeap) Contains(item int) bool { return h.pos[item] >= 0 }
 
-// Key returns the current key of item. Only meaningful if Contains(item) or
-// item was previously popped (its last key is retained).
-func (h *IndexedHeap) Key(item int) float64 { return h.keys[item] }
+// Key returns the current key of a queued item. It panics if the item is not
+// queued.
+func (h *IndexedHeap) Key(item int) float64 {
+	i := h.pos[item]
+	if i < 0 {
+		panic("graph: IndexedHeap.Key of absent item")
+	}
+	return h.heap[i].key
+}
 
 // Push inserts item with the given key. It panics if the item is already
 // queued.
@@ -40,10 +59,8 @@ func (h *IndexedHeap) Push(item int, key float64) {
 	if h.pos[item] >= 0 {
 		panic("graph: IndexedHeap.Push of queued item")
 	}
-	h.keys[item] = key
-	h.pos[item] = len(h.heap)
-	h.heap = append(h.heap, item)
-	h.up(len(h.heap) - 1)
+	h.heap = append(h.heap, heapSlot{})
+	h.up(uint(len(h.heap)-1), heapSlot{key: key, item: int32(item)})
 }
 
 // DecreaseKey lowers item's key. It panics if the item is not queued or the
@@ -53,22 +70,22 @@ func (h *IndexedHeap) DecreaseKey(item int, key float64) {
 	if i < 0 {
 		panic("graph: DecreaseKey of absent item")
 	}
-	if key > h.keys[item] {
+	if key > h.heap[i].key {
 		panic("graph: DecreaseKey with larger key")
 	}
-	h.keys[item] = key
-	h.up(i)
+	h.up(uint(i), heapSlot{key: key, item: int32(item)})
 }
 
 // PushOrDecrease inserts item, or lowers its key if already queued and the
 // new key is smaller. It reports whether the heap changed.
 func (h *IndexedHeap) PushOrDecrease(item int, key float64) bool {
-	if h.pos[item] < 0 {
+	i := h.pos[item]
+	if i < 0 {
 		h.Push(item, key)
 		return true
 	}
-	if key < h.keys[item] {
-		h.DecreaseKey(item, key)
+	if key < h.heap[i].key {
+		h.up(uint(i), heapSlot{key: key, item: int32(item)})
 		return true
 	}
 	return false
@@ -82,65 +99,67 @@ func (h *IndexedHeap) Pop() (item int, key float64) {
 		panic("graph: Pop from empty IndexedHeap")
 	}
 	top := h.heap[0]
+	h.pos[top.item] = -1
 	last := len(h.heap) - 1
-	h.swap(0, last)
-	h.heap = h.heap[:last]
-	h.pos[top] = -1
 	if last > 0 {
-		h.down(0)
+		h.down(h.heap[last], last)
 	}
-	return top, h.keys[top]
+	h.heap = h.heap[:last]
+	return int(top.item), top.key
 }
 
 // Reset empties the heap without reallocating.
 func (h *IndexedHeap) Reset() {
-	for _, item := range h.heap {
-		h.pos[item] = -1
+	for _, s := range h.heap {
+		h.pos[s.item] = -1
 	}
 	h.heap = h.heap[:0]
 }
 
-// less orders heap slots i, j by (key, item id).
-func (h *IndexedHeap) less(i, j int) bool {
-	a, b := h.heap[i], h.heap[j]
-	if h.keys[a] != h.keys[b] {
-		return h.keys[a] < h.keys[b]
-	}
-	return a < b
-}
-
-func (h *IndexedHeap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = i
-	h.pos[h.heap[j]] = j
-}
-
-func (h *IndexedHeap) up(i int) {
+// up places s at the hole i or above it: parents that s precedes move down
+// into the hole one level at a time, and s is written once where the hole
+// stops. Indices are unsigned here and in down so that halving needs no
+// sign fix-up and child reads need no bounds check.
+func (h *IndexedHeap) up(i uint, s heapSlot) {
+	heap, pos := h.heap, h.pos
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		p := heap[parent]
+		if !s.before(p) {
 			break
 		}
-		h.swap(i, parent)
+		heap[i] = p
+		pos[p.item] = int32(i)
 		i = parent
 	}
+	heap[i] = s
+	pos[s.item] = int32(i)
 }
 
-func (h *IndexedHeap) down(i int) {
-	n := len(h.heap)
+// down refills the hole at the root with s, the slot leaving position n:
+// the smaller child moves up into the hole while it precedes s, and s is
+// written once where the hole stops. Slots at n and beyond are ignored.
+func (h *IndexedHeap) down(s heapSlot, n int) {
+	heap, pos := h.heap[:n], h.pos
+	i := uint(0)
 	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+		child := 2*i + 1
+		if child >= uint(len(heap)) {
+			break
 		}
-		smallest := left
-		if right := left + 1; right < n && h.less(right, left) {
-			smallest = right
+		c := heap[child]
+		if right := child + 1; right < uint(len(heap)) {
+			if r := heap[right]; r.before(c) {
+				child, c = right, r
+			}
 		}
-		if !h.less(smallest, i) {
-			return
+		if !c.before(s) {
+			break
 		}
-		h.swap(i, smallest)
-		i = smallest
+		heap[i] = c
+		pos[c.item] = int32(i)
+		i = child
 	}
+	heap[i] = s
+	pos[s.item] = int32(i)
 }

@@ -167,9 +167,6 @@ func (sc *DijkstraScratch) RepairSubtreesInto(g *graph.Graph, src graph.NodeID, 
 	// arrival race against that offer's frontier node (step 2).
 	for h.Len() > 0 {
 		v, dv := h.Pop()
-		if dv > dist[v] {
-			continue
-		}
 		// Unmark on settle: offers into settled S nodes lose exactly like
 		// offers into non-S nodes (their distance is final), so dropping the
 		// mark lets the gate below reject both without touching float state.
@@ -185,11 +182,15 @@ func (sc *DijkstraScratch) RepairSubtreesInto(g *graph.Graph, src graph.NodeID, 
 				continue
 			}
 			nd := dv + d[id]
-			if nd < dist[w] {
+			if dw := dist[w]; nd < dw {
 				dist[w] = nd
 				parent[w] = id
 				pend[w] = 0
-				h.PushOrDecrease(w, nd)
+				if dw == inf {
+					h.Push(w, nd)
+				} else {
+					h.DecreaseKey(w, nd)
+				}
 			} else if nd == dist[w] && pend[w] == gen {
 				u := g.Edges[parent[w]].Other(w)
 				if dv < dist[u] || (dv == dist[u] && v < u) {

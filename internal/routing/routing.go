@@ -258,31 +258,39 @@ func (t *IPRoutes) Route(u, v graph.NodeID) (Path, error) {
 	if !ok {
 		panic(fmt.Sprintf("routing: no BFS tree for %d or %d", u, v))
 	}
-	p, err := walkToRoot(t.g, parent, root, leaf)
-	if err != nil {
-		return Path{}, err
-	}
-	// walkToRoot returns leaf->root; we want root->leaf.
-	p = p.Reverse()
-	if flip {
-		p = p.Reverse()
-	}
-	return p, nil
+	// Without a flip the route runs root->leaf; with one it runs leaf->root.
+	return treePath(t.g, parent, root, leaf, flip)
 }
 
-// walkToRoot follows parent edges from leaf up to root.
-func walkToRoot(g *graph.Graph, parent []graph.EdgeID, root, leaf graph.NodeID) (Path, error) {
-	nodes := []graph.NodeID{leaf}
-	edges := []graph.EdgeID{}
-	v := leaf
-	for v != root {
+// treePath returns the path between root and leaf in the tree given by
+// parent edges toward root: root first, or leaf first when leafFirst is set.
+// It walks the parents once to count hops, then again to fill exact-size
+// slices in the requested order.
+func treePath(g *graph.Graph, parent []graph.EdgeID, root, leaf graph.NodeID, leafFirst bool) (Path, error) {
+	hops := 0
+	for v := leaf; v != root; hops++ {
 		id := parent[v]
 		if id < 0 {
 			return Path{}, fmt.Errorf("routing: node %d unreachable from %d", leaf, root)
 		}
 		v = g.Edges[id].Other(v)
-		nodes = append(nodes, v)
-		edges = append(edges, id)
+	}
+	nodes := make([]graph.NodeID, hops+1)
+	edges := make([]graph.EdgeID, hops)
+	v := leaf
+	for k := 0; k < hops; k++ {
+		id := parent[v]
+		if leafFirst {
+			nodes[k], edges[k] = v, id
+		} else {
+			nodes[hops-k], edges[hops-1-k] = v, id
+		}
+		v = g.Edges[id].Other(v)
+	}
+	if leafFirst {
+		nodes[hops] = v
+	} else {
+		nodes[0] = v
 	}
 	return Path{Nodes: nodes, Edges: edges}, nil
 }
@@ -349,7 +357,8 @@ func (sc *DijkstraScratch) ShortestPaths(g *graph.Graph, src graph.NodeID, d gra
 // ShortestPathsInto runs Dijkstra from src under d, writing distances and
 // parent edges into the caller-supplied slices (each of length g.NumNodes()).
 // It allocates nothing: the heap is reused across calls and dist/parent are
-// fully overwritten. Tie-breaking is identical to ShortestPaths.
+// fully overwritten. Tie-breaking is identical to ShortestPaths. Lengths
+// must be non-negative, as Dijkstra requires.
 func (sc *DijkstraScratch) ShortestPathsInto(g *graph.Graph, src graph.NodeID, d graph.Lengths, dist []float64, parent []graph.EdgeID) {
 	n := g.NumNodes()
 	if len(dist) != n || len(parent) != n {
@@ -364,11 +373,11 @@ func (sc *DijkstraScratch) ShortestPathsInto(g *graph.Graph, src graph.NodeID, d
 	h := sc.heap
 	h.Reset()
 	h.Push(src, 0)
+	// The heap holds each reached, unsettled node once, keyed by its current
+	// dist, so a popped key is always final and dist[w] == inf alone says
+	// whether w still needs a Push.
 	for h.Len() > 0 {
 		v, dv := h.Pop()
-		if dv > dist[v] {
-			continue
-		}
 		if sc.OnPop != nil {
 			sc.OnPop(v)
 		}
@@ -376,10 +385,14 @@ func (sc *DijkstraScratch) ShortestPathsInto(g *graph.Graph, src graph.NodeID, d
 		for k, id := range ids {
 			w := tos[k]
 			nd := dv + d[id]
-			if nd < dist[w] {
+			if dw := dist[w]; nd < dw {
 				dist[w] = nd
 				parent[w] = id
-				h.PushOrDecrease(w, nd)
+				if dw == inf {
+					h.Push(w, nd)
+				} else {
+					h.DecreaseKey(w, nd)
+				}
 			}
 		}
 	}
@@ -404,9 +417,5 @@ func DijkstraRoute(g *graph.Graph, src, dst graph.NodeID, parent []graph.EdgeID)
 	if src == dst {
 		return Path{Nodes: []graph.NodeID{src}}, nil
 	}
-	p, err := walkToRoot(g, parent, src, dst)
-	if err != nil {
-		return Path{}, err
-	}
-	return p.Reverse(), nil
+	return treePath(g, parent, src, dst, false)
 }

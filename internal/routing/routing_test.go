@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -215,6 +216,113 @@ func TestDijkstraUnreachable(t *testing.T) {
 	_, parent := ShortestPaths(g, 0, graph.NewLengths(g, 1))
 	if _, err := DijkstraRoute(g, 0, 2, parent); err == nil {
 		t.Fatal("unreachable route did not error")
+	}
+}
+
+// walkRoute is the reference route extraction: append parents from leaf up
+// to root, then reverse the result to run root first.
+func walkRoute(g *graph.Graph, parent []graph.EdgeID, root, leaf graph.NodeID) (Path, bool) {
+	p := Path{Nodes: []graph.NodeID{leaf}}
+	for v := leaf; v != root; {
+		id := parent[v]
+		if id < 0 {
+			return Path{}, false
+		}
+		v = g.Edges[id].Other(v)
+		p.Nodes = append(p.Nodes, v)
+		p.Edges = append(p.Edges, id)
+	}
+	return p.Reverse(), true
+}
+
+// samePath reports whether got equals want element by element and got's
+// slices are exactly sized.
+func samePath(got, want Path) bool {
+	if len(got.Nodes) != len(want.Nodes) || len(got.Edges) != len(want.Edges) ||
+		cap(got.Nodes) != len(got.Nodes) || cap(got.Edges) != len(got.Edges) {
+		return false
+	}
+	for i := range got.Nodes {
+		if got.Nodes[i] != want.Nodes[i] {
+			return false
+		}
+	}
+	for i := range got.Edges {
+		if got.Edges[i] != want.Edges[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRouteExtractionMatchesParentWalk checks DijkstraRoute and IPRoutes.Route
+// against the reference walk on a graph with an unreachable island: same
+// nodes and edges in the same order, exact-size slices, and the same error
+// text for unreachable pairs. The route table indexes only even nodes, so
+// odd-first queries take the other endpoint's tree.
+func TestRouteExtractionMatchesParentWalk(t *testing.T) {
+	net, err := topology.Waxman(topology.DefaultWaxman(40), rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(43)
+	for _, e := range net.Graph.Edges {
+		if err := b.AddEdge(e.U, e.V, e.Capacity); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.AddEdge(40, 41, 1); err != nil { // island {40, 41}; 42 isolated
+		t.Fatal(err)
+	}
+	g := b.Build()
+	n := g.NumNodes()
+	r := rng.New(9)
+	d := graph.NewLengths(g, 0)
+	for e := range d {
+		d[e] = 0.5 + r.Float64()
+	}
+	var even []graph.NodeID
+	for v := 0; v < n; v += 2 {
+		even = append(even, v)
+	}
+	rt := NewIPRoutes(g, even)
+	for src := 0; src < n; src++ {
+		_, parent := ShortestPaths(g, src, d)
+		for dst := 0; dst < n; dst++ {
+			if src == dst {
+				continue
+			}
+			want, ok := walkRoute(g, parent, src, dst)
+			got, err := DijkstraRoute(g, src, dst, parent)
+			if !ok {
+				msg := fmt.Sprintf("routing: node %d unreachable from %d", dst, src)
+				if err == nil || err.Error() != msg {
+					t.Fatalf("DijkstraRoute(%d, %d) error = %v, want %q", src, dst, err, msg)
+				}
+			} else if err != nil || !samePath(got, want) {
+				t.Fatalf("DijkstraRoute(%d, %d) = %+v, %v; want %+v", src, dst, got, err, want)
+			}
+			if src%2 == 1 && dst%2 == 1 {
+				continue // neither endpoint is indexed
+			}
+			root, leaf := min(src, dst), max(src, dst)
+			if root%2 == 1 {
+				root, leaf = leaf, root
+			}
+			want, ok = walkRoute(g, rt.parentEdge[root], root, leaf)
+			if ok && root != src {
+				want = want.Reverse()
+			}
+			got, err = rt.Route(src, dst)
+			if !ok {
+				msg := fmt.Sprintf("routing: node %d unreachable from %d", leaf, root)
+				if err == nil || err.Error() != msg {
+					t.Fatalf("Route(%d, %d) error = %v, want %q", src, dst, err, msg)
+				}
+			} else if err != nil || !samePath(got, want) {
+				t.Fatalf("Route(%d, %d) = %+v, %v; want %+v", src, dst, got, err, want)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"strconv"
 	"testing"
 
 	"overcast/internal/graph"
@@ -52,5 +53,34 @@ func TestShortestPathsIntoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ShortestPathsInto allocates %v per run, want 0", allocs)
+	}
+}
+
+// BenchmarkShortestPathsInto times the allocation-free Dijkstra kernel on
+// Waxman graphs with random positive lengths (distinct keys, unlike the
+// unit-length BenchmarkDijkstra100), one reused scratch, sources cycling over
+// every node.
+func BenchmarkShortestPathsInto(b *testing.B) {
+	for _, n := range []int{50, 100, 200} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			r := rng.New(uint64(n))
+			net, err := topology.Waxman(topology.DefaultWaxman(n), r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := net.Graph
+			d := graph.NewLengths(g, 0)
+			for e := range d {
+				d[e] = 0.5 + r.Float64()
+			}
+			sc := NewDijkstraScratch(g)
+			dist := make([]float64, n)
+			parent := make([]graph.EdgeID, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sc.ShortestPathsInto(g, graph.NodeID(i%n), d, dist, parent)
+			}
+		})
 	}
 }
