@@ -22,10 +22,12 @@ test:
 race:
 	$(GO) test -race -timeout 1800s ./internal/core/... ./internal/overlay/... ./internal/sim/... ./internal/admin/... .
 
-# Native fuzzing of the Dijkstra heap against its brute-force model for
-# 60 s; the CI test job runs the same command.
+# Native fuzzing, 60 s per target, as in the CI test job: the Dijkstra heap
+# against its brute-force model, then subtree repair against a fresh
+# Dijkstra.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexedHeap$$' -fuzztime 60s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzRepairSubtrees$$' -fuzztime 60s ./internal/routing
 
 fmt:
 	gofmt -w .

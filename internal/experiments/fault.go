@@ -59,9 +59,9 @@ type FaultSolveConfig struct {
 	DriftRound  int
 	DriftFactor float64
 	// FaultStorm floods the ledger with more than graph.JournalWindow
-	// touches before the final round — the burst that outruns the plane's
-	// journal walk and latches every row onto the conservative target-walk
-	// classification.
+	// touches before the final round — the burst that overruns the journal
+	// window, so every plane row filled before it classifies by the
+	// conservative read-path walk and refills when dirty.
 	FaultStorm bool
 }
 

@@ -20,7 +20,8 @@ type Epoch = int64
 // repair consumers falling off the window only lose the journal-replay fast
 // path, never correctness (they fall back to LastTouched walks). Exported so
 // fault harnesses can size event bursts that deliberately overflow the window
-// (forcing the plane's lost-dirt fallback).
+// (leaving plane rows filled before the burst with an unknown window: they
+// classify by the read-path walk, and a dirty one refills in full).
 const JournalWindow = 1 << 16
 
 const maxJournal = JournalWindow
@@ -195,10 +196,13 @@ func (s *LengthStore) TouchedCount(since Epoch) Epoch { return s.epoch - since }
 // fn returns true. It reports whether the journal still covers that range;
 // ok=false means the range is unanswerable — history older than the journal
 // window, or a `since` from the future (e.g. an epoch taken from a different
-// ledger) — and the caller must assume everything moved. This is the repair hot path: the
-// plane's dirty-source check replays the window against a row's stored
-// parent tree (stopping at the first tree hit) before falling back to
-// per-path LastTouched walks.
+// ledger) — and the caller must assume everything moved. This is the repair
+// hot path: the plane's dirty-source check replays a row's window against
+// its stored parent tree (stopping at the first tree hit) before falling
+// back to per-path LastTouched walks, and replays it again to collect the
+// dirty subtree roots of a row taking subtree repair. For a row whose window
+// is unknown both replays report ok=false: the row takes the walk and, if a
+// read path is dirty, a full refill.
 func (s *LengthStore) ForEachTouched(since Epoch, fn func(EdgeID) (stop bool)) (ok bool) {
 	if since < s.firstEpoch || since > s.epoch {
 		return false

@@ -52,10 +52,10 @@ type BatchOptions struct {
 	// affected subtrees (routing.RepairSubtreesInto) whenever the bit-identity
 	// certificate holds — monotone ledger window, strictly positive lengths
 	// (LengthStore.AllPositive), an exact (never serviceable-skipped) row,
-	// and a known dirty-root set — and refilled in full otherwise. Outputs
-	// are bitwise identical in every mode. The plane is created with the
-	// first PlaneOracle, at construction or in AddOracle, so a runner over
-	// fixed-routing oracles only never carries one.
+	// and dirty roots the ledger journal still covers — and refilled in full
+	// otherwise. Outputs are bitwise identical in every mode. The plane is
+	// created with the first PlaneOracle, at construction or in AddOracle, so
+	// a runner over fixed-routing oracles only never carries one.
 	Plane PlaneMode
 }
 
@@ -103,10 +103,6 @@ type BatchRunner struct {
 	plane     *Plane
 	planeLive bool
 	mode      PlaneMode
-	// walkedTo is the ledger epoch up to which the per-batch journal walk has
-	// fanned touches through the plane's inverted index (stagePlane replays
-	// (walkedTo, cur] once per batch, for all rows at once).
-	walkedTo graph.Epoch
 	// minLen is the batch ledger's MinLengthLB snapshot, taken at staging and
 	// passed to RepairRow for the post-repair scale-separation re-check.
 	minLen float64
@@ -133,10 +129,12 @@ type BatchRunner struct {
 	curEpoch  graph.Epoch
 	// staged/toFill/toRepair are per-batch scratch: rows referenced by this
 	// batch, the subset needing a full Dijkstra, and the subset taking a
-	// subtree repair. repairRoots[k] aliases the plane's pending dirty-root
-	// list for toRepair[k]; repairOut[k]/repairOK[k] are that slot's repaired
-	// node set and outcome, written by the worker that ran it and folded into
-	// metrics/index sequentially after the fill barrier.
+	// subtree repair. repairRoots[k] holds the dirty subtree roots of
+	// toRepair[k], read from the ledger journal at classification;
+	// repairOut[k]/repairOK[k] are that slot's repaired node set and outcome,
+	// written by the worker that ran it and folded into the metrics
+	// sequentially after the fill barrier. All slots keep their capacity
+	// across batches.
 	staged      []int32
 	toFill      []int32
 	toRepair    []int32
@@ -267,12 +265,6 @@ func (r *BatchRunner) initPlane() {
 	r.targets = planeTargets(r.oracles)
 	r.cache = make([]treeCacheEntry, len(r.oracles))
 	r.useCache = make([]bool, len(r.oracles))
-	if r.mode == PlaneSubtree {
-		// The inverted edge->rows index only serves subtree classification;
-		// full-refill mode keeps the cheaper per-row journal-replay check and
-		// pays nothing for index maintenance.
-		r.plane.EnableIndex()
-	}
 }
 
 // Workers returns the resolved worker-pool size.
@@ -362,85 +354,51 @@ func (r *BatchRunner) eval(pos int, sc *Scratch) {
 	r.out[pos] = res
 }
 
-// rowCurrent reports whether the stored content of row is provably
-// interchangeable with a fresh Dijkstra under ls's current lengths for
-// every read any oracle can make of it — the dirty-source repair check.
-//
-// The oracles never read a whole row: MinTreeFromPlane reads, for the row
-// rooted at member i, only dist[m_j] (overlay weights) and the stored
-// parent chains m_j -> m_i (route extraction) for the co-members j > i of
-// the sessions containing the source. Those targets are static (member sets
-// never change), precomputed per source at construction (planeTargets). The
-// row therefore stays serviceable iff
-//
-//	(a) every ledger mutation since the row's fill epoch was a monotone
-//	    growth (LengthStore.MonotoneSince), and
-//	(b) no edge on a stored source->target path was touched since then
-//	    (established either by replaying the ledger's touched-edge journal
-//	    against the row's stored parent tree — the fast path, which when
-//	    clean proves the whole row current — or by walking the stored
-//	    target paths against the per-edge LastTouched stamps).
-//
-// Why that is bit-exact: growing edges can never lower any distance, so an
-// untouched stored shortest path keeps both its length and its optimality —
-// dist[target] is unchanged. And the deterministic relaxation replay
-// resolves the parent chain identically: every node on the untouched path
-// still pops at the same relative position (competitors' keys only grew),
-// still receives its stored winning offer first (the offer is untouched),
-// and competing offers only became more losing. Touched edges elsewhere in
-// the row's SSSP tree may well change the parts nobody reads; the row is
-// then stale-but-serviceable, which is why a skip advances the row's epoch:
-// path cleanliness composes ((fill,cur] clean and (cur,cur'] clean iff
-// (fill,cur'] clean) precisely because the checked target set is static.
-func (r *BatchRunner) rowCurrent(ls *graph.LengthStore, row int) bool {
+// treeUntouched reports whether a replay of the ledger journal since row's
+// fill epoch hits no edge of the row's stored parent tree — an edge is a
+// parent edge iff it is the stored parent of one of its own two endpoints, so
+// each probe is O(1). No touched tree edge at all means the entire row, not
+// just its read paths, is bitwise what a recompute would produce (given a
+// monotone window). A window of at least n touches almost surely hits the
+// tree and is not replayed; it reports false, as does a window the journal no
+// longer covers, leaving the row to the exact read-path walk.
+func (r *BatchRunner) treeUntouched(ls *graph.LengthStore, row int) bool {
 	fill := r.plane.FillEpoch(row)
-	if fill < 0 {
-		return false
-	}
-	if fill == ls.Epoch() {
-		return true
-	}
-	if !ls.MonotoneSince(fill) {
-		// Some length shrank since this row was filled (an underlay recovery
-		// or downward drift mirrored into the ledger): a shrunk edge outside
-		// the stored tree can re-route shortest paths, so no touched-edge
-		// argument applies — degrade deterministically to a full refill.
-		// Single-writer: rowCurrent only runs on stagePlane's sequential
-		// classify pass.
-		r.metrics.NonMonotoneRefills++
-		return false
-	}
 	parents := r.plane.ParentRow(row)
-	// Journal fast path: when the mutation window since fill is short,
-	// replay it and test each touched edge against the row's *whole* stored
-	// SSSP tree — an edge is a parent edge iff it is the stored parent of
-	// one of its own two endpoints, so each probe is O(1). No touched tree
-	// edge at all is the original full-row argument: the entire row (not
-	// just the read paths) is bitwise what a recompute would produce. A tree
-	// hit is merely inconclusive (the touched edge may sit outside every
-	// read path), so fall through to the exact walk below.
-	if cnt := ls.TouchedCount(fill); cnt < graph.Epoch(len(parents)) {
-		clean := true
-		if ls.ForEachTouched(fill, func(e graph.EdgeID) bool {
-			edge := r.g.Edges[e]
-			if parents[edge.U] == e || parents[edge.V] == e {
-				clean = false
-			}
-			return !clean
-		}) && clean {
-			return true
-		}
+	if ls.TouchedCount(fill) >= graph.Epoch(len(parents)) {
+		return false
 	}
-	return r.rowServiceable(ls, row)
+	hit := false
+	return ls.ForEachTouched(fill, func(e graph.EdgeID) bool {
+		edge := r.g.Edges[e]
+		hit = parents[edge.U] == e || parents[edge.V] == e
+		return hit
+	}) && !hit
 }
 
-// rowServiceable is the exact target-path walk of the dirty-source check: it
-// reports whether every stored source->target path of row is untouched since
-// the row's fill epoch (LastTouched stamps are complete history, so this
-// needs no journal window). True proves the read-visible parts of the row
-// bitwise current — but not the whole row: unread parts may be stale, which
-// is why a skip validated only by this walk demotes the row from exact to
-// serviceable (subtree repair must not seed from its frontier afterwards).
+// rowServiceable is the exact read-path walk of the dirty-source check. The
+// oracles never read a whole row: MinTreeFromPlane reads, for the row rooted
+// at member i, only dist[m_j] (overlay weights) and the stored parent chains
+// m_j -> m_i (route extraction) for the co-members j > i of the sessions
+// containing the source. Those targets are static (member sets never change)
+// and precomputed per source (planeTargets). The walk reports whether every
+// stored source->target path of row is untouched since the row's fill epoch
+// (LastTouched stamps are complete history, so it needs no journal window).
+//
+// Why that is bit-exact under a monotone window: growing edges can never
+// lower any distance, so an untouched stored shortest path keeps both its
+// length and its optimality — dist[target] is unchanged. And the
+// deterministic relaxation replay resolves the parent chain identically:
+// every node on the untouched path still pops at the same relative position
+// (competitors' keys only grew), still receives its stored winning offer
+// first (the offer is untouched), and competing offers only became more
+// losing. Touched edges elsewhere in the row's SSSP tree may well change the
+// parts nobody reads, so true proves the read-visible parts of the row
+// current but not the whole row: a skip validated only by this walk demotes
+// the row from exact to serviceable (subtree repair must not seed from its
+// frontier afterwards). Path cleanliness composes ((fill,cur] clean and
+// (cur,cur'] clean iff (fill,cur'] clean) precisely because the checked
+// target set is static, which is why the skip may advance the row's epoch.
 func (r *BatchRunner) rowServiceable(ls *graph.LengthStore, row int) bool {
 	fill := r.plane.FillEpoch(row)
 	parents := r.plane.ParentRow(row)
@@ -495,15 +453,13 @@ func mergePlaneTargets(targets map[graph.NodeID][]graph.NodeID, members []graph.
 	}
 }
 
-// stagePlane runs stage 1 of a batch: under PlaneSubtree, replay the
-// ledger journal once through the plane's inverted edge->rows index
-// (accumulating per-row dirty subtree roots); walk the distinct member
-// sources of the batch's plane-aware oracles (in batch order — canonical row
+// stagePlane runs stage 1 of a batch: walk the distinct member sources of
+// the batch's plane-aware oracles (in batch order — canonical row
 // assignment), classify each stored row — current (skip),
 // subtree-repairable, or needing a full fill — and fan the fills and repairs
-// across the worker pool. Under PlaneFull the index is never maintained and
-// classification falls back to the per-row journal-replay check. No-op when the plane is off or the batch has no
-// plane-aware oracle.
+// across the worker pool. Both persistent modes share one classifier; they
+// differ only in whether a dirty row may take the subtree repair. No-op when
+// the plane is off or the batch has no plane-aware oracle.
 func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 	r.planeLive = false
 	if r.plane == nil {
@@ -517,31 +473,11 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 			r.cache[i] = treeCacheEntry{}
 		}
 		r.lastStore = ls
-		r.walkedTo = ls.Epoch()
 	}
 	r.plane.BeginBatch()
 	cur := ls.Epoch()
 	r.curEpoch = cur
 	r.minLen = ls.MinLengthLB()
-	if r.mode == PlaneSubtree && r.walkedTo < cur {
-		// The per-batch journal walk: fan each touch in (walkedTo, cur]
-		// through the index to the rows whose stored trees use the edge —
-		// O(touched x affected rows) for the whole batch, replacing the old
-		// per-referenced-row journal replay. Rows filled this batch clear
-		// their dirt after the fill, so accumulated dirt always describes
-		// history since the row's last content write.
-		if !ls.ForEachTouched(r.walkedTo, func(e graph.EdgeID) bool {
-			r.plane.MarkTouched(e)
-			return false
-		}) {
-			// The journal window no longer covers the walk position (a fault
-			// burst, or rounds without a staged batch): per-row dirt is
-			// unknowable, so latch every row onto the conservative target-
-			// walk path until its next content write.
-			r.plane.loseAllDirty()
-		}
-		r.walkedTo = cur
-	}
 	requests := 0
 	r.staged = r.staged[:0]
 	for pos := 0; pos < n; pos++ {
@@ -571,33 +507,16 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 	// Classify: current (skip), subtree-repairable, or fill.
 	r.toFill = r.toFill[:0]
 	r.toRepair = r.toRepair[:0]
-	r.repairRoots = r.repairRoots[:0]
 	for _, row32 := range r.staged {
 		row := int(row32)
 		fill := r.plane.FillEpoch(row)
 		if fill < 0 {
-			r.toFill = append(r.toFill, int32(row)) // new this batch
+			r.toFill = append(r.toFill, row32) // new this batch
 			continue
 		}
 		if fill == cur {
 			r.plane.Validate(row)
 			r.metrics.Skipped++
-			continue
-		}
-		if r.mode == PlaneFull {
-			// No index maintained: classify with the pre-index per-row check
-			// (journal replay against the whole stored tree, else the exact
-			// target-path walk). Skip/refill decisions may differ from the
-			// indexed path's, but both only skip provably current content, so
-			// outputs are bitwise identical either way.
-			if r.rowCurrent(ls, row) {
-				r.plane.SetFillEpoch(row, cur)
-				r.plane.Validate(row)
-				r.metrics.Skipped++
-				continue
-			}
-			r.metrics.Repaired++
-			r.toFill = append(r.toFill, int32(row))
 			continue
 		}
 		if !ls.MonotoneSince(fill) {
@@ -608,16 +527,14 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 			// full refill.
 			r.metrics.NonMonotoneRefills++
 			r.metrics.Repaired++
-			r.toFill = append(r.toFill, int32(row))
+			r.toFill = append(r.toFill, row32)
 			continue
 		}
-		if !r.plane.dirtyNew(row) {
-			// No touched edge has entered the row's stored tree since its
-			// last validation (the index walk would have recorded it), so the
-			// whole stored row — or, for a row demoted to serviceable, its
-			// read-visible paths — is bitwise what a recompute would produce.
-			// Epoch advance composes exactly as the old per-row journal
-			// check: (fill,prev] accounted + (prev,cur] clean.
+		if r.treeUntouched(ls, row) {
+			// No touched edge entered the row's stored tree since its fill
+			// epoch, so the whole stored row — or, for a row demoted to
+			// serviceable, its read-visible paths — is bitwise what a
+			// recompute would produce.
 			r.plane.SetFillEpoch(row, cur)
 			r.plane.Validate(row)
 			r.metrics.Skipped++
@@ -625,81 +542,100 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 		}
 		if r.rowServiceable(ls, row) {
 			// Touched tree edges, but none on a stored read path: the row
-			// stays serviceable (unread parts may now be stale, so it is no
-			// longer exact). The walk just verified every read path clean up
-			// to cur, and read paths are a subset of the stored tree the
-			// index watches, so the accounted dirt can be dropped outright:
-			// the row skips in O(1) until MarkTouched records a new touch
-			// inside its stored tree. The walk-skip stays ahead of subtree
-			// repair on purpose — it leaves the row's Dijkstra epoch (and
-			// with it the tree cache) untouched, where a repair would force
-			// downstream tree reassembly for rows whose reads never change.
+			// stays serviceable but is no longer exact. The walk-skip stays
+			// ahead of subtree repair on purpose — it leaves the row's
+			// Dijkstra epoch (and with it the tree cache) untouched, where a
+			// repair would force downstream tree reassembly for rows whose
+			// reads never change.
 			r.plane.SetFillEpoch(row, cur)
 			r.plane.Validate(row)
-			r.plane.setExact(row, false)
-			r.plane.clearDirty(row)
+			r.plane.exact[row] = false
 			r.metrics.Skipped++
 			continue
 		}
-		if r.plane.rowExact(row) && !r.plane.dirtyLost[row] && ls.AllPositive() &&
-			scaleSafe(ls.MinLengthLB(), r.plane.maxDist[row]) {
-			// A read path is dirty, so the row must be recomputed — exactly
-			// where the old classification hit its repair floor with a full
-			// refill. The bit-identity certificate holds (monotone window
-			// checked above, exact content, complete dirty-root set, strictly
+		if r.mode == PlaneSubtree && r.plane.rowExact(row) && ls.AllPositive() &&
+			scaleSafe(r.minLen, r.plane.maxDist[row]) && r.stageRepair(ls, row32) {
+			// A read path is dirty, so the row must be recomputed, and the
+			// bit-identity certificate holds (monotone window checked above,
+			// exact content, dirty roots the journal still covers, strictly
 			// positive lengths, and lengths large enough relative to the
 			// row's distances that every relaxation strictly grows its float
 			// key — without that an underflowing length behaves like a
 			// zero-length edge and ties can flip): resume Dijkstra over just
 			// the dirty subtrees. Epochs advance now so decideTreeCache sees
 			// the recompute; the repair itself runs with the fills.
-			r.toRepair = append(r.toRepair, int32(row))
-			r.repairRoots = append(r.repairRoots, r.plane.dirtyRoots[row])
 			r.plane.SetFillEpoch(row, cur)
 			r.plane.SetDijkstraEpoch(row, cur)
 			continue
 		}
 		r.metrics.Repaired++
-		r.toFill = append(r.toFill, int32(row))
+		r.toFill = append(r.toFill, row32)
 	}
 	nf, nr := len(r.toFill), len(r.toRepair)
 	r.metrics.Sources += nf + nr
-	for _, row := range r.toFill {
-		r.plane.SetFillEpoch(int(row), cur)
-		r.plane.SetDijkstraEpoch(int(row), cur)
+	for _, row32 := range r.toFill {
+		row := int(row32)
+		r.plane.SetFillEpoch(row, cur)
+		r.plane.SetDijkstraEpoch(row, cur)
+		r.plane.exact[row] = true
 	}
 	r.decideTreeCache(n)
 	if nf+nr == 0 {
 		return
 	}
-	for len(r.repairOut) < nr {
-		r.repairOut = append(r.repairOut, nil)
-		r.repairOK = append(r.repairOK, false)
-	}
 	r.fanOut(nf+nr, true)
-	// Post-barrier bookkeeping, single-writer again: fold repair outcomes
-	// into the metrics, register the rewritten parent edges in the index, and
-	// reset consumed dirt (every row below just became exact content).
-	for _, row := range r.toFill {
-		r.plane.clearDirty(int(row))
-		r.plane.setExact(int(row), true)
-		r.plane.indexRow(int(row))
-	}
-	for k, row32 := range r.toRepair {
-		row := int(row32)
+	// Post-barrier, single-writer again: fold the repair outcomes into the
+	// metrics. Every repaired row stays exact, whether the subtree path held
+	// or RepairRow fell back to a refill.
+	for k := range r.toRepair {
 		if r.repairOK[k] {
 			r.metrics.SubtreeRepaired++
 			r.metrics.SubtreeNodes += len(r.repairOut[k])
-			r.plane.indexNodes(row, r.repairOut[k])
 		} else {
 			// The subtree path bailed (oversized S or a defensive invariant
 			// miss) and RepairRow ran the fallback refill.
 			r.metrics.Repaired++
-			r.plane.indexRow(row)
 		}
-		r.plane.clearDirty(row)
-		r.plane.setExact(row, true)
 	}
+}
+
+// stageRepair replays the ledger journal since row's fill epoch into the
+// next repair slot, collecting the child endpoint of every touched edge of
+// the row's stored parent tree — the subtree roots routing.RepairSubtreesInto
+// resettles — and queues the row for repair. Each edge counts once, at its
+// last touch (LastTouched), so repeated bumps add no duplicates. It reports
+// false, and the row must refill, when the journal no longer covers the
+// window or the roots alone already exceed the repair's own two-thirds size
+// bail (the replay stops there). Slots keep their buffers across batches.
+func (r *BatchRunner) stageRepair(ls *graph.LengthStore, row32 int32) bool {
+	k := len(r.toRepair)
+	if k == len(r.repairRoots) {
+		r.repairRoots = append(r.repairRoots, nil)
+		r.repairOut = append(r.repairOut, nil)
+		r.repairOK = append(r.repairOK, false)
+	}
+	epoch := r.plane.FillEpoch(int(row32)) // advanced to each replayed entry's epoch
+	parents := r.plane.ParentRow(int(row32))
+	limit := 2 * len(parents) / 3
+	roots := r.repairRoots[k][:0]
+	covered := ls.ForEachTouched(epoch, func(e graph.EdgeID) bool {
+		epoch++
+		if ls.LastTouched(e) != epoch {
+			return false
+		}
+		if edge := r.g.Edges[e]; parents[edge.U] == e {
+			roots = append(roots, edge.U)
+		} else if parents[edge.V] == e {
+			roots = append(roots, edge.V)
+		}
+		return len(roots) > limit
+	})
+	r.repairRoots[k] = roots
+	if !covered || len(roots) > limit {
+		return false
+	}
+	r.toRepair = append(r.toRepair, row32)
+	return true
 }
 
 // decideTreeCache precomputes, per batch slot, whether the oracle's cached

@@ -66,14 +66,12 @@ type Plane struct {
 	refStamp []uint32
 	stamp    uint32
 
-	// Inverted edge->rows index and the per-row dirt/exactness state it
-	// feeds (see plane_index.go); idx is nil until EnableIndex. exact,
-	// dirtyRoots and dirtyLost are maintained unconditionally
-	// (they are cheap) but only consulted by index-driven classification.
-	idx        *planeIndex
-	exact      []bool
-	dirtyRoots [][]graph.NodeID
-	dirtyLost  []bool
+	// exact[row] reports whether the row's stored content is exactly what a
+	// fresh fill would produce: true after every content write, false once a
+	// read-path skip left unread parts of the row stale. Subtree repair seeds
+	// its resumed heap from the row's frontier distances, so the batch driver
+	// only repairs exact rows.
+	exact []bool
 	// maxDist[row] is the largest finite stored distance in the row (0 when
 	// nothing reachable), maintained by every content write. It is the row
 	// side of the subtree-repair scale-separation certificate: repair is
@@ -93,21 +91,12 @@ func NewPlane(g *graph.Graph) *Plane {
 	return &Plane{g: g, rowOf: rowOf, stamp: 1}
 }
 
-// Reset forgets every staged source, keeping row storage for reuse. With the
-// inverted index enabled it additionally drops every index entry — row slots
-// are reused across cycles, so a leftover entry could self-validate against a
-// re-staged row's stale parent array. That makes Reset O(edges) instead of
-// O(staged sources) for index-enabled planes; the only indexed consumer (the
-// batch runner) resets solely on a ledger swap, where a full reclassification
-// is due anyway.
+// Reset forgets every staged source, keeping row storage for reuse.
 func (p *Plane) Reset() {
 	for _, s := range p.sources {
 		p.rowOf[s] = -1
 	}
 	p.sources = p.sources[:0]
-	if p.idx != nil {
-		p.idx.clear()
-	}
 }
 
 // BeginBatch opens a new validation stamp: rows validated before this call
@@ -142,8 +131,6 @@ func (p *Plane) Stage(src graph.NodeID) bool {
 		p.valid = append(p.valid, 0)
 		p.refStamp = append(p.refStamp, 0)
 		p.exact = append(p.exact, false)
-		p.dirtyRoots = append(p.dirtyRoots, nil)
-		p.dirtyLost = append(p.dirtyLost, false)
 		p.maxDist = append(p.maxDist, 0)
 	}
 	p.rowOf[src] = int32(row)
@@ -153,8 +140,6 @@ func (p *Plane) Stage(src graph.NodeID) bool {
 	p.valid[row] = 0
 	p.refStamp[row] = p.stamp
 	p.exact[row] = false
-	p.dirtyRoots[row] = p.dirtyRoots[row][:0]
-	p.dirtyLost[row] = false
 	p.maxDist[row] = 0
 	return true
 }
@@ -211,6 +196,10 @@ func (p *Plane) Validate(row int) { p.valid[row] = p.stamp }
 // is plane-owned and must not be mutated.
 func (p *Plane) ParentRow(row int) []graph.EdgeID { return p.parents[row] }
 
+// rowExact reports whether row's stored content is exactly what a fresh fill
+// would produce (see Plane.exact).
+func (p *Plane) rowExact(row int) bool { return p.exact[row] }
+
 // FillRow computes row's SSSP arrays under d with sp's pooled heap and marks
 // the row valid for the current stamp. Distinct rows may be filled
 // concurrently (each touches only its own arrays); sp must be private to the
@@ -238,15 +227,15 @@ func maxFiniteDist(dist []float64) float64 {
 
 // RepairRow incrementally repairs row's stored SSSP arrays under d by
 // resuming Dijkstra over the stored subtrees below roots
-// (routing.RepairSubtreesInto — the batch driver supplies the pending dirty
-// roots and certifies the bit-identity preconditions), falling back to a full
-// FillRow when the repair bails. minLen is the ledger's MinLengthLB: the
-// driver gates repair on the scale-separation certificate against the
-// distances the row held *before* the repair, but resettled subtrees only
-// grow, so the certificate is re-checked here against the post-repair
-// distances and the fallback refill runs if the grown row broke it. Either
-// way the row ends valid for the current stamp and bitwise identical to a
-// fresh fill. It returns the repaired node set appended to out and whether
+// (routing.RepairSubtreesInto — the batch driver supplies the dirty roots,
+// read from the ledger journal, and certifies the bit-identity
+// preconditions), falling back to a full FillRow when the repair bails.
+// minLen is the ledger's MinLengthLB: the driver gates repair on the
+// scale-separation certificate against the distances the row held *before*
+// the repair, but resettled subtrees only grow, so the certificate is
+// re-checked here against the post-repair distances and the fallback refill
+// runs if the grown row broke it. Either way the row ends valid for the
+// current stamp and bitwise identical to a fresh fill. It returns the repaired node set appended to out and whether
 // the subtree path succeeded (false = the fallback refill ran). Concurrency
 // contract is FillRow's: distinct rows may repair concurrently, sp must be
 // goroutine-private.

@@ -15,15 +15,15 @@ const (
 	// cross-round dirty-source repair: rows persist across batches, rows
 	// whose stored trees took no touched edge are skipped, and rows with a
 	// dirty read path are repaired by resuming Dijkstra over only the
-	// affected subtrees (routing.RepairSubtreesInto) whenever the
-	// bit-identity certificate holds, falling back to a full refill
-	// otherwise. An inverted edge->rows index drives the classification.
+	// affected subtrees (routing.RepairSubtreesInto, rooted below the
+	// touched tree edges the ledger journal names) whenever the bit-identity
+	// certificate holds, falling back to a full refill otherwise.
 	PlaneSubtree PlaneMode = iota
-	// PlaneFull keeps the persistent plane and its skip decisions but
-	// refills every dirty row in full, classifying rows by replaying the
-	// ledger journal against each row's stored tree instead of maintaining
-	// the inverted index. Cheaper than PlaneSubtree on small instances,
-	// where index upkeep outweighs the Dijkstra work it saves.
+	// PlaneFull keeps the persistent plane and the same classifier, but
+	// refills every dirty row in full. Faster than PlaneSubtree on instances
+	// of at most about 100 nodes, where a whole-row Dijkstra costs little
+	// more than a repair attempt (root replay, subtree walk, frontier
+	// seeding) and attempts that bail pay for both.
 	PlaneFull
 	// PlaneOff disables the plane: every oracle runs its own per-member
 	// Dijkstras. The reference the other modes are diffed against.

@@ -100,7 +100,7 @@ func TestRepairLedgerSwapInvalidates(t *testing.T) {
 // TestRepairRoundAllocs is the allocation gate for the repair hot path:
 // under the same bump-one-tree round pattern, rounds in either
 // persistent-plane mode must allocate no more than plane-off rounds do — the
-// dirty checks, index upkeep, skip bookkeeping, and tree cache all run on
+// dirty checks, journal replays, skip bookkeeping, and tree cache all run on
 // pooled state.
 func TestRepairRoundAllocs(t *testing.T) {
 	g, oracles := arbBatchFixture(t, 6)

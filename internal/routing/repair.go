@@ -13,11 +13,11 @@ import "overcast/internal/graph"
 // fresh run, the heap holds only S nodes, and relaxations out of S pops are
 // gated to unsettled S targets — so the whole repair costs
 // O(|S| log |S| + Σ_{v∈S} deg(v)) instead of resuming over the frontier. It
-// returns the nodes of S appended to out (for the caller's inverted-index
-// maintenance and metrics) and ok=false when the repair bailed — S larger
-// than half the graph (a full refill is cheaper and the caller must run
-// one), or a defensive invariant miss — in which case dist/parent may be
-// partially overwritten and MUST be refilled from scratch.
+// returns the nodes of S appended to out (for the caller's metrics) and
+// ok=false when the repair bailed — S larger than two thirds of the graph's
+// nodes (a full refill is cheaper and the caller must run one), or a
+// defensive invariant miss — in which case dist/parent may be partially
+// overwritten and MUST be refilled from scratch.
 //
 // Bit-identity contract: when (a) every mutation since the stored fill was a
 // monotone growth (graph.LengthStore.MonotoneSince), (b) roots cover every

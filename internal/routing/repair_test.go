@@ -21,8 +21,8 @@ func repairFixture(t *testing.T, n int, seed int64) (*graph.Graph, *rand.Rand) {
 }
 
 // dirtyRootsOf returns the children under every edge of the stored tree whose
-// length differs between dOld and dNew — the exact root set the batch
-// driver's inverted index accumulates.
+// length differs between dOld and dNew — the root set the batch driver reads
+// from the ledger journal.
 func dirtyRootsOf(g *graph.Graph, parent []graph.EdgeID, dOld, dNew graph.Lengths) []graph.NodeID {
 	var roots []graph.NodeID
 	for v, e := range parent {
@@ -236,4 +236,119 @@ func TestRepairSubtreesUnderflowBails(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzRepairLengths is the small positive length set FuzzRepairSubtrees draws
+// from: few distinct values, so equal-key ties are common.
+var fuzzRepairLengths = [...]float64{0.5, 1, 1, 1.5, 2, 3}
+
+// fuzzRepairMaxBumps caps the bumps per input, so lengths stay finite.
+const fuzzRepairMaxBumps = 64
+
+// repairFuzzInput encodes one FuzzRepairSubtrees input: the source, one
+// length-set index per edge, then (edge, factor) bump pairs.
+func repairFuzzInput(src byte, lengths []byte, bumps ...byte) []byte {
+	return append(append([]byte{src}, lengths...), bumps...)
+}
+
+// FuzzRepairSubtrees checks the repair kernel against a fresh Dijkstra on a
+// small Waxman graph. The input picks a source and each edge's length from
+// fuzzRepairLengths (missing bytes leave length 1), fills the row, then
+// applies monotone bumps through a LengthStore: each pair names an edge and a
+// factor in (1, 2]. The roots are the child endpoints of the touched
+// stored-tree edges, read from the journal as the plane's classifier does,
+// and inputs failing the plane's certificate (AllPositive, scale separation)
+// are skipped. Whenever RepairSubtreesInto reports ok, the row must equal a
+// fresh ShortestPathsInto bitwise.
+func FuzzRepairSubtrees(f *testing.F) {
+	net, err := topology.Waxman(topology.DefaultWaxman(24), rng.New(3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	g := net.Graph
+	m := g.NumEdges()
+	// Seeds replay the shapes of the property tests above: the GK-style
+	// random growths of TestRepairSubtreesBitIdentical (seed 11) and the
+	// exact doublings of TestRepairSubtreesAdversarialTies (seed 23).
+	f.Add([]byte{})
+	f.Add(repairFuzzInput(0, make([]byte, m), 0, 255))
+	for _, seed := range []int64{11, 23} {
+		rnd := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 4; trial++ {
+			lengths := make([]byte, m)
+			for e := range lengths {
+				lengths[e] = byte(rnd.Intn(len(fuzzRepairLengths)))
+			}
+			var bumps []byte
+			for j := 0; j < 1+rnd.Intn(6); j++ {
+				factor := byte(255) // exactly 2
+				if seed == 11 {
+					factor = byte(rnd.Intn(103)) // up to 1.4
+				}
+				bumps = append(bumps, byte(rnd.Intn(m)), factor)
+			}
+			f.Add(repairFuzzInput(byte(rnd.Intn(g.NumNodes())), lengths, bumps...))
+		}
+	}
+	n := g.NumNodes()
+	sp := NewDijkstraScratch(g)
+	fresh := NewDijkstraScratch(g)
+	dist := make([]float64, n)
+	parent := make([]graph.EdgeID, n)
+	wantDist := make([]float64, n)
+	wantParent := make([]graph.EdgeID, n)
+	var roots []graph.NodeID
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		src := graph.NodeID(int(data[0]) % n)
+		data = data[1:]
+		d := graph.NewLengths(g, 1)
+		for e := range d {
+			if e < len(data) {
+				d[e] = fuzzRepairLengths[int(data[e])%len(fuzzRepairLengths)]
+			}
+		}
+		data = data[min(m, len(data)):]
+		ls := graph.NewLengthStoreFrom(d)
+		sp.ShortestPathsInto(g, src, ls.Values(), dist, parent)
+		fill := ls.Epoch()
+		for j := 0; j+1 < len(data) && j < 2*fuzzRepairMaxBumps; j += 2 {
+			ls.Bump(graph.EdgeID(int(data[j])%m), 1+(float64(data[j+1])+1)/256)
+		}
+		fresh.ShortestPathsInto(g, src, ls.Values(), wantDist, wantParent)
+		if !ls.AllPositive() || !(ls.MinLengthLB() > max(maxFinite(dist), maxFinite(wantDist))*0x1p-50) {
+			return
+		}
+		roots = roots[:0]
+		ls.ForEachTouched(fill, func(e graph.EdgeID) bool {
+			if edge := g.Edges[e]; parent[edge.U] == e {
+				roots = append(roots, edge.U)
+			} else if parent[edge.V] == e {
+				roots = append(roots, edge.V)
+			}
+			return false
+		})
+		if _, ok := sp.RepairSubtreesInto(g, src, ls.Values(), dist, parent, roots, nil); !ok {
+			return
+		}
+		for v := 0; v < n; v++ {
+			if math.Float64bits(dist[v]) != math.Float64bits(wantDist[v]) || parent[v] != wantParent[v] {
+				t.Fatalf("src %d node %d: repaired (%.17g, %d) vs fresh (%.17g, %d)",
+					src, v, dist[v], parent[v], wantDist[v], wantParent[v])
+			}
+		}
+	})
+}
+
+// maxFinite returns the largest reachable distance in dist (0 when none).
+func maxFinite(dist []float64) float64 {
+	m := 0.0
+	for _, v := range dist {
+		if v > m && v < 1e308 {
+			m = v
+		}
+	}
+	return m
 }
