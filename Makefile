@@ -23,11 +23,12 @@ race:
 	$(GO) test -race -timeout 1800s ./internal/core/... ./internal/overlay/... ./internal/sim/... ./internal/admin/... .
 
 # Native fuzzing, 60 s per target, as in the CI test job: the Dijkstra heap
-# against its brute-force model, then subtree repair against a fresh
-# Dijkstra.
+# against its brute-force model, subtree repair against a fresh Dijkstra,
+# then the length ledger against a brute-force history model.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexedHeap$$' -fuzztime 60s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzRepairSubtrees$$' -fuzztime 60s ./internal/routing
+	$(GO) test -run '^$$' -fuzz '^FuzzLengthStore$$' -fuzztime 60s ./internal/graph
 
 fmt:
 	gofmt -w .
@@ -52,12 +53,11 @@ api-write:
 
 # Determinism gate (the CI "Determinism gate" job runs exactly this): solver
 # outputs must be a bit-identical function of the seed, never of the worker
-# count, goroutine scheduling or the SSSP plane mode. Nine detdump runs —
+# count, goroutine scheduling or the SSSP plane mode. Seven detdump runs —
 # workers 1/2/8 plus a second 8-worker run in the default subtree mode,
-# -plane full at workers 1 and 8, -plane off at workers 1/2/8 — each diffed
-# against the -workers 1 run. One run takes about 1.5 min on 2 cores.
+# -plane off at workers 1/2/8 — each diffed against the -workers 1 run. One
+# run takes about 1.5 min on 2 cores.
 DETDUMP_DIFFS = detdump-w2.txt detdump-w8.txt detdump-w8-again.txt \
-	detdump-w1-full.txt detdump-w8-full.txt \
 	detdump-w1-off.txt detdump-w2-off.txt detdump-w8-off.txt
 
 determinism:
@@ -65,13 +65,11 @@ determinism:
 	$(GO) run ./cmd/detdump -workers 2 > detdump-w2.txt
 	$(GO) run ./cmd/detdump -workers 8 > detdump-w8.txt
 	$(GO) run ./cmd/detdump -workers 8 > detdump-w8-again.txt
-	$(GO) run ./cmd/detdump -workers 1 -plane full > detdump-w1-full.txt
-	$(GO) run ./cmd/detdump -workers 8 -plane full > detdump-w8-full.txt
 	$(GO) run ./cmd/detdump -workers 1 -plane off > detdump-w1-off.txt
 	$(GO) run ./cmd/detdump -workers 2 -plane off > detdump-w2-off.txt
 	$(GO) run ./cmd/detdump -workers 8 -plane off > detdump-w8-off.txt
 	for f in $(DETDUMP_DIFFS); do diff -u detdump-w1.txt "$$f" || exit 1; done
-	@echo "determinism gate passed: $$(wc -l < detdump-w1.txt) fingerprint lines identical across workers 1/2/8 x plane subtree/full/off (9 runs)"
+	@echo "determinism gate passed: $$(wc -l < detdump-w1.txt) fingerprint lines identical across workers 1/2/8 x plane subtree/off (7 runs)"
 
 # Full benchmark suite (paper tables/figures + scale tier).
 bench:

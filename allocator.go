@@ -30,19 +30,17 @@ func (id SessionID) String() string {
 }
 
 // PlaneMode selects how the solvers share per-member shortest-path work
-// across sessions: PlaneSubtree (the default), PlaneFull or PlaneOff.
-// Outputs are bit-identical in every mode. It implements flag.Value with the
-// spellings subtree, full and off.
+// across sessions: PlaneSubtree (the default) or PlaneOff. Outputs are
+// bit-identical in both modes. It implements flag.Value with the spellings
+// subtree and off.
 type PlaneMode = overlay.PlaneMode
 
 // The plane modes; see overlay.PlaneMode for what each one does.
 const (
-	// PlaneSubtree keeps a persistent shortest-path plane and repairs only
-	// the affected subtrees of a row whose stored paths were touched.
+	// PlaneSubtree keeps a persistent shortest-path plane; a row whose
+	// stored paths were touched is repaired over the affected subtrees or
+	// refilled, whichever the plane's recent repair outcomes favor.
 	PlaneSubtree = overlay.PlaneSubtree
-	// PlaneFull keeps the persistent plane but refills a touched row in
-	// full; it wins on small (≤100-node) instances.
-	PlaneFull = overlay.PlaneFull
 	// PlaneOff runs every session's own Dijkstras (the reference mode).
 	PlaneOff = overlay.PlaneOff
 )

@@ -299,7 +299,7 @@ func TestPlaneModeValidation(t *testing.T) {
 		ok       bool
 	}{
 		{"subtree", overcast.PlaneSubtree, true},
-		{"full", overcast.PlaneFull, true},
+		{"full", 0, false}, // retired: the plane chooses repair or refill itself
 		{"off", overcast.PlaneOff, true},
 		{"repair", 0, false},
 		{"Subtree", 0, false},

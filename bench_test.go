@@ -764,32 +764,21 @@ func BenchmarkFaultChurn(b *testing.B) {
 //
 // The BenchmarkScalePlaneRepair* benches measure the length-ledger-driven
 // cross-round dirty-source repair: the solve-scoped plane keeps its SSSP
-// rows alive between batches and refills only sources whose read paths
-// intersect the edges the ledger journaled since the row was filled. The
-// subtree/full pairs solve identical instances to bit-identical outputs
-// (the determinism gate pins this), so the ns/op ratio is a pure measure of
-// the Dijkstra work subtree repair avoids over whole-row refills; the effect
-// is algorithmic, so it shows on any core count. Plane-off comparisons live
-// in BenchmarkScaleZipfHotPlane.
+// rows alive between batches and recomputes only sources whose read paths
+// intersect the edges the ledger journaled since the row was filled, each
+// by subtree repair or full refill as the plane's recent repair outcomes
+// choose. The sub-benchmarks keep their repair=subtree names so the
+// recorded BENCH_scale.json rows stay comparable. Plane-off comparisons
+// live in BenchmarkScaleZipfHotPlane.
 
-// planeRepairModes are the persistent-plane modes the repair sweeps compare,
-// by sub-benchmark name.
-var planeRepairModes = []string{"subtree", "full"}
-
-// benchPlaneRepair runs one scenario at one plane mode: "full" (dirty rows
-// refill whole) or "subtree" (dirty rows resume Dijkstra over the dirty
-// subtrees when the exactness + scale-separation certificate holds). Both
-// modes solve bit-identical outputs, so the ns/op ratio isolates the avoided
-// work.
-func benchPlaneRepair(b *testing.B, scenario string, degree int, mode string) {
+// benchPlaneRepair runs one 200-node MaxFlow scenario, where most subtree
+// repairs succeed, so the plane must keep taking them.
+func benchPlaneRepair(b *testing.B, scenario string, degree int) {
 	b.Helper()
 	si := scaleInstance(b, experiments.ScaleConfig{
 		Nodes: 200, Sessions: 48, Degree: degree, Scenario: scenario, Arbitrary: true,
 	})
 	opts := core.MaxFlowOptions{Epsilon: 0.35}
-	if err := opts.Plane.Set(mode); err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -803,73 +792,64 @@ func benchPlaneRepair(b *testing.B, scenario string, degree int, mode string) {
 		if sol.Plane.Skipped == 0 {
 			b.Fatal("repair never skipped a refill")
 		}
-		if subtree := sol.Plane.SubtreeRepaired; (opts.Plane == overlay.PlaneSubtree) != (subtree > 0) {
-			b.Fatalf("plane=%v: %d subtree repairs (%+v)", opts.Plane, subtree, sol.Plane)
+		if sol.Plane.SubtreeRepaired == 0 {
+			b.Fatalf("no subtree repairs (%+v)", sol.Plane)
 		}
 	}
 }
 
-// BenchmarkScalePlaneRepairCDN sweeps subtree vs full-refill repair over the
-// Zipf-hot cdn mix (48 arbitrary-routing sessions, degree-4 fabric) — the
-// acceptance instance for dirty-source repair. Degree 4 because the skip
-// probability decays like exp(-touched x read-path edges / |E|): the denser
-// fabric shortens member paths and grows |E|, which is exactly the regime
+// BenchmarkScalePlaneRepairCDN runs dirty-source repair over the Zipf-hot
+// cdn mix (48 arbitrary-routing sessions, degree-4 fabric) — the acceptance
+// instance for dirty-source repair. Degree 4 because the skip probability
+// decays like exp(-touched x read-path edges / |E|): the denser fabric
+// shortens member paths and grows |E|, which is exactly the regime
 // row-granular repair targets.
 func BenchmarkScalePlaneRepairCDN(b *testing.B) {
-	for _, mode := range planeRepairModes {
-		b.Run("repair="+mode, func(b *testing.B) {
-			benchPlaneRepair(b, "cdn", 4, mode)
-		})
-	}
+	b.Run("repair=subtree", func(b *testing.B) {
+		benchPlaneRepair(b, "cdn", 4)
+	})
 }
 
-// BenchmarkScalePlaneRepairLivestream sweeps both repair modes over the
+// BenchmarkScalePlaneRepairLivestream runs dirty-source repair over the
 // livestream mix: huge sessions whose member paths blanket the topology, the
 // documented worst case for *row-granular* repair — nearly every row has a
-// dirty read path, so mode "full" refills almost everything. Subtree repair
-// is built to break exactly this floor: a dirty read path usually means a
-// few touched tree edges whose subtrees cover a small fraction of the row,
-// so "subtree" resettles that fraction instead of the whole row.
+// dirty read path. Subtree repair is built for exactly this floor: a dirty
+// read path usually means a few touched tree edges whose subtrees cover a
+// small fraction of the row, so a repair resettles that fraction instead of
+// the whole row.
 func BenchmarkScalePlaneRepairLivestream(b *testing.B) {
-	for _, mode := range planeRepairModes {
-		b.Run("repair="+mode, func(b *testing.B) {
-			benchPlaneRepair(b, "livestream", 3, mode)
-		})
-	}
+	b.Run("repair=subtree", func(b *testing.B) {
+		benchPlaneRepair(b, "livestream", 3)
+	})
 }
 
 // BenchmarkScalePlaneRepairMCF10k runs the 10,000-node arbitrary-routing
-// MCF in both repair modes: every beta prestep subproblem and the phase
-// loop repair their own planes across rounds (Skipped). The heaviest tier
-// configuration, so it skips under -short like the other 10k benches; run
-// it via `make bench-scale` without BENCHFLAGS overrides.
+// MCF: every beta prestep subproblem and the phase loop repair their own
+// planes across rounds (Skipped). The heaviest tier configuration, so it
+// skips under -short like the other 10k benches; run it via
+// `make bench-scale` without BENCHFLAGS overrides.
 func BenchmarkScalePlaneRepairMCF10k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("heavy scale benchmark skipped in -short mode")
 	}
-	for _, mode := range planeRepairModes {
-		b.Run("repair="+mode, func(b *testing.B) {
-			si := scaleInstance(b, experiments.ScaleConfig{
-				Nodes: 10000, Sessions: 8, Degree: 3, Scenario: "cdn", Arbitrary: true,
-			})
-			opts := core.MaxConcurrentFlowOptions{Epsilon: 0.5}
-			if err := opts.Plane.Set(mode); err != nil {
+	b.Run("repair=subtree", func(b *testing.B) {
+		si := scaleInstance(b, experiments.ScaleConfig{
+			Nodes: 10000, Sessions: 8, Degree: 3, Scenario: "cdn", Arbitrary: true,
+		})
+		opts := core.MaxConcurrentFlowOptions{Epsilon: 0.5}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := core.MaxConcurrentFlow(si.Problem, opts)
+			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := core.MaxConcurrentFlow(si.Problem, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Lambda <= 0 {
-					b.Fatalf("lambda %v", res.Lambda)
-				}
-				if res.PrestepPlane.Skipped == 0 {
-					b.Fatalf("prestep repair never fired: %+v", res.PrestepPlane)
-				}
+			if res.Lambda <= 0 {
+				b.Fatalf("lambda %v", res.Lambda)
 			}
-		})
-	}
+			if res.PrestepPlane.Skipped == 0 {
+				b.Fatalf("prestep repair never fired: %+v", res.PrestepPlane)
+			}
+		}
+	})
 }

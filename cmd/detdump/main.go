@@ -1,8 +1,8 @@
 // Command detdump prints a full-precision fingerprint of solver outputs on
 // deterministic instances, used to verify that refactors keep solutions
 // bit-identical for fixed seeds. The CI determinism gate runs it at worker
-// counts 1, 2, and 8 (-workers) in every shared SSSP plane mode (-plane
-// subtree|full|off) and diffs the outputs: solver results must be a
+// counts 1, 2, and 8 (-workers) in both shared SSSP plane modes (-plane
+// subtree|off) and diffs the outputs: solver results must be a
 // function of the seed only, never of the worker-pool size, goroutine
 // scheduling, whether per-member Dijkstras were batched on the plane, or
 // whether ledger-clean plane rows were skipped, subtree-repaired or

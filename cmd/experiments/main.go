@@ -5,7 +5,7 @@
 //
 //	experiments [-scale small|paper|large] [-seed N] [-trials N] [-maxpts N]
 //	            [-nodes N -sessions K -sessionsize S] [-scenario names]
-//	            [-workers W] [-plane subtree|full|off] [exp ...]
+//	            [-workers W] [-plane subtree|off] [exp ...]
 //
 // where each exp is one of table2, fig2, table4, fig3, fig4, fig5, fig6,
 // table7, fig7, table8, fig8, fig9, fig10, fig11, fig12, fig13, fig14,
@@ -18,9 +18,10 @@
 // except in the Setting A/B sweep tiers, which already parallelize across
 // rows/cells/trials and run 0 as sequential solves). Solver outputs are bit-identical
 // for every worker count — the knob moves wall-clock only. -plane selects
-// the shared SSSP plane mode: subtree (the default), full (refill dirty rows
-// whole) or off (outputs are mode-independent too; scale/churn rows print the
-// plane's dedup factor and repair skip rate when they fired).
+// the shared SSSP plane mode: subtree (the default; the plane repairs or
+// refills dirty rows as its repair outcomes favor) or off (outputs are
+// mode-independent too; scale/churn rows print the plane's dedup factor and
+// repair skip rate when they fired).
 //
 // The report experiment prints the per-scenario MF-vs-MCF comparison table
 // (overall throughput, demand-satisfaction floor, mean link utilization,

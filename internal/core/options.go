@@ -23,5 +23,5 @@ type SolverOptions struct {
 // command that exposes the solver knobs shares.
 func (o *SolverOptions) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.Workers, "workers", o.Workers, "oracle worker-pool size (0 = GOMAXPROCS); outputs are worker-count independent")
-	fs.Var(&o.Plane, "plane", "shared SSSP plane mode: subtree, full or off; outputs are mode independent")
+	fs.Var(&o.Plane, "plane", "shared SSSP plane mode: subtree or off; outputs are mode independent")
 }

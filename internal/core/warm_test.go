@@ -244,7 +244,7 @@ func TestWarmDeterministicAcrossWorkersAndPlane(t *testing.T) {
 	want := run(core.SolverOptions{Workers: 1})
 	for _, solver := range []core.SolverOptions{
 		{Workers: 2}, {Workers: 8}, {Workers: 1, Plane: overlay.PlaneOff},
-		{Workers: 2, Plane: overlay.PlaneFull}, {Workers: 2, Plane: overlay.PlaneOff},
+		{Workers: 2, Plane: overlay.PlaneOff},
 	} {
 		if got := run(solver); got != want {
 			t.Fatalf("workers=%d plane=%v diverged:\n%s\nvs\n%s", solver.Workers, solver.Plane, got, want)

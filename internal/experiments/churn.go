@@ -146,7 +146,7 @@ func ChurnRun(seed uint64, cfg ChurnConfig) (*ChurnReport, error) {
 	// so the trace-wide member union's weighted Dijkstra trees are computed
 	// once on a shared SSSP plane and each session's table is assembled from
 	// plane rows — sessions sharing Zipf-hot members stop recomputing each
-	// other's trees. Plane rows are read-only after Fill, so the assembly
+	// other's trees. Plane rows are read-only once filled, so the assembly
 	// fan-out below may read them concurrently. Arbitrary mode prefabricates
 	// no route tables at all (the dynamic oracle routes under the
 	// allocator's lengths).
@@ -168,7 +168,9 @@ func ChurnRun(seed uint64, cfg ChurnConfig) (*ChurnReport, error) {
 				plane.Stage(m)
 			}
 		}
-		plane.Fill(delays, workers)
+		core.ParallelFor(workers, plane.NumSources(), func(row int) {
+			plane.FillRow(row, delays, routing.NewDijkstraScratch(net.Graph))
+		})
 		planeMetrics = overlay.PlaneStats{Rounds: 1, Sources: plane.NumSources(), Requests: requests}
 	}
 	core.ParallelFor(workers, len(trace.Sessions), func(i int) {

@@ -8,62 +8,73 @@ import (
 )
 
 // TestFaultSolveBitIdenticalAcrossToggles is the tentpole acceptance gate at
-// the runner layer: one fault scenario (link-down, recovery shrink, drift,
+// the runner layer: each fault scenario (link-down, recovery shrink, drift,
 // and a journal-flooding fault storm) replayed across workers x plane modes
 // must produce bit-identical output fingerprints, while the robustness
 // counters prove the degradation paths actually ran — non-monotone plane
-// refills whenever the plane is on, subtree repairs only under PlaneSubtree.
+// refills whenever the plane is on. The 48-node instance bumps every
+// session's tree every round, so most subtree repairs bail there and the
+// plane rightly stops trying them; the single-session instance bumps one
+// tree per round (the MaxFlow shape), where repairs pay and must run.
 func TestFaultSolveBitIdenticalAcrossToggles(t *testing.T) {
-	base := FaultSolveConfig{
-		Nodes: 48, Sessions: 4, SessionSize: 4, TwoLevelASes: 4,
-		Rounds: 8, FailRound: 2, RecoverRound: 4, DriftRound: 5,
-		FaultStorm: true,
-	}
-	want := ""
-	wantEvents := 0
-	for _, w := range []int{1, 2, 8} {
-		for _, plane := range []overlay.PlaneMode{overlay.PlaneSubtree, overlay.PlaneFull, overlay.PlaneOff} {
-			cfg := base
-			cfg.Workers, cfg.Plane = w, plane
-			label := fmt.Sprintf("w%d_plane-%v", w, plane)
-			rep, err := FaultSolveRun(11, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if want == "" {
-				want, wantEvents = rep.Fingerprint, rep.UnderlayEvents
-			}
-			if rep.Fingerprint != want {
-				t.Fatalf("%s: fingerprint %s, want %s — fault replay is mode-dependent", label, rep.Fingerprint, want)
-			}
-			if rep.UnderlayEvents != wantEvents {
-				t.Fatalf("%s: %d underlay events, want %d", label, rep.UnderlayEvents, wantEvents)
-			}
-			m := rep.Plane
-			switch plane {
-			case overlay.PlaneOff:
-				if m != (overlay.PlaneStats{}) {
-					t.Fatalf("%s: plane off but counters %+v", label, m)
+	for _, tc := range []struct {
+		cfg         FaultSolveConfig
+		wantSubtree bool
+	}{
+		{FaultSolveConfig{
+			Nodes: 48, Sessions: 4, SessionSize: 4, TwoLevelASes: 4,
+			Rounds: 8, FailRound: 2, RecoverRound: 4, DriftRound: 5,
+			FaultStorm: true,
+		}, false},
+		{FaultSolveConfig{
+			Nodes: 96, Sessions: 1, SessionSize: 6, TwoLevelASes: 4,
+			Rounds: 10, FailRound: 2, RecoverRound: 4, DriftRound: 5,
+			FaultStorm: true,
+		}, true},
+	} {
+		want := ""
+		wantEvents := 0
+		for _, w := range []int{1, 2, 8} {
+			for _, plane := range []overlay.PlaneMode{overlay.PlaneSubtree, overlay.PlaneOff} {
+				cfg := tc.cfg
+				cfg.Workers, cfg.Plane = w, plane
+				label := fmt.Sprintf("n%d_w%d_plane-%v", cfg.Nodes, w, plane)
+				rep, err := FaultSolveRun(11, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-				continue
-			case overlay.PlaneSubtree:
-				if m.Skipped == 0 || m.SubtreeRepaired == 0 {
-					t.Fatalf("%s: subtree mode never skipped or never repaired a subtree (%+v)", label, m)
+				if want == "" {
+					want, wantEvents = rep.Fingerprint, rep.UnderlayEvents
 				}
-			case overlay.PlaneFull:
-				if m.SubtreeRepaired != 0 {
-					t.Fatalf("%s: full-refill mode took the subtree path (%+v)", label, m)
+				if rep.Fingerprint != want {
+					t.Fatalf("%s: fingerprint %s, want %s — fault replay is mode-dependent", label, rep.Fingerprint, want)
 				}
-			}
-			// Non-vacuity: the recovery and drift shrinks must degrade plane
-			// rows on every run with the plane on.
-			if m.NonMonotoneRefills == 0 {
-				t.Fatalf("%s: zero non-monotone plane refills — the shrink path never ran", label)
+				if rep.UnderlayEvents != wantEvents {
+					t.Fatalf("%s: %d underlay events, want %d", label, rep.UnderlayEvents, wantEvents)
+				}
+				m := rep.Plane
+				if plane == overlay.PlaneOff {
+					if m != (overlay.PlaneStats{}) {
+						t.Fatalf("%s: plane off but counters %+v", label, m)
+					}
+					continue
+				}
+				if m.Skipped == 0 {
+					t.Fatalf("%s: subtree mode never skipped (%+v)", label, m)
+				}
+				if tc.wantSubtree && m.SubtreeRepaired == 0 {
+					t.Fatalf("%s: subtree mode never repaired a subtree (%+v)", label, m)
+				}
+				// Non-vacuity: the recovery and drift shrinks must degrade plane
+				// rows on every run with the plane on.
+				if m.NonMonotoneRefills == 0 {
+					t.Fatalf("%s: zero non-monotone plane refills — the shrink path never ran", label)
+				}
 			}
 		}
-	}
-	if wantEvents != 3 {
-		t.Fatalf("scenario applied %d underlay events, want 3 (down, up, drift)", wantEvents)
+		if wantEvents != 3 {
+			t.Fatalf("n%d: scenario applied %d underlay events, want 3 (down, up, drift)", tc.cfg.Nodes, wantEvents)
+		}
 	}
 }
 

@@ -47,15 +47,15 @@ type BatchOptions struct {
 	// length updates are monotone growths (LengthStore.MonotoneSince guards
 	// the rest): growing an edge outside a shortest-path tree cannot change
 	// any distance, and the deterministic tie-breaks resolve identically, so
-	// the stored row is bitwise what a refill would produce. Under
-	// PlaneSubtree a dirty row is repaired by resuming Dijkstra over only the
-	// affected subtrees (routing.RepairSubtreesInto) whenever the bit-identity
-	// certificate holds — monotone ledger window, strictly positive lengths
-	// (LengthStore.AllPositive), an exact (never serviceable-skipped) row,
-	// and dirty roots the ledger journal still covers — and refilled in full
-	// otherwise. Outputs are bitwise identical in every mode. The plane is
-	// created with the first PlaneOracle, at construction or in AddOracle, so
-	// a runner over fixed-routing oracles only never carries one.
+	// the stored row is bitwise what a refill would produce. A dirty row is
+	// repaired by resuming Dijkstra over only the affected subtrees
+	// (routing.RepairSubtreesInto) when the bit-identity certificate holds —
+	// monotone ledger window, strictly positive lengths (AllPositive), an
+	// exact (never serviceable-skipped) row, dirty roots the ledger journal
+	// still covers — and recent repair outcomes favor it (repairGate), and
+	// refilled in full otherwise. Outputs are identical in both modes. The
+	// plane is created with the first PlaneOracle, at construction or in
+	// AddOracle, so a runner over fixed-routing oracles never carries one.
 	Plane PlaneMode
 }
 
@@ -141,6 +141,7 @@ type BatchRunner struct {
 	repairRoots [][]graph.NodeID
 	repairOut   [][]graph.NodeID
 	repairOK    []bool
+	gate        repairGate // subtree repair or full refill, from recent outcomes
 
 	// The fan-out (see fanOut). The batch goroutine publishes the stage
 	// (filling: plane row jobs, else batch-slot evals), its job count and
@@ -457,9 +458,8 @@ func mergePlaneTargets(targets map[graph.NodeID][]graph.NodeID, members []graph.
 // the batch's plane-aware oracles (in batch order — canonical row
 // assignment), classify each stored row — current (skip),
 // subtree-repairable, or needing a full fill — and fan the fills and repairs
-// across the worker pool. Both persistent modes share one classifier; they
-// differ only in whether a dirty row may take the subtree repair. No-op when
-// the plane is off or the batch has no plane-aware oracle.
+// across the worker pool. No-op when the plane is off or the batch has no
+// plane-aware oracle.
 func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 	r.planeLive = false
 	if r.plane == nil {
@@ -553,17 +553,18 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 			r.metrics.Skipped++
 			continue
 		}
-		if r.mode == PlaneSubtree && r.plane.rowExact(row) && ls.AllPositive() &&
-			scaleSafe(r.minLen, r.plane.maxDist[row]) && r.stageRepair(ls, row32) {
+		if r.plane.exact[row] && ls.AllPositive() &&
+			scaleSafe(r.minLen, r.plane.maxDist[row]) && r.gate.try() && r.stageRepair(ls, row32) {
 			// A read path is dirty, so the row must be recomputed, and the
 			// bit-identity certificate holds (monotone window checked above,
 			// exact content, dirty roots the journal still covers, strictly
 			// positive lengths, and lengths large enough relative to the
 			// row's distances that every relaxation strictly grows its float
 			// key — without that an underflowing length behaves like a
-			// zero-length edge and ties can flip): resume Dijkstra over just
-			// the dirty subtrees. Epochs advance now so decideTreeCache sees
-			// the recompute; the repair itself runs with the fills.
+			// zero-length edge and ties can flip), and the gate lets it try:
+			// resume Dijkstra over just the dirty subtrees. Epochs advance
+			// now so decideTreeCache sees the recompute; the repair runs with
+			// the fills.
 			r.plane.SetFillEpoch(row, cur)
 			r.plane.SetDijkstraEpoch(row, cur)
 			continue
@@ -588,6 +589,7 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 	// metrics. Every repaired row stays exact, whether the subtree path held
 	// or RepairRow fell back to a refill.
 	for k := range r.toRepair {
+		r.gate.note(r.repairOK[k])
 		if r.repairOK[k] {
 			r.metrics.SubtreeRepaired++
 			r.metrics.SubtreeNodes += len(r.repairOut[k])
@@ -632,10 +634,54 @@ func (r *BatchRunner) stageRepair(ls *graph.LengthStore, row32 int32) bool {
 	})
 	r.repairRoots[k] = roots
 	if !covered || len(roots) > limit {
+		r.gate.note(false)
 		return false
 	}
 	r.toRepair = append(r.toRepair, row32)
 	return true
+}
+
+// repairGate chooses between subtree repair and full refill for a runner's
+// certified dirty rows. A failed attempt (roots past the size bail, a window
+// the journal no longer covers, a bail inside the kernel) pays for the
+// replay and the partial resettle on top of its refill, and how often
+// attempts fail depends on how the solver bumps lengths — MaxFlow's one tree
+// per iteration mostly repairs, the MaxConcurrentFlow phase loop's every
+// tree per round mostly bails — so the gate follows recent outcomes. Its
+// counts change only in the sequential classify loop and the post-barrier
+// fold, and every outcome is a pure function of row content, so decisions
+// are identical at every worker count.
+type repairGate struct {
+	tries, fails int // recent attempts and failures, halved past repairWindow
+	passed       int // certified rows offered while refilling
+}
+
+const (
+	repairWindow     = 256
+	repairProbeEvery = 8
+)
+
+// try reports whether the next certified dirty row attempts repair: yes
+// while at least half of the recent attempts succeeded (so a fresh runner
+// tries), else every repairProbeEvery-th row, so the choice recovers when
+// the bump pattern changes.
+func (g *repairGate) try() bool {
+	if 2*g.fails <= g.tries {
+		return true
+	}
+	g.passed++
+	return g.passed%repairProbeEvery == 0
+}
+
+// note records one attempt's outcome.
+func (g *repairGate) note(ok bool) {
+	g.tries++
+	if !ok {
+		g.fails++
+	}
+	if g.tries > repairWindow {
+		g.tries, g.fails = g.tries/2, g.fails/2
+	}
 }
 
 // decideTreeCache precomputes, per batch slot, whether the oracle's cached

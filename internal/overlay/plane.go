@@ -1,8 +1,6 @@
 package overlay
 
 import (
-	"sync"
-
 	"overcast/internal/graph"
 	"overcast/internal/routing"
 )
@@ -33,11 +31,11 @@ import (
 // the plane mode nor the worker count can therefore change solver outputs.
 //
 // Lifecycle (one-shot consumers like the churn prefabrication): Reset, Stage
-// each source, Fill, then read via Lookup. Staging and filling are
-// single-goroutine operations except for FillRow, which may run concurrently
-// for distinct rows; once filled, the plane is safe for any number of
-// concurrent readers until the next mutation. Row storage is pooled across
-// Reset cycles, so a round-loop reuses its buffers.
+// each source, FillRow every row, then read via Lookup. Staging is a
+// single-goroutine operation; FillRow may run concurrently for distinct
+// rows. Once filled, the plane is safe for any number of concurrent readers
+// until the next mutation. Row storage is pooled across Reset cycles, so a
+// round-loop reuses its buffers.
 type Plane struct {
 	g *graph.Graph
 	// rowOf maps a node id to its row index in the current cycle (-1 when the
@@ -48,7 +46,7 @@ type Plane struct {
 	dists   [][]float64
 	parents [][]graph.EdgeID
 	// fillEpoch[row] is the ledger epoch the row's content corresponds to;
-	// maintained by the batch driver (Fill/FillRow leave it to the caller,
+	// maintained by the batch runner (FillRow leaves it to the caller,
 	// which knows which ledger — if any — the lengths came from).
 	fillEpoch []graph.Epoch
 	// dijkstraEpoch[row] is the ledger epoch of the row's last *actual*
@@ -102,7 +100,7 @@ func (p *Plane) Reset() {
 // BeginBatch opens a new validation stamp: rows validated before this call
 // stop being served by Lookup until revalidated (Validate) or refilled.
 // Persistent drivers call it once per batch; one-shot consumers never need
-// it (Fill validates under the current stamp).
+// it (FillRow validates under the current stamp).
 func (p *Plane) BeginBatch() {
 	p.stamp++
 	if p.stamp == 0 { // wrapped: no row may claim validity by accident
@@ -196,10 +194,6 @@ func (p *Plane) Validate(row int) { p.valid[row] = p.stamp }
 // is plane-owned and must not be mutated.
 func (p *Plane) ParentRow(row int) []graph.EdgeID { return p.parents[row] }
 
-// rowExact reports whether row's stored content is exactly what a fresh fill
-// would produce (see Plane.exact).
-func (p *Plane) rowExact(row int) bool { return p.exact[row] }
-
 // FillRow computes row's SSSP arrays under d with sp's pooled heap and marks
 // the row valid for the current stamp. Distinct rows may be filled
 // concurrently (each touches only its own arrays); sp must be private to the
@@ -271,44 +265,6 @@ func (p *Plane) RepairRow(row int, d graph.Lengths, sp *routing.DijkstraScratch,
 // rounds away (dist+len == dist bitwise) and behaves like a zero-length edge.
 func scaleSafe(minLen, maxDist float64) bool {
 	return minLen > maxDist*0x1p-50
-}
-
-// Fill computes every staged row under d, fanning across at most workers
-// goroutines (<=1 runs inline). It is the standalone entry point for
-// one-shot consumers like the churn harness's oracle prefabrication;
-// BatchRunner drives FillRow from its own persistent pool instead.
-func (p *Plane) Fill(d graph.Lengths, workers int) {
-	ns := len(p.sources)
-	if ns == 0 {
-		return
-	}
-	if workers > ns {
-		workers = ns
-	}
-	if workers <= 1 {
-		sp := routing.NewDijkstraScratch(p.g)
-		for row := 0; row < ns; row++ {
-			p.FillRow(row, d, sp)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sp := routing.NewDijkstraScratch(p.g)
-			for row := range jobs {
-				p.FillRow(row, d, sp)
-			}
-		}()
-	}
-	for row := 0; row < ns; row++ {
-		jobs <- row
-	}
-	close(jobs)
-	wg.Wait()
 }
 
 // Lookup returns the SSSP row rooted at src, or ok=false when src is not

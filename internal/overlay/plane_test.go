@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"overcast/internal/graph"
+	"overcast/internal/routing"
 )
 
 // arbBatchFixture builds arbitrary-routing oracles over the ring-of-cliques
@@ -108,7 +109,10 @@ func TestMinTreeFromPlaneMatchesMinTreeWith(t *testing.T) {
 			pl.Stage(m)
 		}
 	}
-	pl.Fill(d, 2)
+	sp := routing.NewDijkstraScratch(g)
+	for row := 0; row < pl.NumSources(); row++ {
+		pl.FillRow(row, d, sp)
+	}
 	sc := NewScratch(g)
 	for i, o := range oracles {
 		ao := o.(*ArbitraryOracle)

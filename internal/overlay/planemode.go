@@ -3,34 +3,29 @@ package overlay
 import "fmt"
 
 // PlaneMode selects how a BatchRunner serves plane-aware oracles. Outputs
-// are bitwise identical in every mode; the modes differ only in how much
+// are bitwise identical in both modes; they differ only in how much
 // Dijkstra work a batch repeats.
 //
 // PlaneMode implements flag.Value, so commands can take it as
-// -plane subtree|full|off.
+// -plane subtree|off.
 type PlaneMode int
 
 const (
 	// PlaneSubtree (the zero value) runs the shared SSSP plane with
 	// cross-round dirty-source repair: rows persist across batches, rows
-	// whose stored trees took no touched edge are skipped, and rows with a
-	// dirty read path are repaired by resuming Dijkstra over only the
+	// whose stored trees took no touched edge are skipped, and a row with a
+	// dirty read path is either repaired by resuming Dijkstra over only the
 	// affected subtrees (routing.RepairSubtreesInto, rooted below the
-	// touched tree edges the ledger journal names) whenever the bit-identity
-	// certificate holds, falling back to a full refill otherwise.
+	// touched tree edges the ledger journal names) or refilled in full. The
+	// runner chooses between the two from its own recent repair outcomes,
+	// and refills whenever the bit-identity certificate fails.
 	PlaneSubtree PlaneMode = iota
-	// PlaneFull keeps the persistent plane and the same classifier, but
-	// refills every dirty row in full. Faster than PlaneSubtree on instances
-	// of at most about 100 nodes, where a whole-row Dijkstra costs little
-	// more than a repair attempt (root replay, subtree walk, frontier
-	// seeding) and attempts that bail pay for both.
-	PlaneFull
 	// PlaneOff disables the plane: every oracle runs its own per-member
-	// Dijkstras. The reference the other modes are diffed against.
+	// Dijkstras. The reference PlaneSubtree is diffed against.
 	PlaneOff
 )
 
-var planeModeNames = [...]string{PlaneSubtree: "subtree", PlaneFull: "full", PlaneOff: "off"}
+var planeModeNames = [...]string{PlaneSubtree: "subtree", PlaneOff: "off"}
 
 // Valid reports an error when m is not one of the declared modes.
 func (m PlaneMode) Valid() error {
@@ -48,7 +43,7 @@ func (m PlaneMode) String() string {
 	return planeModeNames[m]
 }
 
-// Set parses a flag spelling (subtree, full, off) into m.
+// Set parses a flag spelling (subtree, off) into m.
 func (m *PlaneMode) Set(s string) error {
 	for i, name := range planeModeNames {
 		if s == name {
@@ -56,5 +51,5 @@ func (m *PlaneMode) Set(s string) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("overlay: unknown plane mode %q (want subtree, full or off)", s)
+	return fmt.Errorf("overlay: unknown plane mode %q (want subtree or off)", s)
 }

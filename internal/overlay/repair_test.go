@@ -6,9 +6,8 @@ import (
 	"overcast/internal/graph"
 )
 
-// planeModes is every PlaneMode, for sweeps that must hold in each; the
-// persistent-plane modes are the first two.
-var planeModes = []PlaneMode{PlaneSubtree, PlaneFull, PlaneOff}
+// planeModes is every PlaneMode, for sweeps that must hold in each.
+var planeModes = []PlaneMode{PlaneSubtree, PlaneOff}
 
 // bumpTreeEdges applies a MaxFlow-style monotone inflation to every edge of
 // t, journaled on ls.
@@ -20,15 +19,15 @@ func bumpTreeEdges(ls *graph.LengthStore, t *Tree) {
 
 // TestRepairSkipsUntouchedRows drives the persistent plane through the
 // MaxFlow pattern — evaluate all, inflate one tree's edges, evaluate again —
-// and pins both halves of the repair contract in both persistent-plane
-// modes: rows do get skipped, and every slot stays bitwise identical to a
-// direct MinTree call under the mutated lengths.
+// and pins both halves of the repair contract: rows do get skipped, and
+// every slot stays bitwise identical to a direct MinTree call under the
+// mutated lengths.
 func TestRepairSkipsUntouchedRows(t *testing.T) {
 	g, oracles := arbBatchFixture(t, 7)
 	for _, tc := range []struct {
 		mode    PlaneMode
 		workers int
-	}{{PlaneSubtree, 1}, {PlaneSubtree, 4}, {PlaneFull, 1}, {PlaneFull, 4}} {
+	}{{PlaneSubtree, 1}, {PlaneSubtree, 4}} {
 		mode, workers := tc.mode, tc.workers
 		r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: workers, Plane: mode})
 		ls := graph.NewLengthStore(g, 1)
@@ -98,10 +97,9 @@ func TestRepairLedgerSwapInvalidates(t *testing.T) {
 }
 
 // TestRepairRoundAllocs is the allocation gate for the repair hot path:
-// under the same bump-one-tree round pattern, rounds in either
-// persistent-plane mode must allocate no more than plane-off rounds do — the
-// dirty checks, journal replays, skip bookkeeping, and tree cache all run on
-// pooled state.
+// under the same bump-one-tree round pattern, rounds with the persistent
+// plane must allocate no more than plane-off rounds do — the dirty checks,
+// journal replays, skip bookkeeping, and tree cache all run on pooled state.
 func TestRepairRoundAllocs(t *testing.T) {
 	g, oracles := arbBatchFixture(t, 6)
 	measure := func(mode PlaneMode) float64 {
@@ -121,10 +119,8 @@ func TestRepairRoundAllocs(t *testing.T) {
 		})
 	}
 	off := measure(PlaneOff)
-	for _, mode := range []PlaneMode{PlaneSubtree, PlaneFull} {
-		if got := measure(mode); got > off {
-			t.Fatalf("%v rounds allocate %.1f/round vs %.1f/round with the plane off — repair state is not pooled", mode, got, off)
-		}
+	if got := measure(PlaneSubtree); got > off {
+		t.Fatalf("%v rounds allocate %.1f/round vs %.1f/round with the plane off — repair state is not pooled", PlaneSubtree, got, off)
 	}
 }
 

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,7 +40,7 @@ func TestSubtreeRepairRowsBitIdentical(t *testing.T) {
 			}
 			pl := r.plane
 			for row := 0; row < pl.NumSources(); row++ {
-				if pl.valid[row] != pl.stamp || !pl.rowExact(row) {
+				if pl.valid[row] != pl.stamp || !pl.exact[row] {
 					continue
 				}
 				sp.ShortestPathsInto(g, pl.Source(row), ls.Values(), dist, parent)
@@ -72,47 +73,121 @@ func TestSubtreeRepairRowsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSubtreeToggleDecisionIdentical runs the same bump sequence through a
-// PlaneSubtree and a PlaneFull runner and requires identical batch results
-// plus identical skip/refill decisions on the legacy counters — the
-// decision-identity that keeps detdump byte-stable across -plane subtree and
-// -plane full.
-func TestSubtreeToggleDecisionIdentical(t *testing.T) {
-	g, oracles := arbBatchFixture(t, 6)
-	on := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 2, Plane: PlaneSubtree})
-	defer on.Close()
-	off := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 2, Plane: PlaneFull})
-	defer off.Close()
-	lsA, lsB := graph.NewLengthStore(g, 1), graph.NewLengthStore(g, 1)
-	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 30; round++ {
-		got := on.MinTreesLen(lsA, nil)
-		want := off.MinTreesLen(lsB, nil)
-		for i := range got {
-			if got[i].Err != nil || want[i].Err != nil {
-				t.Fatalf("round %d oracle %d: %v / %v", round, i, got[i].Err, want[i].Err)
+// certifiedDirtyRows counts the rows a full batch (nil ids) on r would find
+// dirty with the subtree-repair certificate holding — the rows offered to
+// the repair gate — using the classifier's own predicates, which read but
+// never write runner state.
+func certifiedDirtyRows(r *BatchRunner, ls *graph.LengthStore) int {
+	if r.plane == nil {
+		return 0
+	}
+	n := 0
+	for row := 0; row < r.plane.NumSources(); row++ {
+		fill := r.plane.FillEpoch(row)
+		if fill < 0 || fill == ls.Epoch() || !ls.MonotoneSince(fill) ||
+			r.treeUntouched(ls, row) || r.rowServiceable(ls, row) {
+			continue
+		}
+		if r.plane.exact[row] && ls.AllPositive() && scaleSafe(ls.MinLengthLB(), r.plane.maxDist[row]) {
+			n++
+		}
+	}
+	return n
+}
+
+// gateAttempts returns how many repair outcomes a gate recorded between two
+// snapshots: note adds one try per attempt, and halves the counts when tries
+// reaches repairWindow+1 (at most once between the snapshots here, since a
+// batch makes far fewer attempts than that).
+func gateAttempts(before, after repairGate) int {
+	if after.tries >= before.tries {
+		return after.tries - before.tries
+	}
+	return repairWindow + 1 - before.tries + after.tries - (repairWindow+1)/2
+}
+
+// TestRepairSelectorFollowsOutcomes pins the plane's choice between subtree
+// repair and full refill. Every round runs a full batch and then bumps
+// either every session's tree (the MaxConcurrentFlow phase shape, where
+// most repairs bail) or one tree (the MaxFlow shape, where most hold).
+// Every result must equal a direct MinTree call, and the decisions must not
+// depend on the worker count.
+func TestRepairSelectorFollowsOutcomes(t *testing.T) {
+	const rounds = 40
+	type outcome struct {
+		certified, attempts []int
+		m                   PlaneStats
+		gate                repairGate
+	}
+	run := func(workers int, bumpAll func(round int) bool) outcome {
+		g, oracles := arbBatchFixture(t, 7)
+		r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: workers})
+		defer r.Close()
+		ls := graph.NewLengthStore(g, 1)
+		var o outcome
+		for round := 0; round < rounds; round++ {
+			c, before := certifiedDirtyRows(r, ls), r.gate
+			results := r.MinTrees(ls, nil)
+			o.certified = append(o.certified, c)
+			o.attempts = append(o.attempts, gateAttempts(before, r.gate))
+			for i, res := range results {
+				want, err := oracles[i].MinTree(ls.Values())
+				if err != nil || res.Err != nil {
+					t.Fatalf("workers=%d round %d oracle %d: %v / %v", workers, round, i, res.Err, err)
+				}
+				if res.Tree.Key() != want.Key() {
+					t.Fatalf("workers=%d round %d oracle %d: tree differs from direct call", workers, round, i)
+				}
 			}
-			if got[i].Tree.Key() != want[i].Tree.Key() || got[i].Len != want[i].Len {
-				t.Fatalf("round %d oracle %d: subtree result differs from full-refill", round, i)
+			if bumpAll(round) {
+				for _, res := range results {
+					bumpTreeEdges(ls, res.Tree)
+				}
+			} else {
+				bumpTreeEdges(ls, results[round%len(results)].Tree)
 			}
 		}
-		tree := got[rng.Intn(len(got))].Tree
-		bumpTreeEdges(lsA, tree)
-		bumpTreeEdges(lsB, tree)
+		o.m, o.gate = r.Metrics(), r.gate
+		return o
 	}
-	mOn, mOff := on.Metrics(), off.Metrics()
-	if mOn.SubtreeRepaired == 0 {
-		t.Fatalf("subtree runner never took the subtree path (%+v)", mOn)
+	sum := func(xs []int) int {
+		total := 0
+		for _, x := range xs {
+			total += x
+		}
+		return total
 	}
-	if mOff.SubtreeRepaired != 0 {
-		t.Fatalf("full-refill runner took the subtree path (%+v)", mOff)
-	}
-	// Under full refill, every row the subtree runner repaired is instead
-	// walk-skipped or refilled; all other classifications must agree.
-	if mOn.Skipped+mOn.SubtreeRepaired+mOn.Repaired !=
-		mOff.Skipped+mOff.Repaired {
-		t.Fatalf("classification totals diverge: on=%+v off=%+v", mOn, mOff)
-	}
+
+	t.Run("every-tree-bumped", func(t *testing.T) {
+		o := run(2, func(int) bool { return true })
+		// After the first failing batches the gate refills and only probes.
+		cert, att := sum(o.certified[rounds/2:]), sum(o.attempts[rounds/2:])
+		if cert == 0 || att > cert/6 {
+			t.Fatalf("second half: %d attempts on %d certified dirty rows, want about 1/8 (%+v)", att, cert, o.gate)
+		}
+		if att == 0 {
+			t.Fatalf("second half: the gate stopped probing (%d certified rows)", cert)
+		}
+	})
+	t.Run("one-tree-bumped", func(t *testing.T) {
+		o := run(2, func(int) bool { return false })
+		for round := range o.certified {
+			if o.attempts[round] != o.certified[round] {
+				t.Fatalf("round %d: %d attempts on %d certified dirty rows, want all", round, o.attempts[round], o.certified[round])
+			}
+		}
+		if sum(o.certified) == 0 || o.m.SubtreeRepaired == 0 {
+			t.Fatalf("no certified dirty row was repaired (%+v)", o.m)
+		}
+	})
+	t.Run("workers", func(t *testing.T) {
+		// Switch shapes halfway, so the gate runs through both states.
+		shape := func(round int) bool { return round < rounds/2 }
+		a, b := run(1, shape), run(4, shape)
+		if a.m != b.m || a.gate != b.gate || fmt.Sprint(a.attempts) != fmt.Sprint(b.attempts) {
+			t.Fatalf("workers 1 vs 4 diverge:\n%+v %+v %v\n%+v %+v %v", a.m, a.gate, a.attempts, b.m, b.gate, b.attempts)
+		}
+	})
 }
 
 // TestSubtreeRepairSparseBatches drives subtree repair through batches that
@@ -195,7 +270,7 @@ func TestSubtreeRepairSparseBatches(t *testing.T) {
 				}
 			}
 			for row := 0; row < pl.NumSources(); row++ {
-				if pl.valid[row] != pl.stamp || !pl.rowExact(row) {
+				if pl.valid[row] != pl.stamp || !pl.exact[row] {
 					continue
 				}
 				sp.ShortestPathsInto(g, pl.Source(row), ls.Values(), dist, parent)
