@@ -139,7 +139,9 @@ type AllocatorStats struct {
 	// RepairPhases counts session-phases routed by warm repair.
 	RepairPhases int
 	// MSTOps counts spanning-tree computations across joins, anchors and
-	// repair (the paper's running-time unit).
+	// repair (the paper's running-time unit). An anchor's beta prestep
+	// counts only the single-session max flows it ran: sessions that
+	// survived the previous anchor reuse their beta until a Fault.
 	MSTOps int
 	// UnderlayEvents counts underlay fault mutations (link failure/recovery,
 	// capacity drift) applied through Fault. Each one latches a cold re-solve

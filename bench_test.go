@@ -663,11 +663,13 @@ func BenchmarkScaleChurnReplay(b *testing.B) {
 // the same number of ε-feasible allocations from the same trace, so the
 // cold/warm ns/op ratio in BENCH_scale.json IS the steady-state
 // allocations/sec speedup — the acceptance threshold is warm >= 2x cold
-// (measured 2.5-3.1x), with the mean per-snapshot throughput inside the
-// (1+ε) FPTAS band of the cold baseline's (cmd/experiments warmchurn prints
-// both numbers). The effect is algorithmic (a refresh repairs only the
-// churned demand share instead of re-solving for the whole population), so
-// it shows on any core count.
+// (measured 2.1-2.5x, median 2.26x, over 8 -benchtime 1x runs on 2
+// cores: cold 1.93 s/op, warm 0.88 s/op; both reuse each surviving
+// session's prestep beta across anchors), with the mean per-snapshot
+// throughput inside the (1+ε) FPTAS band of the cold baseline's
+// (cmd/experiments warmchurn prints both numbers). The effect is
+// algorithmic (a refresh repairs only the churned demand share instead of
+// re-solving for the whole population), so it shows on any core count.
 func BenchmarkChurnWarmStart(b *testing.B) {
 	for _, mode := range []string{"warm", "cold"} {
 		b.Run(mode, func(b *testing.B) {

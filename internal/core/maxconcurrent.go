@@ -54,7 +54,9 @@ type MCFResult struct {
 	Lambda float64
 	// PrestepMSTOps counts the spanning-tree operations spent computing the
 	// per-session maximum flows beta_i used for demand scaling — the second
-	// running-time component reported in Table IV.
+	// running-time component reported in Table IV. It covers only the
+	// MaxFlows the prestep actually ran: a Warm re-anchor that reuses known
+	// betas spends (and counts) nothing for those sessions.
 	PrestepMSTOps int
 	// PrestepPlane sums the beta prestep subproblems' own plane counters
 	// (each MaxFlow's fills and cross-round skips/repairs), kept apart from
@@ -90,7 +92,7 @@ type MCFResult struct {
 // TestMCFMatchesExactM2SmallInstances rather than inherited verbatim from
 // the paper's analysis.
 func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, error) {
-	res, _, err := maxConcurrentFlow(p, opts, false)
+	res, _, err := maxConcurrentFlow(p, opts, false, nil)
 	return res, err
 }
 
@@ -98,8 +100,10 @@ func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, e
 // every tree application and returns the phase loop's terminal state as an
 // anchor. The anchor's flows are the pre-scale raw flows; the returned
 // Solution rescales its own copy. A logged solve skips the surplus pass,
-// whose flows have no place in the anchor.
-func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool) (*MCFResult, *mcfAnchor, error) {
+// whose flows have no place in the anchor. known, when non-nil, is aligned
+// with p.Sessions and carries betas the caller already holds (positive) or
+// 0 for unknown; the prestep runs MaxFlow only for the unknown ones.
+func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool, known []float64) (*MCFResult, *mcfAnchor, error) {
 	eps := opts.Epsilon
 	if eps <= 0 || eps > 0.5 {
 		return nil, nil, fmt.Errorf("core: MaxConcurrentFlow epsilon %v outside (0, 0.5]", eps)
@@ -114,8 +118,8 @@ func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool) (
 	workers := runner.Workers()
 
 	// Pre-step: beta_i = single-session maximum flow, for demand scaling,
-	// fanned out per session (prestep.go).
-	betas, prestepOps, prestepPlane, err := prestepBetas(p, eps, workers, opts)
+	// fanned out over the sessions whose beta is not known (prestep.go).
+	betas, prestepOps, prestepPlane, err := prestepBetas(p, eps, workers, opts, known)
 	if err != nil {
 		return nil, nil, err
 	}

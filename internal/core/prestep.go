@@ -8,47 +8,62 @@ import (
 
 // This file implements the MCF beta prestep: beta_i = the single-session
 // maximum flow of session i, used to pre-scale demands so the scaled optimum
-// lands in [1, k] (Sec. III-C). The k subproblems are independent
-// Garg–Könemann runs over the same physical topology, so they fan across the
-// worker pool with i-indexed result slots, each MaxFlow on one worker with
-// its own persistent plane (ledger-driven skip and repair across its
-// iterations). Betas, MSTOps, plane counters and errors are folded in session
-// order, identical to a sequential pass.
+// lands in [1, k] (Sec. III-C). beta_i depends only on session i's members,
+// epsilon, the routing discipline and the link capacities, so a caller that
+// already knows some of them (a Warm allocator re-anchoring over sessions
+// that survived its previous anchor, with no capacity change in between)
+// passes them in and only the unknown ones are solved. Those subproblems are
+// independent Garg–Könemann runs over the same physical topology, so they
+// fan across the worker pool with index-aligned result slots, each MaxFlow
+// on one worker with its own persistent plane (ledger-driven skip and repair
+// across its iterations). Betas, MSTOps, plane counters and errors are
+// folded in session order, identical to a sequential pass.
 
-// prestepBetas computes the per-session maximum flows of p. It returns the
-// betas, the total spanning-tree operations, and the subproblems' plane
+// prestepBetas computes the per-session maximum flows of p. known, when
+// non-nil, is aligned with p.Sessions: a positive entry is taken as that
+// session's beta and its MaxFlow is not run. It returns the betas, the
+// spanning-tree operations of the MaxFlows actually run, and their plane
 // counters merged in session order.
-func prestepBetas(p *Problem, eps float64, workers int, opts MaxConcurrentFlowOptions) ([]float64, int, overlay.PlaneStats, error) {
+func prestepBetas(p *Problem, eps float64, workers int, opts MaxConcurrentFlowOptions, known []float64) ([]float64, int, overlay.PlaneStats, error) {
 	k := p.K()
 	betas := make([]float64, k)
-	perSessionOps := make([]int, k)
-	perSessionPlane := make([]overlay.PlaneStats, k)
-	prestepErrs := make([]error, k)
-	ParallelFor(workers, k, func(i int) {
+	todo := make([]int, 0, k)
+	for i := 0; i < k; i++ {
+		if known != nil && known[i] > 0 {
+			betas[i] = known[i]
+		} else {
+			todo = append(todo, i)
+		}
+	}
+	perSessionOps := make([]int, len(todo))
+	perSessionPlane := make([]overlay.PlaneStats, len(todo))
+	prestepErrs := make([]error, len(todo))
+	ParallelFor(workers, len(todo), func(j int) {
+		i := todo[j]
 		sub := singleSessionProblem(p, i)
 		mf, err := MaxFlow(sub, MaxFlowOptions{
 			Epsilon:       eps,
 			SolverOptions: SolverOptions{Workers: 1, Plane: opts.Plane},
 		})
 		if err != nil {
-			prestepErrs[i] = fmt.Errorf("core: beta prestep session %d: %w", i, err)
+			prestepErrs[j] = fmt.Errorf("core: beta prestep session %d: %w", i, err)
 			return
 		}
 		betas[i] = mf.SessionRate(0)
-		perSessionOps[i] = mf.MSTOps
-		perSessionPlane[i] = mf.Plane
+		perSessionOps[j] = mf.MSTOps
+		perSessionPlane[j] = mf.Plane
 		if betas[i] <= 0 {
-			prestepErrs[i] = fmt.Errorf("core: session %d has zero max flow", i)
+			prestepErrs[j] = fmt.Errorf("core: session %d has zero max flow", i)
 		}
 	})
 	prestepOps := 0
 	var prestepPlane overlay.PlaneStats
-	for i := 0; i < k; i++ {
-		if prestepErrs[i] != nil {
-			return nil, 0, overlay.PlaneStats{}, prestepErrs[i]
+	for j := range todo {
+		if prestepErrs[j] != nil {
+			return nil, 0, overlay.PlaneStats{}, prestepErrs[j]
 		}
-		prestepOps += perSessionOps[i]
-		prestepPlane.Merge(perSessionPlane[i])
+		prestepOps += perSessionOps[j]
+		prestepPlane.Merge(perSessionPlane[j])
 	}
 	return betas, prestepOps, prestepPlane, nil
 }

@@ -39,6 +39,13 @@ import (
 //     1/maxCongestion — the identical final step of the cold solve — so a
 //     snapshot taken right after the anchor is bit-identical to the cold
 //     solution, and later snapshots stay exactly feasible by construction.
+//   - A cold anchor keeps one fact across re-anchors: each session's beta,
+//     the single-session maximum flow the MaxConcurrentFlow prestep scales
+//     demands by. beta depends only on the session's members, ε, the routing
+//     discipline and the link capacities, so the next anchor reuses the
+//     betas of every surviving session and runs the prestep MaxFlow only for
+//     sessions joined since. Fault, the one path that changes capacities
+//     under the allocator, forgets them all.
 //
 // Falling back to cold is always sound (the warm state is simply discarded
 // and re-anchored) and happens when the per-refresh repair budget is
@@ -93,6 +100,8 @@ type WarmStats struct {
 	// mirrored length move was monotone.
 	UnderlayEvents int
 	// MSTOps counts spanning-tree computations across anchors and repair.
+	// An anchor's beta prestep counts only the single-session MaxFlows it
+	// ran, not those of the sessions whose beta it reused.
 	MSTOps int
 	// Plane aggregates the shared-SSSP-plane counters across the anchors'
 	// phase loops and the warm repair runner.
@@ -130,6 +139,11 @@ type Warm struct {
 	demScale float64       // dem_i / demand_i at the anchor (uniform)
 	phases   int           // anchor phase count (catch-up chunk granularity)
 	shrinkOK graph.Epoch   // ledger epoch of the last self-inflicted shrink
+
+	// betas holds, per slot, the single-session maximum flow the last anchor
+	// scaled that session's demand by; 0 means unknown (joined since, or
+	// forgotten by a Fault). It survives re-anchors, unlike the state above.
+	betas []float64
 
 	pendingJoins []int // slots joined since the last refresh, ascending
 	// pendingLeaveDem accumulates the demand of sessions rolled back since
@@ -174,6 +188,7 @@ func (w *Warm) Join(s *overlay.Session, oracle overlay.TreeOracle) error {
 	w.sessions = append(w.sessions, s)
 	w.oracles = append(w.oracles, oracle)
 	w.active = append(w.active, true)
+	w.betas = append(w.betas, 0)
 	w.nActive++
 	if w.runner != nil {
 		w.runner.AddOracle(oracle)
@@ -307,7 +322,9 @@ func (w *Warm) rollback(slot int) {
 // refill). Regardless of the move's direction the next Refresh is latched
 // cold — the anchored dual objective D = Σ_e c_e·d_e and the per-session
 // bump attribution were computed under the old capacities, so incremental
-// repair arithmetic is no longer trustworthy even for a monotone move.
+// repair arithmetic is no longer trustworthy even for a monotone move. The
+// memoized betas are forgotten too: a single-session maximum flow depends on
+// the capacities, so the next anchor recomputes every one.
 func (w *Warm) Fault(e graph.EdgeID, lengthFactor float64) error {
 	if e < 0 || (w.gk != nil && e >= graph.EdgeID(w.gk.d.Len())) || e >= graph.EdgeID(w.g.NumEdges()) {
 		return fmt.Errorf("core: warm fault: edge %d out of range", e)
@@ -316,6 +333,7 @@ func (w *Warm) Fault(e graph.EdgeID, lengthFactor float64) error {
 		return fmt.Errorf("core: warm fault: length factor %v must be positive", lengthFactor)
 	}
 	w.stats.UnderlayEvents++
+	clear(w.betas)
 	if w.gk != nil && lengthFactor != 1 {
 		w.gk.d.Bump(e, lengthFactor)
 	}
@@ -513,27 +531,34 @@ func (w *Warm) warmRepair() error {
 	return nil
 }
 
-// cold re-anchors: a full MaxConcurrentFlow solve over the active sessions,
-// whose logged terminal state is adopted slot by slot. All warm
-// state (including any partially applied repair) is discarded — the anchor
-// builds its own problem, oracles, and ledger from scratch.
+// cold re-anchors: a MaxConcurrentFlow solve over the active sessions,
+// whose logged terminal state is adopted slot by slot. The warm state
+// (including any partially applied repair) is discarded — the anchor builds
+// its own problem, oracles, and ledger from scratch — except the memoized
+// betas: the prestep reuses every known one and runs MaxFlow only for the
+// rest, and a successful anchor stores the betas it scaled by.
 func (w *Warm) cold() error {
 	denseSessions := make([]*overlay.Session, 0, w.nActive)
 	denseToSlot := make([]int, 0, w.nActive)
+	known := make([]float64, 0, w.nActive)
 	for slot, s := range w.sessions {
 		if !w.active[slot] {
 			continue
 		}
 		denseSessions = append(denseSessions, &overlay.Session{ID: len(denseSessions), Members: s.Members, Demand: s.Demand})
 		denseToSlot = append(denseToSlot, slot)
+		known = append(known, w.betas[slot])
 	}
 	p, err := NewProblemWeighted(w.g, denseSessions, w.mode, w.routeWeights)
 	if err != nil {
 		return fmt.Errorf("core: warm cold anchor: %w", err)
 	}
-	res, anchor, err := maxConcurrentFlow(p, MaxConcurrentFlowOptions{Epsilon: w.eps, SolverOptions: w.opts.SolverOptions}, true)
+	res, anchor, err := maxConcurrentFlow(p, MaxConcurrentFlowOptions{Epsilon: w.eps, SolverOptions: w.opts.SolverOptions}, true, known)
 	if err != nil {
 		return fmt.Errorf("core: warm cold anchor: %w", err)
+	}
+	for i, slot := range denseToSlot {
+		w.betas[slot] = res.Betas[i]
 	}
 	// Adopt the anchor's state slot by slot; each slot's tree index is
 	// rebuilt on its first add.
@@ -627,7 +652,8 @@ const warmRebalanceFactor = 4.0
 // steady-state refresh throughput closer to the pure-warm ceiling. 1 keeps
 // the replayed churn allocations' mean snapshot throughput inside the ε band
 // of the cold baseline's (0.93–0.96 of cold across seeds) while sustaining
-// the ≥2× steady-state speedup the warm path exists for (measured 2.5–2.9×).
+// the ≥2× steady-state speedup the warm path exists for (measured 2.1–2.5×
+// by BenchmarkChurnWarmStart, whose cold baseline also reuses betas).
 const warmReanchorFactor = 1
 
 // warmLeaveRebalanceFactor is the per-unit-demand-share rebalance owed for a

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"overcast/internal/graph"
 	"overcast/internal/overlay"
 	"overcast/internal/rng"
+	"overcast/internal/routing"
 	"overcast/internal/topology"
 )
 
@@ -98,18 +100,6 @@ func TestWarmFaultBeforeLeaveFallsBackColdFirst(t *testing.T) {
 		}
 		return w
 	}
-	fingerprint := func(sol *Solution) string {
-		out := ""
-		for i := range sol.Sessions {
-			out += fmt.Sprintf("s%d:", i)
-			for _, tf := range sol.Flows[i] {
-				out += fmt.Sprintf(" %x@%.17g", tf.Tree.KeyHash(), tf.Rate)
-			}
-			out += "\n"
-		}
-		return out
-	}
-
 	w := newWarm(members)
 	defer w.Close()
 	if _, err := w.Snapshot(); err != nil {
@@ -155,7 +145,197 @@ func TestWarmFaultBeforeLeaveFallsBackColdFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fingerprint(sol), fingerprint(refSol); got != want {
+	if got, want := testFingerprint(sol), testFingerprint(refSol); got != want {
 		t.Fatalf("post-fault snapshot is not bit-identical to cold:\ngot:\n%s\nwant:\n%s", got, want)
 	}
+}
+
+// TestWarmColdAnchorReusesBetas drives an always-cold Warm through a seeded
+// join/leave stream and checks, after every refresh, that the anchor that
+// reused the memoized betas of surviving sessions is bitwise the fresh
+// MaxConcurrentFlow over the same dense sessions, that its prestep ran
+// MaxFlow only for the slots joined since the previous anchor, and that a
+// Fault makes the next anchor recompute every beta on the faulted graph.
+func TestWarmColdAnchorReusesBetas(t *testing.T) {
+	const eps = 0.2
+	for _, mode := range []RoutingMode{RoutingIP, RoutingArbitrary} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%v/w%d", mode, workers), func(t *testing.T) {
+				net, err := topology.Waxman(topology.DefaultWaxman(25), rng.New(41))
+				if err != nil {
+					t.Fatal(err)
+				}
+				g := net.Graph
+				opts := SolverOptions{Workers: workers}
+				w, err := NewWarm(g, mode, nil, WarmOptions{Epsilon: eps, SolverOptions: opts, RepairPhaseBudget: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer w.Close()
+				r := rng.New(uint64(97 + workers))
+				joined := map[int]bool{} // slots joined since the previous anchor
+				join := func() {
+					members := r.Sample(g.NumNodes(), 2+r.Intn(3))
+					s, err := overlay.NewSession(w.NumSlots(), members, float64(1+r.Intn(3)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := w.Join(s, testOracle(t, g, s, mode)); err != nil {
+						t.Fatal(err)
+					}
+					joined[s.ID] = true
+				}
+				leave := func(slot int) {
+					if err := w.Leave(slot); err != nil {
+						t.Fatal(err)
+					}
+					delete(joined, slot)
+				}
+				leaveRandom := func() {
+					var live []int
+					for slot := 0; slot < w.NumSlots(); slot++ {
+						if w.Active(slot) {
+							live = append(live, slot)
+						}
+					}
+					leave(live[r.Intn(len(live))])
+				}
+				check := func(step string, faulted bool) {
+					t.Helper()
+					before := w.Stats().MSTOps
+					sol, err := w.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					var dense []*overlay.Session
+					var denseToSlot []int
+					for slot, s := range w.sessions {
+						if w.active[slot] {
+							dense = append(dense, &overlay.Session{ID: len(dense), Members: s.Members, Demand: s.Demand})
+							denseToSlot = append(denseToSlot, slot)
+						}
+					}
+					p, err := NewProblem(g, dense, mode)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref, err := MaxConcurrentFlow(p, MaxConcurrentFlowOptions{Epsilon: eps, SolverOptions: opts})
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantOps := ref.MSTOps
+					for i, slot := range denseToSlot {
+						if w.betas[slot] != ref.Betas[i] {
+							t.Fatalf("%s: slot %d memoized beta %.17g, fresh %.17g", step, slot, w.betas[slot], ref.Betas[i])
+						}
+						if faulted || joined[slot] {
+							wantOps += soloMaxFlowOps(t, p, i, eps)
+						}
+					}
+					if got := w.Stats().MSTOps - before; got != wantOps {
+						t.Fatalf("%s: anchor spent %d MSTOps, want %d (phase loop %d plus the prestep of the %d slots joined since, faulted=%v)",
+							step, got, wantOps, ref.MSTOps, len(joined), faulted)
+					}
+					if got, want := testFingerprint(sol), testFingerprint(ref.Solution); got != want {
+						t.Fatalf("%s: anchor rates or trees differ from a fresh solve", step)
+					}
+					clear(joined)
+				}
+
+				for i := 0; i < 3; i++ {
+					join()
+				}
+				check("first anchor", false)
+				for step := 0; step < 8; step++ {
+					switch {
+					case step == 4:
+						// Halve the capacity of an edge the allocation uses;
+						// Warm.Fault expects the caller to have rewritten it.
+						e := usedEdge(t, w)
+						g.Edges[e].Capacity /= 2
+						if err := w.Fault(e, 2); err != nil {
+							t.Fatal(err)
+						}
+						join()
+						check(fmt.Sprintf("step %d (fault)", step), true)
+						continue
+					case w.ActiveSessions() > 2 && r.Intn(3) == 0:
+						leaveRandom()
+					case r.Intn(4) == 0:
+						// A session that joins and leaves between anchors
+						// never reaches the prestep.
+						join()
+						leave(w.NumSlots() - 1)
+						join()
+					default:
+						join()
+					}
+					if r.Intn(2) == 0 && w.ActiveSessions() > 2 {
+						leaveRandom()
+					}
+					check(fmt.Sprintf("step %d", step), false)
+				}
+			})
+		}
+	}
+}
+
+// usedEdge returns an edge the allocation routes flow over: the first edge
+// of the lowest active slot's first tree.
+func usedEdge(t *testing.T, w *Warm) graph.EdgeID {
+	t.Helper()
+	for slot, fs := range w.gk.raw {
+		if !w.active[slot] {
+			continue
+		}
+		for _, tf := range fs {
+			for _, route := range tf.Tree.Routes {
+				if len(route.Edges) > 0 {
+					return route.Edges[0]
+				}
+			}
+		}
+	}
+	t.Fatal("allocation routes no edge")
+	return 0
+}
+
+// soloMaxFlowOps returns the MSTOps of the prestep MaxFlow of session i of p.
+func soloMaxFlowOps(t *testing.T, p *Problem, i int, eps float64) int {
+	t.Helper()
+	mf, err := MaxFlow(singleSessionProblem(p, i), MaxFlowOptions{Epsilon: eps, SolverOptions: SolverOptions{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mf.MSTOps
+}
+
+// testOracle builds a per-session oracle matching mode, the way a caller of
+// Warm.Join would.
+func testOracle(t *testing.T, g *graph.Graph, s *overlay.Session, mode RoutingMode) overlay.TreeOracle {
+	t.Helper()
+	var o overlay.TreeOracle
+	var err error
+	if mode == RoutingArbitrary {
+		o, err = overlay.NewArbitraryOracle(g, s)
+	} else {
+		o, err = overlay.NewFixedOracle(g, routing.NewIPRoutes(g, s.Members), s)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// testFingerprint renders every session's tree keys and rates bitwise.
+func testFingerprint(sol *Solution) string {
+	out := ""
+	for i := range sol.Sessions {
+		out += fmt.Sprintf("s%d:", i)
+		for _, tf := range sol.Flows[i] {
+			out += fmt.Sprintf(" %x@%.17g", tf.Tree.KeyHash(), tf.Rate)
+		}
+		out += "\n"
+	}
+	return out
 }
