@@ -141,8 +141,14 @@ type AllocatorStats struct {
 	// MSTOps counts spanning-tree computations across joins, anchors and
 	// repair (the paper's running-time unit). An anchor's beta prestep
 	// counts only the single-session max flows it ran: sessions that
-	// survived the previous anchor reuse their beta until a Fault.
+	// survived the previous anchor reuse their beta until a Fault. A max
+	// flow the prestep stopped early counts its iterations up to the stop.
 	MSTOps int
+	// PrestepStopped counts the single-session max flows that an anchor
+	// knowing no beta (the first, or the first after an effective Fault)
+	// stopped early, once Garg–Könemann's Lemma 2 proved they could not
+	// set the demand scale. The allocation is the same as without the stop.
+	PrestepStopped int
 	// UnderlayEvents counts underlay fault mutations (link failure/recovery,
 	// capacity drift) applied through Fault. Each one latches a cold re-solve
 	// for the next Snapshot/Rebalance.
@@ -514,6 +520,7 @@ func (a *Allocator) Stats() AllocatorStats {
 		WarmFallbacks:  ws.WarmFallbacks,
 		RepairPhases:   ws.RepairPhases,
 		MSTOps:         ws.MSTOps + a.online.MSTOps(),
+		PrestepStopped: ws.PrestepStopped,
 		UnderlayEvents: ws.UnderlayEvents,
 		Plane:          ws.Plane,
 	}

@@ -15,7 +15,9 @@
 // replay, a Zipf-hot arbitrary-routing instance where the plane serves
 // most per-member Dijkstra reads, the v2 Allocator's warm-start churn
 // path (anchor / warm-join / warm-leave snapshots, a rebalance, and an
-// end-to-end churn replay), and a seeded
+// end-to-end churn replay), the Allocator's cold anchors around link
+// faults (an anchor that knows no beta stops the beta-prestep max flows
+// that cannot set the demand scale), and a seeded
 // underlay fault-trace replay whose non-monotone capacity shrinks force
 // the plane's full-refill degradation and whose fault storm outruns the
 // ledger journal — the degraded paths must stay bit-identical too.
@@ -24,10 +26,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"hash/fnv"
 
 	"overcast"
 	"overcast/internal/core"
 	"overcast/internal/experiments"
+	"overcast/internal/rng"
+	"overcast/internal/topology"
 )
 
 func main() {
@@ -259,6 +264,14 @@ func main() {
 		wrep.Sessions, wrep.PeakConcurrency, wrep.Snapshots, wrep.WarmRefreshes, wrep.ColdSolves,
 		wrep.RepairPhases, wrep.MSTOps, wrep.FinalActive, wrep.Throughput, wrep.MinRate)
 
+	// Allocator anchors around link faults (arbitrary routing, the daemon's
+	// flap shape at a small size, every refresh cold): the anchors after the
+	// joins, the link-down faults and the recovery know no beta and run the
+	// bounded prestep; the last one, after a leave alone, reruns the max
+	// flows stopped before it in full. Rates, trees and counters must be
+	// bit-identical like everything above.
+	warmFault(solver)
+
 	// Fault-trace replay: a seeded underlay fault scenario (link-down growth,
 	// recovery shrink, capacity drift, and a journal-flooding fault storm)
 	// replayed through the persistent-ledger runner path. The non-monotone
@@ -280,4 +293,77 @@ func main() {
 		fmt.Printf("fault nodes=%d ases=%d edges=%d rounds=%d events=%d fp=%s\n",
 			fc.Nodes, fc.TwoLevelASes, frep.Edges, frep.Rounds, frep.UnderlayEvents, frep.Fingerprint)
 	}
+}
+
+// warmFault prints the warmfault section: 8 joins, a snapshot, link-down
+// faults on every third of the first 30 links, a snapshot, the recovery of
+// two of them, a leave, a snapshot, one more leave and a last snapshot, each
+// with every session's rate and trees and the allocator's counters.
+func warmFault(solver core.SolverOptions) {
+	const nodes, seed = 50, 1
+	net, err := overcast.WaxmanNetwork(nodes, 100, seed)
+	if err != nil {
+		panic(err)
+	}
+	// The same generator and seed give the link endpoints fault events take.
+	shadow, err := topology.Waxman(topology.DefaultWaxman(nodes), rng.New(seed))
+	if err != nil {
+		panic(err)
+	}
+	a, err := overcast.NewAllocator(net, overcast.AllocatorOptions{
+		Epsilon: 0.5, Routing: overcast.RoutingArbitrary, RepairPhaseBudget: -1,
+		Workers: solver.Workers, Plane: solver.Plane,
+	})
+	if err != nil {
+		panic(err)
+	}
+	defer a.Close()
+	sessions := [][]int{{0, 17, 33}, {4, 21, 40, 49}, {8, 26}, {12, 30, 45}, {2, 19, 37}, {6, 24, 42, 47}, {10, 28}, {14, 35, 44}}
+	var ids []overcast.SessionID
+	for i, m := range sessions {
+		p, err := a.Join(overcast.Session{Members: m, Demand: float64(100 + 50*(i%3))})
+		if err != nil {
+			panic(err)
+		}
+		ids = append(ids, p.Session)
+	}
+	dump := func(stage string) {
+		snap, err := a.Snapshot()
+		if err != nil {
+			panic(err)
+		}
+		st := a.Stats()
+		fmt.Printf("warmfault %s active=%d cold=%d events=%d mstops=%d stopped=%d\n",
+			stage, a.Active(), st.ColdSolves, st.UnderlayEvents, st.MSTOps, st.PrestepStopped)
+		for i := 0; i < a.Active(); i++ {
+			// One hash over every tree's overlay edges, hops and rate keeps
+			// the section short while pinning each tree bitwise.
+			h := fnv.New64a()
+			for _, t := range snap.Trees(i) {
+				fmt.Fprintf(h, "%v %d %.17g;", t.Pairs, t.PhysicalHops, t.Rate)
+			}
+			fmt.Printf("  rate[%d]=%.17g trees=%d fp=%016x\n", i, snap.SessionRate(i), snap.TreeCount(i), h.Sum64())
+		}
+	}
+	dump("anchor")
+	fault := func(e int, kind overcast.FaultKind) {
+		edge := shadow.Graph.Edges[e]
+		if _, err := a.Fault(overcast.LinkFault{From: edge.U, To: edge.V, Kind: kind}); err != nil {
+			panic(err)
+		}
+	}
+	for e := 0; e < 30; e += 3 {
+		fault(e, overcast.FaultLinkDown)
+	}
+	dump("down")
+	fault(0, overcast.FaultLinkUp)
+	fault(9, overcast.FaultLinkUp)
+	if err := a.Leave(ids[3]); err != nil {
+		panic(err)
+	}
+	dump("up")
+	if err := a.Leave(ids[6]); err != nil {
+		panic(err)
+	}
+	dump("leave")
 }

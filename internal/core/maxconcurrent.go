@@ -56,7 +56,8 @@ type MCFResult struct {
 	// per-session maximum flows beta_i used for demand scaling — the second
 	// running-time component reported in Table IV. It covers only the
 	// MaxFlows the prestep actually ran: a Warm re-anchor that reuses known
-	// betas spends (and counts) nothing for those sessions.
+	// betas spends (and counts) nothing for those sessions, and a MaxFlow
+	// the bounded prestep stopped counts its iterations up to the stop.
 	PrestepMSTOps int
 	// PrestepPlane sums the beta prestep subproblems' own plane counters
 	// (each MaxFlow's fills and cross-round skips/repairs), kept apart from
@@ -64,7 +65,12 @@ type MCFResult struct {
 	// *within-batch* dedup is exactly 1.0, so folding these in would dilute
 	// the phase loop's cross-session dedup ratio.
 	PrestepPlane overlay.PlaneStats
-	// Betas are the single-session maximum flow values.
+	// Betas are the single-session maximum flow values. The public
+	// MaxConcurrentFlow computes every one. A Warm anchor that knows no beta
+	// (its first, or its first after a Fault) runs the bounded prestep
+	// (prestep.go), which reports 0 for a session whose MaxFlow it stopped
+	// once Lemma 2 proved beta_i/d_i above the minimum: such a beta cannot
+	// set the demand scale.
 	Betas []float64
 }
 
@@ -102,7 +108,8 @@ func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, e
 // Solution rescales its own copy. A logged solve skips the surplus pass,
 // whose flows have no place in the anchor. known, when non-nil, is aligned
 // with p.Sessions and carries betas the caller already holds (positive) or
-// 0 for unknown; the prestep runs MaxFlow only for the unknown ones.
+// 0 for unknown; the prestep runs MaxFlow only for the unknown ones, and
+// bounds them when none is known (see prestepBetas).
 func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool, known []float64) (*MCFResult, *mcfAnchor, error) {
 	eps := opts.Epsilon
 	if eps <= 0 || eps > 0.5 {
@@ -124,10 +131,11 @@ func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool, k
 		return nil, nil, err
 	}
 	// zeta = min_i beta_i/dem(i) upper-bounds lambda*; scaling demands by
-	// zeta/k puts the scaled optimum in [1, k].
+	// zeta/k puts the scaled optimum in [1, k]. A beta of 0 is a MaxFlow the
+	// bounded prestep stopped once it could not be the minimum.
 	zeta := math.Inf(1)
 	for i, s := range p.Sessions {
-		if v := betas[i] / s.Demand; v < zeta {
+		if v := betas[i] / s.Demand; v > 0 && v < zeta {
 			zeta = v
 		}
 	}

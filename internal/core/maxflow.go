@@ -43,20 +43,62 @@ const deltaFloor = 1e-280
 // lengths by (1 + eps·n_e·c/c_e). Finally rescale the accumulated raw flow
 // to feasibility.
 func MaxFlow(p *Problem, opts MaxFlowOptions) (*Solution, error) {
+	sol, _, err := maxFlow(p, opts, math.Inf(1))
+	if err != nil {
+		return nil, err
+	}
+	// Lemma 2 scaling: dividing by log_{1+eps}((1+eps)/delta) is feasible;
+	// dividing by the measured congestion is never worse and is exactly
+	// feasible, so use it (it is upper-bounded by the lemma's factor).
+	if cong := sol.MaxCongestion(); cong > 0 {
+		sol.Scale(1 / cong)
+	}
+	return sol, nil
+}
+
+// maxFlowDelta is the initial length of MaxFlow on p. Lemma 3: delta =
+// (1+eps)^(1-1/eps) / ((|Smax|-1)·U)^(1/eps). For extreme accuracy targets
+// the formula underflows float64 (e.g. 48^-200 at eps=0.005), so it is
+// floored at deltaFloor. A larger delta only stops the length-update loop
+// earlier — the returned flow is still exactly feasible via the
+// measured-congestion rescale, and the empirical gap is far below the
+// requested eps (validated against the exact LP in tests).
+func maxFlowDelta(p *Problem, eps float64) float64 {
+	delta := math.Pow(1+eps, 1-1/eps) / math.Pow(float64(p.MaxReceivers)*float64(p.U), 1/eps)
+	return max(delta, deltaFloor)
+}
+
+// lemma2Bound is L = log_{1+eps}((1+eps)/delta), the Lemma 2 bound on the
+// raw congestion MaxFlow ends with. Every tree it routes has normalized
+// length below 1, so each of its edges is below 1 before the bump and below
+// 1+eps after it; a relative load x <= 1 multiplies a length by 1+eps·x >=
+// (1+eps)^x, so an edge of congestion x_e ends at least delta·(1+eps)^x_e.
+// Hence every x_e < L, and the rescaled value is at least the raw flow / L.
+func lemma2Bound(eps, delta float64) float64 {
+	return math.Log((1+eps)/delta) / math.Log(1+eps)
+}
+
+// stopMargin is the relative slack of maxFlow's early stop over the Lemma 2
+// bound: it absorbs the float rounding of the lengths, of L and of the
+// rescale, which are many orders of magnitude smaller.
+const stopMargin = 1e-6
+
+// maxFlow runs MaxFlow's loop and returns the unscaled (raw) flows. With a
+// finite stopAbove it may stop early, reporting stopped: once the raw flow
+// routed so far exceeds stopAbove·L·(1+stopMargin), Lemma 2 (see
+// lemma2Bound) proves that the rescaled value of the full run exceeds
+// stopAbove, so a caller that needs the value only when it is at most
+// stopAbove can drop it. A stopped run returns its partial flows, MSTOps
+// and plane counters; a run that is not stopped is bitwise MaxFlow's before
+// the rescale.
+func maxFlow(p *Problem, opts MaxFlowOptions, stopAbove float64) (*Solution, bool, error) {
 	eps := opts.Epsilon
 	if eps <= 0 || eps > 0.5 {
-		return nil, fmt.Errorf("core: MaxFlow epsilon %v outside (0, 0.5]", eps)
+		return nil, false, fmt.Errorf("core: MaxFlow epsilon %v outside (0, 0.5]", eps)
 	}
-	// Lemma 3: delta = (1+eps)^(1-1/eps) / ((|Smax|-1)·U)^(1/eps). For
-	// extreme accuracy targets the formula underflows float64 (e.g. 48^-200
-	// at eps=0.005), so it is floored at deltaFloor. A larger delta only stops
-	// the length-update loop earlier — the returned flow is still exactly
-	// feasible via the measured-congestion rescale, and the empirical gap is
-	// far below the requested eps (validated against the exact LP in tests).
-	delta := math.Pow(1+eps, 1-1/eps) / math.Pow(float64(p.MaxReceivers)*float64(p.U), 1/eps)
-	if delta < deltaFloor {
-		delta = deltaFloor
-	}
+	delta := maxFlowDelta(p, eps)
+	bound := lemma2Bound(eps, delta)
+	stopAt := stopAbove * bound * (1 + stopMargin)
 
 	gk := newGKState(p.G, eps, graph.NewLengthStore(p.G, delta), p.K(), false)
 	// One worker pool plus per-worker scratch for the whole run: the oracle
@@ -67,10 +109,14 @@ func MaxFlow(p *Problem, opts MaxFlowOptions) (*Solution, error) {
 		Plane:   opts.Plane,
 	})
 	defer runner.Close()
+	result := func() *Solution {
+		return &Solution{G: p.G, Sessions: p.Sessions, Flows: gk.raw, MSTOps: gk.ops, Plane: runner.Metrics()}
+	}
 
 	// Lemma 1: at most |E|·log_{1+eps}((1+eps)/delta) augmentations.
-	maxIter := int(float64(p.G.NumEdges())*math.Log((1+eps)/delta)/math.Log(1+eps)) + 16
+	maxIter := int(float64(p.G.NumEdges())*bound) + 16
 
+	routed := 0.0
 	iter := 0
 	for ; iter < maxIter; iter++ {
 		results := runner.MinTreesLen(gk.d, nil)
@@ -79,7 +125,7 @@ func MaxFlow(p *Problem, opts MaxFlowOptions) (*Solution, error) {
 		bestNorm := math.Inf(1)
 		for i, r := range results {
 			if r.Err != nil {
-				return nil, fmt.Errorf("core: MaxFlow oracle %d: %w", i, r.Err)
+				return nil, false, fmt.Errorf("core: MaxFlow oracle %d: %w", i, r.Err)
 			}
 			norm := r.Len / p.Weight(i)
 			if norm < bestNorm {
@@ -92,20 +138,16 @@ func MaxFlow(p *Problem, opts MaxFlowOptions) (*Solution, error) {
 		}
 		// Saturate the tree's bottleneck c = min_e c_e/n_e(t).
 		t := results[best].Tree
-		gk.apply(best, t, t.Bottleneck(p.G))
+		c := t.Bottleneck(p.G)
+		gk.apply(best, t, c)
+		if routed += c; routed > stopAt {
+			return result(), true, nil
+		}
 	}
 	if iter >= maxIter {
-		return nil, fmt.Errorf("core: MaxFlow did not converge within %d iterations", maxIter)
+		return nil, false, fmt.Errorf("core: MaxFlow did not converge within %d iterations", maxIter)
 	}
-
-	sol := &Solution{G: p.G, Sessions: p.Sessions, Flows: gk.raw, MSTOps: gk.ops, Plane: runner.Metrics()}
-	// Lemma 2 scaling: dividing by log_{1+eps}((1+eps)/delta) is feasible;
-	// dividing by the measured congestion is never worse and is exactly
-	// feasible, so use it (it is upper-bounded by the lemma's factor).
-	if cong := sol.MaxCongestion(); cong > 0 {
-		sol.Scale(1 / cong)
-	}
-	return sol, nil
+	return result(), false, nil
 }
 
 // WeightedObjective returns the M1 objective Σ_i w_i·rate_i of a solution

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"overcast/internal/overlay"
 )
@@ -18,12 +20,31 @@ import (
 // on one worker with its own persistent plane (ledger-driven skip and repair
 // across its iterations). Betas, MSTOps, plane counters and errors are
 // folded in session order, identical to a sequential pass.
+//
+// The demands are scaled by zeta = min_i beta_i/d_i alone, so only the
+// minimizing beta matters; the others need only be shown to be larger. A
+// caller that knows betas but none yet (a Warm allocator's first anchor, or
+// its first after a Fault) asks for this bounded prestep: the sessions are
+// ordered by an upper bound on beta_i/d_i, the first wave of
+// prestepFirstWave sessions runs to completion, and its minimum beta/d is
+// the threshold tau. Every other MaxFlow stops as soon as Lemma 2 proves
+// its beta/d above tau (see maxFlow), and reports beta 0: it cannot set
+// zeta, so the allocation is bitwise that of the unbounded prestep. The
+// wave size is a constant, not the worker count, so which runs stop, and
+// every counter, is the same for every pool size.
+
+// prestepFirstWave is the number of sessions the bounded prestep runs to
+// completion before it bounds the rest.
+const prestepFirstWave = 2
 
 // prestepBetas computes the per-session maximum flows of p. known, when
 // non-nil, is aligned with p.Sessions: a positive entry is taken as that
-// session's beta and its MaxFlow is not run. It returns the betas, the
-// spanning-tree operations of the MaxFlows actually run, and their plane
-// counters merged in session order.
+// session's beta and its MaxFlow is not run. When known is non-nil but
+// holds no positive entry and p has more than prestepFirstWave sessions,
+// the prestep is bounded (see above) and a session whose MaxFlow was
+// stopped gets beta 0. It returns the betas, the spanning-tree operations
+// of the MaxFlows actually run (stopped ones included, up to their stop),
+// and their plane counters merged in session order.
 func prestepBetas(p *Problem, eps float64, workers int, opts MaxConcurrentFlowOptions, known []float64) ([]float64, int, overlay.PlaneStats, error) {
 	k := p.K()
 	betas := make([]float64, k)
@@ -35,37 +56,81 @@ func prestepBetas(p *Problem, eps float64, workers int, opts MaxConcurrentFlowOp
 			todo = append(todo, i)
 		}
 	}
-	perSessionOps := make([]int, len(todo))
-	perSessionPlane := make([]overlay.PlaneStats, len(todo))
-	prestepErrs := make([]error, len(todo))
-	ParallelFor(workers, len(todo), func(j int) {
-		i := todo[j]
-		sub := singleSessionProblem(p, i)
-		mf, err := MaxFlow(sub, MaxFlowOptions{
-			Epsilon:       eps,
-			SolverOptions: SolverOptions{Workers: 1, Plane: opts.Plane},
+	perSessionOps := make([]int, k)
+	perSessionPlane := make([]overlay.PlaneStats, k)
+	prestepErrs := make([]error, k)
+	// run computes the betas of ids, each MaxFlow stopped once its beta/d
+	// provably exceeds tau (+Inf runs them all to completion).
+	run := func(ids []int, tau float64) {
+		ParallelFor(workers, len(ids), func(j int) {
+			i := ids[j]
+			mf, stopped, err := maxFlow(singleSessionProblem(p, i), MaxFlowOptions{
+				Epsilon:       eps,
+				SolverOptions: SolverOptions{Workers: 1, Plane: opts.Plane},
+			}, tau*p.Sessions[i].Demand)
+			if err != nil {
+				prestepErrs[i] = fmt.Errorf("core: beta prestep session %d: %w", i, err)
+				return
+			}
+			perSessionOps[i] = mf.MSTOps
+			perSessionPlane[i] = mf.Plane
+			if stopped {
+				return
+			}
+			if cong := mf.MaxCongestion(); cong > 0 {
+				mf.Scale(1 / cong)
+			}
+			if betas[i] = mf.SessionRate(0); betas[i] <= 0 {
+				prestepErrs[i] = fmt.Errorf("core: session %d has zero max flow", i)
+			}
 		})
-		if err != nil {
-			prestepErrs[j] = fmt.Errorf("core: beta prestep session %d: %w", i, err)
-			return
+	}
+	if known == nil || len(todo) < k || k <= prestepFirstWave {
+		run(todo, math.Inf(1))
+	} else {
+		order := betaUpperBoundOrder(p)
+		run(order[:prestepFirstWave], math.Inf(1))
+		tau := math.Inf(1)
+		for _, i := range order[:prestepFirstWave] {
+			// A failed run leaves beta 0, so tau 0 stops the rest at once.
+			tau = min(tau, betas[i]/p.Sessions[i].Demand)
 		}
-		betas[i] = mf.SessionRate(0)
-		perSessionOps[j] = mf.MSTOps
-		perSessionPlane[j] = mf.Plane
-		if betas[i] <= 0 {
-			prestepErrs[j] = fmt.Errorf("core: session %d has zero max flow", i)
-		}
-	})
+		run(order[prestepFirstWave:], tau)
+	}
 	prestepOps := 0
 	var prestepPlane overlay.PlaneStats
-	for j := range todo {
-		if prestepErrs[j] != nil {
-			return nil, 0, overlay.PlaneStats{}, prestepErrs[j]
+	for _, i := range todo {
+		if prestepErrs[i] != nil {
+			return nil, 0, overlay.PlaneStats{}, prestepErrs[i]
 		}
-		prestepOps += perSessionOps[j]
-		prestepPlane.Merge(perSessionPlane[j])
+		prestepOps += perSessionOps[i]
+		prestepPlane.Merge(perSessionPlane[i])
 	}
 	return betas, prestepOps, prestepPlane, nil
+}
+
+// betaUpperBoundOrder returns p's session indices ordered by an upper bound
+// on beta_i/d_i, ties by index: every tree of session i leaves each member
+// v over a link incident to v, so beta_i is at most the least total
+// capacity incident to a member. Running the smallest bounds first makes it
+// likely that the first wave holds the minimizing session.
+func betaUpperBoundOrder(p *Problem) []int {
+	ub := make([]float64, p.K())
+	order := make([]int, p.K())
+	for i, s := range p.Sessions {
+		order[i] = i
+		ub[i] = math.Inf(1)
+		for _, v := range s.Members {
+			incident := 0.0
+			for _, e := range p.G.Adj(v) {
+				incident += p.G.Edges[e].Capacity
+			}
+			ub[i] = min(ub[i], incident)
+		}
+		ub[i] /= s.Demand
+	}
+	sort.SliceStable(order, func(a, b int) bool { return ub[order[a]] < ub[order[b]] })
+	return order
 }
 
 // singleSessionProblem projects p onto session i, reusing its oracle.

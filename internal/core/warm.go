@@ -45,7 +45,11 @@ import (
 //     discipline and the link capacities, so the next anchor reuses the
 //     betas of every surviving session and runs the prestep MaxFlow only for
 //     sessions joined since. Fault, the one path that changes capacities
-//     under the allocator, forgets them all.
+//     under the allocator, forgets them all. An anchor that knows no beta
+//     (the first, or the first after a Fault) runs the bounded prestep: it
+//     stops every MaxFlow that Lemma 2 proves cannot set the demand scale
+//     and memoizes 0 (unknown) for it, so the next anchor without a fault
+//     runs that one in full, as it does for a session joined since.
 //
 // Falling back to cold is always sound (the warm state is simply discarded
 // and re-anchored) and happens when the per-refresh repair budget is
@@ -101,8 +105,12 @@ type WarmStats struct {
 	UnderlayEvents int
 	// MSTOps counts spanning-tree computations across anchors and repair.
 	// An anchor's beta prestep counts only the single-session MaxFlows it
-	// ran, not those of the sessions whose beta it reused.
+	// ran, not those of the sessions whose beta it reused; a MaxFlow the
+	// bounded prestep stopped counts its iterations up to the stop.
 	MSTOps int
+	// PrestepStopped counts the single-session MaxFlows that anchors'
+	// bounded beta prestep stopped early (see prestepBetas).
+	PrestepStopped int
 	// Plane aggregates the shared-SSSP-plane counters across the anchors'
 	// phase loops and the warm repair runner.
 	Plane overlay.PlaneStats
@@ -141,8 +149,9 @@ type Warm struct {
 	shrinkOK graph.Epoch   // ledger epoch of the last self-inflicted shrink
 
 	// betas holds, per slot, the single-session maximum flow the last anchor
-	// scaled that session's demand by; 0 means unknown (joined since, or
-	// forgotten by a Fault). It survives re-anchors, unlike the state above.
+	// computed for that session; 0 means unknown (joined since, forgotten by
+	// a Fault, or stopped by the bounded prestep). It survives re-anchors,
+	// unlike the state above.
 	betas []float64
 
 	pendingJoins []int // slots joined since the last refresh, ascending
@@ -324,7 +333,8 @@ func (w *Warm) rollback(slot int) {
 // bump attribution were computed under the old capacities, so incremental
 // repair arithmetic is no longer trustworthy even for a monotone move. The
 // memoized betas are forgotten too: a single-session maximum flow depends on
-// the capacities, so the next anchor recomputes every one.
+// the capacities, so the next anchor knows none and runs the bounded
+// prestep, computing the minimizing betas in full and stopping the rest.
 func (w *Warm) Fault(e graph.EdgeID, lengthFactor float64) error {
 	if e < 0 || (w.gk != nil && e >= graph.EdgeID(w.gk.d.Len())) || e >= graph.EdgeID(w.g.NumEdges()) {
 		return fmt.Errorf("core: warm fault: edge %d out of range", e)
@@ -536,7 +546,8 @@ func (w *Warm) warmRepair() error {
 // (including any partially applied repair) is discarded — the anchor builds
 // its own problem, oracles, and ledger from scratch — except the memoized
 // betas: the prestep reuses every known one and runs MaxFlow only for the
-// rest, and a successful anchor stores the betas it scaled by.
+// rest, and a successful anchor stores the betas it computed (0 for a
+// MaxFlow the bounded prestep stopped).
 func (w *Warm) cold() error {
 	denseSessions := make([]*overlay.Session, 0, w.nActive)
 	denseToSlot := make([]int, 0, w.nActive)
@@ -558,7 +569,9 @@ func (w *Warm) cold() error {
 		return fmt.Errorf("core: warm cold anchor: %w", err)
 	}
 	for i, slot := range denseToSlot {
-		w.betas[slot] = res.Betas[i]
+		if w.betas[slot] = res.Betas[i]; res.Betas[i] == 0 {
+			w.stats.PrestepStopped++
+		}
 	}
 	// Adopt the anchor's state slot by slot; each slot's tree index is
 	// rebuilt on its first add.

@@ -153,9 +153,13 @@ func TestWarmFaultBeforeLeaveFallsBackColdFirst(t *testing.T) {
 // TestWarmColdAnchorReusesBetas drives an always-cold Warm through a seeded
 // join/leave stream and checks, after every refresh, that the anchor that
 // reused the memoized betas of surviving sessions is bitwise the fresh
-// MaxConcurrentFlow over the same dense sessions, that its prestep ran
-// MaxFlow only for the slots joined since the previous anchor, and that a
-// Fault makes the next anchor recompute every beta on the faulted graph.
+// MaxConcurrentFlow over the same dense sessions, and that its prestep ran
+// MaxFlow only for the slots whose beta was unknown: joined since the
+// previous anchor, stopped by that anchor's bounded prestep, or forgotten
+// by a Fault. An anchor that knows no beta (the first, and the one after
+// the Fault) runs the bounded prestep, so each memoized beta is exact or
+// certified (0, with the fresh beta/d above the first wave's minimum); any
+// other anchor memoizes exact betas.
 func TestWarmColdAnchorReusesBetas(t *testing.T) {
 	const eps = 0.2
 	for _, mode := range []RoutingMode{RoutingIP, RoutingArbitrary} {
@@ -173,7 +177,8 @@ func TestWarmColdAnchorReusesBetas(t *testing.T) {
 				}
 				defer w.Close()
 				r := rng.New(uint64(97 + workers))
-				joined := map[int]bool{} // slots joined since the previous anchor
+				joined := map[int]bool{}  // slots joined since the previous anchor
+				stopped := map[int]bool{} // slots the previous anchor's prestep stopped
 				join := func() {
 					members := r.Sample(g.NumNodes(), 2+r.Intn(3))
 					s, err := overlay.NewSession(w.NumSlots(), members, float64(1+r.Intn(3)))
@@ -190,6 +195,7 @@ func TestWarmColdAnchorReusesBetas(t *testing.T) {
 						t.Fatal(err)
 					}
 					delete(joined, slot)
+					delete(stopped, slot)
 				}
 				leaveRandom := func() {
 					var live []int
@@ -202,18 +208,27 @@ func TestWarmColdAnchorReusesBetas(t *testing.T) {
 				}
 				check := func(step string, faulted bool) {
 					t.Helper()
-					before := w.Stats().MSTOps
-					sol, err := w.Snapshot()
-					if err != nil {
-						t.Fatal(err)
-					}
+					before, stoppedBefore := w.Stats().MSTOps, w.Stats().PrestepStopped
 					var dense []*overlay.Session
 					var denseToSlot []int
+					anyKnown := false
 					for slot, s := range w.sessions {
 						if w.active[slot] {
 							dense = append(dense, &overlay.Session{ID: len(dense), Members: s.Members, Demand: s.Demand})
 							denseToSlot = append(denseToSlot, slot)
+							if unknown := w.betas[slot] == 0; unknown != (faulted || joined[slot] || stopped[slot]) {
+								t.Fatalf("%s: slot %d memo unknown=%v, joined=%v stopped=%v faulted=%v", step, slot, unknown, joined[slot], stopped[slot], faulted)
+							}
+							anyKnown = anyKnown || w.betas[slot] > 0
 						}
+					}
+					known := make([]float64, len(denseToSlot))
+					for i, slot := range denseToSlot {
+						known[i] = w.betas[slot]
+					}
+					sol, err := w.Snapshot()
+					if err != nil {
+						t.Fatal(err)
 					}
 					p, err := NewProblem(g, dense, mode)
 					if err != nil {
@@ -223,18 +238,41 @@ func TestWarmColdAnchorReusesBetas(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantOps := ref.MSTOps
+					memo := make([]float64, len(denseToSlot))
 					for i, slot := range denseToSlot {
-						if w.betas[slot] != ref.Betas[i] {
-							t.Fatalf("%s: slot %d memoized beta %.17g, fresh %.17g", step, slot, w.betas[slot], ref.Betas[i])
+						memo[i] = w.betas[slot]
+					}
+					wantOps, wantStopped := ref.MSTOps, 0
+					clear(stopped)
+					if bounded := !anyKnown && len(dense) > prestepFirstWave; bounded {
+						bp := replayBoundedPrestep(t, p, eps, ref.Betas)
+						bp.check(t, step, p, memo, ref.Betas)
+						wantOps += bp.ops
+						for i, s := range bp.stopped {
+							if s {
+								stopped[denseToSlot[i]] = true
+								wantStopped++
+							}
 						}
-						if faulted || joined[slot] {
-							wantOps += soloMaxFlowOps(t, p, i, eps)
+					} else {
+						for i, slot := range denseToSlot {
+							if w.betas[slot] != ref.Betas[i] {
+								t.Fatalf("%s: slot %d memoized beta %.17g, fresh %.17g", step, slot, w.betas[slot], ref.Betas[i])
+							}
+							if known[i] == 0 {
+								wantOps += soloMaxFlowOps(t, p, i, eps)
+							}
 						}
 					}
+					if faulted && anyKnown {
+						t.Fatalf("%s: a Fault left memoized betas behind", step)
+					}
 					if got := w.Stats().MSTOps - before; got != wantOps {
-						t.Fatalf("%s: anchor spent %d MSTOps, want %d (phase loop %d plus the prestep of the %d slots joined since, faulted=%v)",
-							step, got, wantOps, ref.MSTOps, len(joined), faulted)
+						t.Fatalf("%s: anchor spent %d MSTOps, want %d (phase loop %d plus the prestep of the unknown betas, faulted=%v)",
+							step, got, wantOps, ref.MSTOps, faulted)
+					}
+					if got := w.Stats().PrestepStopped - stoppedBefore; got != wantStopped {
+						t.Fatalf("%s: PrestepStopped grew by %d, want %d", step, got, wantStopped)
 					}
 					if got, want := testFingerprint(sol), testFingerprint(ref.Solution); got != want {
 						t.Fatalf("%s: anchor rates or trees differ from a fresh solve", step)
