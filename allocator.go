@@ -146,8 +146,9 @@ type AllocatorStats struct {
 	MSTOps int
 	// PrestepStopped counts the single-session max flows that an anchor
 	// knowing no beta (the first, or the first after an effective Fault)
-	// stopped early, once Garg–Könemann's Lemma 2 proved they could not
-	// set the demand scale. The allocation is the same as without the stop.
+	// stopped early, once a weak-duality bound on their Garg–Könemann run
+	// proved they could not set the demand scale. The allocation is the
+	// same as without the stop.
 	PrestepStopped int
 	// UnderlayEvents counts underlay fault mutations (link failure/recovery,
 	// capacity drift) applied through Fault. Each one latches a cold re-solve

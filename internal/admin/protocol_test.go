@@ -10,43 +10,46 @@ import (
 	"testing"
 )
 
+// requestGoldenCases are the exact wire frames of every request op,
+// shared by TestRequestGoldenFrames and the FuzzDecodeRequest seed corpus.
+var requestGoldenCases = []struct {
+	name string
+	req  Request
+	want string
+}{
+	{"ping", Request{V: 1, ID: 1, Op: OpPing},
+		`{"v":1,"id":1,"op":"ping"}`},
+	{"join", Request{V: 1, ID: 2, Op: OpJoin, Join: &JoinParams{Members: []int{0, 3, 9}, Demand: 2.5}},
+		`{"v":1,"id":2,"op":"join","join":{"members":[0,3,9],"demand":2.5}}`},
+	{"leave", Request{V: 1, ID: 3, Op: OpLeave, Leave: &LeaveParams{Session: 7}},
+		`{"v":1,"id":3,"op":"leave","leave":{"session":7}}`},
+	{"rebalance", Request{V: 1, ID: 4, Op: OpRebalance},
+		`{"v":1,"id":4,"op":"rebalance"}`},
+	{"snapshot", Request{V: 1, ID: 5, Op: OpSnapshot, Snapshot: &SnapshotParams{Refresh: true}},
+		`{"v":1,"id":5,"op":"snapshot","snapshot":{"refresh":true}}`},
+	{"snapshot-cached", Request{V: 1, ID: 6, Op: OpSnapshot},
+		`{"v":1,"id":6,"op":"snapshot"}`},
+	{"stats", Request{V: 1, ID: 7, Op: OpStats},
+		`{"v":1,"id":7,"op":"stats"}`},
+	{"metrics", Request{V: 1, ID: 8, Op: OpMetrics},
+		`{"v":1,"id":8,"op":"metrics"}`},
+	{"drain", Request{V: 1, ID: 9, Op: OpDrain},
+		`{"v":1,"id":9,"op":"drain"}`},
+	{"fault-down", Request{V: 1, ID: 12, Op: OpFault, Fault: &FaultParams{From: 0, To: 1, Kind: FaultLinkDown}},
+		`{"v":1,"id":12,"op":"fault","fault":{"from":0,"to":1,"kind":"link-down"}}`},
+	{"fault-drift", Request{V: 1, ID: 13, Op: OpFault, Fault: &FaultParams{From: 4, To: 7, Kind: FaultDrift, Factor: 0.5}},
+		`{"v":1,"id":13,"op":"fault","fault":{"from":4,"to":7,"kind":"drift","factor":0.5}}`},
+	{"watch", Request{V: 1, ID: 10, Op: OpWatch, Watch: &WatchParams{HeartbeatSeconds: 2.5}},
+		`{"v":1,"id":10,"op":"watch","watch":{"heartbeat_seconds":2.5}}`},
+	{"watch-defaults", Request{V: 1, ID: 11, Op: OpWatch},
+		`{"v":1,"id":11,"op":"watch"}`},
+}
+
 // TestRequestGoldenFrames pins the exact wire bytes of every request op: the
 // frames ARE the protocol, so an accidental field rename or tag change must
 // fail here, not in a cross-version daemon pairing.
 func TestRequestGoldenFrames(t *testing.T) {
-	cases := []struct {
-		name string
-		req  Request
-		want string
-	}{
-		{"ping", Request{V: 1, ID: 1, Op: OpPing},
-			`{"v":1,"id":1,"op":"ping"}`},
-		{"join", Request{V: 1, ID: 2, Op: OpJoin, Join: &JoinParams{Members: []int{0, 3, 9}, Demand: 2.5}},
-			`{"v":1,"id":2,"op":"join","join":{"members":[0,3,9],"demand":2.5}}`},
-		{"leave", Request{V: 1, ID: 3, Op: OpLeave, Leave: &LeaveParams{Session: 7}},
-			`{"v":1,"id":3,"op":"leave","leave":{"session":7}}`},
-		{"rebalance", Request{V: 1, ID: 4, Op: OpRebalance},
-			`{"v":1,"id":4,"op":"rebalance"}`},
-		{"snapshot", Request{V: 1, ID: 5, Op: OpSnapshot, Snapshot: &SnapshotParams{Refresh: true}},
-			`{"v":1,"id":5,"op":"snapshot","snapshot":{"refresh":true}}`},
-		{"snapshot-cached", Request{V: 1, ID: 6, Op: OpSnapshot},
-			`{"v":1,"id":6,"op":"snapshot"}`},
-		{"stats", Request{V: 1, ID: 7, Op: OpStats},
-			`{"v":1,"id":7,"op":"stats"}`},
-		{"metrics", Request{V: 1, ID: 8, Op: OpMetrics},
-			`{"v":1,"id":8,"op":"metrics"}`},
-		{"drain", Request{V: 1, ID: 9, Op: OpDrain},
-			`{"v":1,"id":9,"op":"drain"}`},
-		{"fault-down", Request{V: 1, ID: 12, Op: OpFault, Fault: &FaultParams{From: 0, To: 1, Kind: FaultLinkDown}},
-			`{"v":1,"id":12,"op":"fault","fault":{"from":0,"to":1,"kind":"link-down"}}`},
-		{"fault-drift", Request{V: 1, ID: 13, Op: OpFault, Fault: &FaultParams{From: 4, To: 7, Kind: FaultDrift, Factor: 0.5}},
-			`{"v":1,"id":13,"op":"fault","fault":{"from":4,"to":7,"kind":"drift","factor":0.5}}`},
-		{"watch", Request{V: 1, ID: 10, Op: OpWatch, Watch: &WatchParams{HeartbeatSeconds: 2.5}},
-			`{"v":1,"id":10,"op":"watch","watch":{"heartbeat_seconds":2.5}}`},
-		{"watch-defaults", Request{V: 1, ID: 11, Op: OpWatch},
-			`{"v":1,"id":11,"op":"watch"}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range requestGoldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			frame, err := EncodeFrame(&tc.req)
 			if err != nil {
@@ -163,29 +166,33 @@ func TestStatsResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// requestRejectionCases are malformed request frames, one per rejection
+// class, with the code and recovered id each must be rejected with; shared by
+// TestDecodeRequestRejections and the FuzzDecodeRequest seed corpus.
+var requestRejectionCases = []struct {
+	name     string
+	frame    string
+	wantCode string
+	wantID   uint64
+}{
+	{"malformed-json", `{"v":1,"op":`, ErrCodeBadFrame, 0},
+	{"not-json", `ping please`, ErrCodeBadFrame, 0},
+	{"wrong-type", `{"v":"one","op":"ping"}`, ErrCodeBadFrame, 0},
+	{"version-zero", `{"op":"ping","id":4}`, ErrCodeBadVersion, 4},
+	{"version-future", `{"v":2,"id":9,"op":"ping"}`, ErrCodeBadVersion, 9},
+	{"unknown-op", `{"v":1,"id":5,"op":"explode"}`, ErrCodeUnknownOp, 5},
+	{"join-missing-params", `{"v":1,"id":6,"op":"join"}`, ErrCodeBadParams, 6},
+	{"leave-missing-params", `{"v":1,"id":7,"op":"leave"}`, ErrCodeBadParams, 7},
+	{"watch-negative-heartbeat", `{"v":1,"id":8,"op":"watch","watch":{"heartbeat_seconds":-1}}`, ErrCodeBadParams, 8},
+	{"fault-missing-params", `{"v":1,"id":9,"op":"fault"}`, ErrCodeBadParams, 9},
+	{"fault-unknown-kind", `{"v":1,"id":10,"op":"fault","fault":{"from":0,"to":1,"kind":"sever"}}`, ErrCodeBadParams, 10},
+	{"fault-bad-drift-factor", `{"v":1,"id":11,"op":"fault","fault":{"from":0,"to":1,"kind":"drift","factor":-2}}`, ErrCodeBadParams, 11},
+	{"fault-zero-drift-factor", `{"v":1,"id":12,"op":"fault","fault":{"from":0,"to":1,"kind":"drift"}}`, ErrCodeBadParams, 12},
+}
+
 // TestDecodeRequestRejections covers every rejection class with its code.
 func TestDecodeRequestRejections(t *testing.T) {
-	cases := []struct {
-		name     string
-		frame    string
-		wantCode string
-		wantID   uint64
-	}{
-		{"malformed-json", `{"v":1,"op":`, ErrCodeBadFrame, 0},
-		{"not-json", `ping please`, ErrCodeBadFrame, 0},
-		{"wrong-type", `{"v":"one","op":"ping"}`, ErrCodeBadFrame, 0},
-		{"version-zero", `{"op":"ping","id":4}`, ErrCodeBadVersion, 4},
-		{"version-future", `{"v":2,"id":9,"op":"ping"}`, ErrCodeBadVersion, 9},
-		{"unknown-op", `{"v":1,"id":5,"op":"explode"}`, ErrCodeUnknownOp, 5},
-		{"join-missing-params", `{"v":1,"id":6,"op":"join"}`, ErrCodeBadParams, 6},
-		{"leave-missing-params", `{"v":1,"id":7,"op":"leave"}`, ErrCodeBadParams, 7},
-		{"watch-negative-heartbeat", `{"v":1,"id":8,"op":"watch","watch":{"heartbeat_seconds":-1}}`, ErrCodeBadParams, 8},
-		{"fault-missing-params", `{"v":1,"id":9,"op":"fault"}`, ErrCodeBadParams, 9},
-		{"fault-unknown-kind", `{"v":1,"id":10,"op":"fault","fault":{"from":0,"to":1,"kind":"sever"}}`, ErrCodeBadParams, 10},
-		{"fault-bad-drift-factor", `{"v":1,"id":11,"op":"fault","fault":{"from":0,"to":1,"kind":"drift","factor":-2}}`, ErrCodeBadParams, 11},
-		{"fault-zero-drift-factor", `{"v":1,"id":12,"op":"fault","fault":{"from":0,"to":1,"kind":"drift"}}`, ErrCodeBadParams, 12},
-	}
-	for _, tc := range cases {
+	for _, tc := range requestRejectionCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := DecodeRequest([]byte(tc.frame))
 			if err == nil {
@@ -203,6 +210,59 @@ func TestDecodeRequestRejections(t *testing.T) {
 			}
 		})
 	}
+}
+
+// requestRejectionCodes are the ErrCode* classes DecodeRequest may reject a
+// frame with; the other codes are outcomes of serving a well-formed request.
+var requestRejectionCodes = map[string]bool{
+	ErrCodeBadFrame:   true,
+	ErrCodeBadVersion: true,
+	ErrCodeUnknownOp:  true,
+	ErrCodeBadParams:  true,
+}
+
+// FuzzDecodeRequest feeds arbitrary bytes to the request decoder, seeded with
+// every golden and rejected frame. It must never panic, and must either
+// reject the frame with a *FrameError carrying a request rejection code, or
+// return a request that EncodeFrame re-encodes into a frame decoding to an
+// equal request.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, tc := range requestGoldenCases {
+		f.Add([]byte(tc.want))
+	}
+	for _, tc := range requestRejectionCases {
+		f.Add([]byte(tc.frame))
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		req, err := DecodeRequest(frame)
+		if err != nil {
+			var fe *FrameError
+			if !errors.As(err, &fe) {
+				t.Fatalf("error %v is not a *FrameError", err)
+			}
+			if !requestRejectionCodes[fe.Code] {
+				t.Fatalf("rejection code %q is not a request rejection class (%v)", fe.Code, err)
+			}
+			if req != nil {
+				t.Fatalf("rejected frame also returned request %+v", req)
+			}
+			return
+		}
+		if req == nil {
+			t.Fatal("accepted frame returned a nil request")
+		}
+		out, err := EncodeFrame(req)
+		if err != nil {
+			t.Fatalf("re-encode %+v: %v", req, err)
+		}
+		back, err := DecodeRequest(bytes.TrimSuffix(out, []byte("\n")))
+		if err != nil {
+			t.Fatalf("re-encoded frame %s rejected: %v", out, err)
+		}
+		if !reflect.DeepEqual(back, req) {
+			t.Fatalf("round-trip mismatch:\n got  %+v\n want %+v", back, req)
+		}
+	})
 }
 
 // TestDecodeResponseVersionCheck: responses version-gate like requests.

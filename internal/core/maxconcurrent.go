@@ -69,8 +69,8 @@ type MCFResult struct {
 	// MaxConcurrentFlow computes every one. A Warm anchor that knows no beta
 	// (its first, or its first after a Fault) runs the bounded prestep
 	// (prestep.go), which reports 0 for a session whose MaxFlow it stopped
-	// once Lemma 2 proved beta_i/d_i above the minimum: such a beta cannot
-	// set the demand scale.
+	// once it proved beta_i/d_i above the minimum: such a beta cannot set
+	// the demand scale.
 	Betas []float64
 }
 

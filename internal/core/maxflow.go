@@ -73,24 +73,40 @@ func maxFlowDelta(p *Problem, eps float64) float64 {
 // length below 1, so each of its edges is below 1 before the bump and below
 // 1+eps after it; a relative load x <= 1 multiplies a length by 1+eps·x >=
 // (1+eps)^x, so an edge of congestion x_e ends at least delta·(1+eps)^x_e.
-// Hence every x_e < L, and the rescaled value is at least the raw flow / L.
+// Hence every x_e < L, and the rescaled value of a run that ends having
+// routed raw flow F_T is at least F_T/L. maxFlow's early stop proves a
+// lower bound on F_T and divides it by L.
 func lemma2Bound(eps, delta float64) float64 {
 	return math.Log((1+eps)/delta) / math.Log(1+eps)
 }
 
-// stopMargin is the relative slack of maxFlow's early stop over the Lemma 2
-// bound: it absorbs the float rounding of the lengths, of L and of the
-// rescale, which are many orders of magnitude smaller.
+// stopMargin is the relative slack of maxFlow's early stop over the bound
+// it proves. The proof holds in exact arithmetic; the loop computes it from
+// floats: L, the accumulated dual objective D (one rounded update per edge
+// bump), the running congestion C_t (rounded sums of loads) and the
+// logarithm. Each is off by a relative error many orders of magnitude
+// below the margin, so a run the margin lets stop is one whose exact bound
+// exceeds stopAbove.
 const stopMargin = 1e-6
 
 // maxFlow runs MaxFlow's loop and returns the unscaled (raw) flows. With a
-// finite stopAbove it may stop early, reporting stopped: once the raw flow
-// routed so far exceeds stopAbove·L·(1+stopMargin), Lemma 2 (see
-// lemma2Bound) proves that the rescaled value of the full run exceeds
-// stopAbove, so a caller that needs the value only when it is at most
-// stopAbove can drop it. A stopped run returns its partial flows, MSTOps
-// and plane counters; a run that is not stopped is bitwise MaxFlow's before
-// the rescale.
+// finite stopAbove, which only single-session problems may pass, it may
+// stop early, reporting stopped, once it proves that the rescaled value of
+// the full run exceeds stopAbove, so a caller that needs the value only
+// when it is at most stopAbove can drop it. The proof is a lower bound on
+// the raw flow F_T the full run would route, divided by the Lemma 2 bound L
+// (see lemma2Bound). After each step, with routed raw flow F_t, dual
+// objective D_t = Σ_e c_e·d_e and maximum raw congestion C_t, the flow
+// rescaled by C_t is feasible, so b = F_t/C_t <= beta*, the optimum. Weak
+// duality gives beta* <= D/alpha under any lengths whose minimum tree
+// length is alpha; the run ends only once alpha >= 1, so D_T >= beta*; and
+// a step routing c grows D by eps·c·alpha <= eps·c·D/beta*, so D_T <=
+// D_t·exp(eps·(F_T-F_t)/beta*). Together, F_T >= F_t +
+// (beta*/eps)·ln(beta*/D_t), which is increasing in beta* once beta* > D_t,
+// so F_T >= F_t + (b/eps)·ln(b/D_t) whenever b > D_t, and F_T >= F_t always.
+// The run stops once that bound exceeds stopAbove·L·(1+stopMargin). A
+// stopped run returns its partial flows, MSTOps and plane counters; a run
+// that is not stopped is bitwise MaxFlow's before the rescale.
 func maxFlow(p *Problem, opts MaxFlowOptions, stopAbove float64) (*Solution, bool, error) {
 	eps := opts.Epsilon
 	if eps <= 0 || eps > 0.5 {
@@ -101,6 +117,21 @@ func maxFlow(p *Problem, opts MaxFlowOptions, stopAbove float64) (*Solution, boo
 	stopAt := stopAbove * bound * (1 + stopMargin)
 
 	gk := newGKState(p.G, eps, graph.NewLengthStore(p.G, delta), p.K(), false)
+	for _, e := range p.G.Edges {
+		gk.bigD += delta * e.Capacity
+	}
+	// load is the raw flow per edge and cong the maximum raw congestion,
+	// kept only for the early stop's feasible value b. The stop's duality
+	// argument takes the tree length as the normalized length, which holds
+	// only for weight 1: a single session.
+	var load []float64
+	cong := 0.0
+	if !math.IsInf(stopAbove, 1) {
+		if p.K() != 1 {
+			panic(fmt.Sprintf("core: bounded maxFlow on %d sessions, want 1", p.K()))
+		}
+		load = make([]float64, p.G.NumEdges())
+	}
 	// One worker pool plus per-worker scratch for the whole run: the oracle
 	// fan-out below executes every iteration, and rebuilding goroutines and
 	// buffers each time used to dominate the solver's allocation profile.
@@ -140,7 +171,19 @@ func maxFlow(p *Problem, opts MaxFlowOptions, stopAbove float64) (*Solution, boo
 		t := results[best].Tree
 		c := t.Bottleneck(p.G)
 		gk.apply(best, t, c)
-		if routed += c; routed > stopAt {
+		routed += c
+		if load == nil {
+			continue
+		}
+		for _, use := range t.Use() {
+			load[use.Edge] += float64(use.Count) * c
+			cong = max(cong, load[use.Edge]/p.G.Edges[use.Edge].Capacity)
+		}
+		finalAtLeast := routed
+		if b := routed / cong; b > gk.bigD {
+			finalAtLeast += b / eps * math.Log(b/gk.bigD)
+		}
+		if finalAtLeast > stopAt {
 			return result(), true, nil
 		}
 	}

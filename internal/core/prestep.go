@@ -27,11 +27,15 @@ import (
 // its first after a Fault) asks for this bounded prestep: the sessions are
 // ordered by an upper bound on beta_i/d_i, the first wave of
 // prestepFirstWave sessions runs to completion, and its minimum beta/d is
-// the threshold tau. Every other MaxFlow stops as soon as Lemma 2 proves
-// its beta/d above tau (see maxFlow), and reports beta 0: it cannot set
-// zeta, so the allocation is bitwise that of the unbounded prestep. The
-// wave size is a constant, not the worker count, so which runs stop, and
-// every counter, is the same for every pool size.
+// the threshold tau. Every other MaxFlow stops as soon as it proves its
+// final beta/d above tau, and reports beta 0: it cannot set zeta, so the
+// allocation is bitwise that of the unbounded prestep. The proof (see
+// maxFlow) bounds from below the raw flow the full run would route, by weak
+// duality on the Garg–Könemann dual objective D = Σ_e c_e·d_e and the
+// feasible value of the flow routed so far, and divides that by the Lemma 2
+// congestion bound; a run certified that way stops long before its raw flow
+// alone would. The wave size is a constant, not the worker count, so which
+// runs stop, and every counter, is the same for every pool size.
 
 // prestepFirstWave is the number of sessions the bounded prestep runs to
 // completion before it bounds the rest.

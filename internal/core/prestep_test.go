@@ -231,6 +231,53 @@ func TestMaxFlowLemma2Congestion(t *testing.T) {
 	}
 }
 
+// checkStopAtOwnBeta runs every session of p solo, unbounded and then
+// bounded at its own rescaled beta F_T/C_T. The early stop must prove the
+// final beta strictly above stopAbove, so the bounded run must never stop,
+// and it must route bitwise the unbounded run's raw flows with the same
+// MSTOps: the soundness edge of the stop's duality certificate.
+func checkStopAtOwnBeta(t testing.TB, name string, p *Problem, eps float64) {
+	t.Helper()
+	opts := MaxFlowOptions{Epsilon: eps, SolverOptions: SolverOptions{Workers: 1}}
+	for i := range p.Sessions {
+		sub := singleSessionProblem(p, i)
+		full, _, err := maxFlow(sub, opts, math.Inf(1))
+		if err != nil {
+			t.Fatalf("%s: session %d: %v", name, i, err)
+		}
+		beta := full.SessionRate(0) / full.MaxCongestion()
+		bounded, stopped, err := maxFlow(sub, opts, beta)
+		if err != nil {
+			t.Fatalf("%s: session %d: %v", name, i, err)
+		}
+		if stopped {
+			t.Fatalf("%s: session %d: maxFlow bounded at its own beta %.17g stopped after %d of %d MSTOps",
+				name, i, beta, bounded.MSTOps, full.MSTOps)
+		}
+		if bounded.MSTOps != full.MSTOps {
+			t.Fatalf("%s: session %d: bounded MSTOps %d, unbounded %d", name, i, bounded.MSTOps, full.MSTOps)
+		}
+		if got, want := testFingerprint(bounded), testFingerprint(full); got != want {
+			t.Fatalf("%s: session %d: bounded raw flows differ from the unbounded run's", name, i)
+		}
+	}
+}
+
+// TestMaxFlowStopAtOwnBeta pins the soundness edge of the early stop (see
+// checkStopAtOwnBeta) in both routing modes, across epsilon, with and
+// without 30% of the links down.
+func TestMaxFlowStopAtOwnBeta(t *testing.T) {
+	for _, mode := range []RoutingMode{RoutingIP, RoutingArbitrary} {
+		for _, down := range []float64{0, 0.3} {
+			g := downedWaxman(t, 25, 63, down)
+			p := randomProblem(t, g, mode, 6, 64)
+			for _, eps := range []float64{0.05, 0.1, 0.3, 0.5} {
+				checkStopAtOwnBeta(t, fmt.Sprintf("%v/down%v/eps%v", mode, down, eps), p, eps)
+			}
+		}
+	}
+}
+
 // TestPrestepStopExact pins the bounded prestep against the unbounded one:
 // bitwise-equal Lambda, rates and tree keys; every stopped session's solo
 // beta/d above the first wave's minimum; and Betas, PrestepMSTOps and
@@ -293,9 +340,9 @@ func TestPrestepStopExact(t *testing.T) {
 
 // FuzzPrestepStop fuzzes small Waxman instances (at most 16 nodes), a
 // down-link mask, session members, demands, epsilon and the routing mode,
-// and checks the Lemma 2 congestion bound of every solo MaxFlow and that the
-// bounded prestep leaves the allocation bitwise unchanged with every beta
-// exact or certified.
+// and checks the Lemma 2 congestion bound of every solo MaxFlow, that none
+// bounded at its own beta stops, and that the bounded prestep leaves the
+// allocation bitwise unchanged with every beta exact or certified.
 func FuzzPrestepStop(f *testing.F) {
 	f.Add(uint64(1), uint8(12), uint32(0x2a5), uint64(7), uint8(4), uint8(1), false)
 	f.Add(uint64(2), uint8(16), uint32(0xf0f0), uint64(9), uint8(6), uint8(9), true)
@@ -319,6 +366,7 @@ func FuzzPrestepStop(f *testing.F) {
 		sessions := 3 + int(k)%4
 		eps := 0.05 * float64(1+int(epsStep)%10)
 		checkLemma2(t, "solo", randomProblem(t, g, mode, sessions, sessionSeed), eps)
+		checkStopAtOwnBeta(t, "solo", randomProblem(t, g, mode, sessions, sessionSeed), eps)
 		full, _, err := maxConcurrentFlow(randomProblem(t, g, mode, sessions, sessionSeed), MaxConcurrentFlowOptions{Epsilon: eps, SolverOptions: SolverOptions{Workers: 1}}, false, nil)
 		if err != nil {
 			t.Fatal(err)

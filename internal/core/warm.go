@@ -47,7 +47,7 @@ import (
 //     sessions joined since. Fault, the one path that changes capacities
 //     under the allocator, forgets them all. An anchor that knows no beta
 //     (the first, or the first after a Fault) runs the bounded prestep: it
-//     stops every MaxFlow that Lemma 2 proves cannot set the demand scale
+//     stops every MaxFlow that it proves cannot set the demand scale
 //     and memoizes 0 (unknown) for it, so the next anchor without a fault
 //     runs that one in full, as it does for a session joined since.
 //
