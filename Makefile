@@ -24,13 +24,13 @@ race:
 
 # Native fuzzing, 60 s per target, as in the CI test job: the Dijkstra heap
 # against its brute-force model, subtree repair against a fresh Dijkstra,
-# the length ledger against a brute-force history model, the bounded beta
-# prestep against the unbounded one, then the admin request-frame decoder.
+# the length ledger against a brute-force history model, the Warm anchor's
+# duality certificate, then the admin request-frame decoder.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexedHeap$$' -fuzztime 60s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzRepairSubtrees$$' -fuzztime 60s ./internal/routing
 	$(GO) test -run '^$$' -fuzz '^FuzzLengthStore$$' -fuzztime 60s ./internal/graph
-	$(GO) test -run '^$$' -fuzz '^FuzzPrestepStop$$' -fuzztime 60s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzAnchorCertificate$$' -fuzztime 60s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 60s ./internal/admin
 
 fmt:

@@ -139,17 +139,15 @@ type AllocatorStats struct {
 	// RepairPhases counts session-phases routed by warm repair.
 	RepairPhases int
 	// MSTOps counts spanning-tree computations across joins, anchors and
-	// repair (the paper's running-time unit). An anchor's beta prestep
-	// counts only the single-session max flows it ran: sessions that
-	// survived the previous anchor reuse their beta until a Fault. A max
-	// flow the prestep stopped early counts its iterations up to the stop.
+	// repair (the paper's running-time unit). A cold solve spends k of them,
+	// one oracle round, on its demand scale.
 	MSTOps int
-	// PrestepStopped counts the single-session max flows that an anchor
-	// knowing no beta (the first, or the first after an effective Fault)
-	// stopped early, once a weak-duality bound on their Garg–Könemann run
-	// proved they could not set the demand scale. The allocation is the
-	// same as without the stop.
-	PrestepStopped int
+	// AnchorCertifiedRatio is the last cold solve's certified ratio: its
+	// fair share λ over the least weak-duality upper bound on the optimum
+	// λ* its phase loop met, so λ ≥ AnchorCertifiedRatio·λ*. A solve that
+	// certifies below (1−ε)³ reruns once in the paper's demand regime. 0
+	// before the first cold solve.
+	AnchorCertifiedRatio float64
 	// UnderlayEvents counts underlay fault mutations (link failure/recovery,
 	// capacity drift) applied through Fault. Each one latches a cold re-solve
 	// for the next Snapshot/Rebalance.
@@ -518,12 +516,12 @@ func (a *Allocator) Stats() AllocatorStats {
 	return AllocatorStats{
 		Joins: ws.Joins, Leaves: ws.Leaves,
 		ColdSolves: ws.ColdSolves, WarmRefreshes: ws.WarmRefreshes,
-		WarmFallbacks:  ws.WarmFallbacks,
-		RepairPhases:   ws.RepairPhases,
-		MSTOps:         ws.MSTOps + a.online.MSTOps(),
-		PrestepStopped: ws.PrestepStopped,
-		UnderlayEvents: ws.UnderlayEvents,
-		Plane:          ws.Plane,
+		WarmFallbacks:        ws.WarmFallbacks,
+		RepairPhases:         ws.RepairPhases,
+		MSTOps:               ws.MSTOps + a.online.MSTOps(),
+		AnchorCertifiedRatio: ws.AnchorCertified,
+		UnderlayEvents:       ws.UnderlayEvents,
+		Plane:                ws.Plane,
 	}
 }
 

@@ -16,8 +16,8 @@
 // most per-member Dijkstra reads, the v2 Allocator's warm-start churn
 // path (anchor / warm-join / warm-leave snapshots, a rebalance, and an
 // end-to-end churn replay), the Allocator's cold anchors around link
-// faults (an anchor that knows no beta stops the beta-prestep max flows
-// that cannot set the demand scale), and a seeded
+// faults (each sets its demand scale from one oracle round and prints its
+// certified ratio), and a seeded
 // underlay fault-trace replay whose non-monotone capacity shrinks force
 // the plane's full-refill degradation and whose fault storm outruns the
 // ledger journal — the degraded paths must stay bit-identical too.
@@ -265,11 +265,10 @@ func main() {
 		wrep.RepairPhases, wrep.MSTOps, wrep.FinalActive, wrep.Throughput, wrep.MinRate)
 
 	// Allocator anchors around link faults (arbitrary routing, the daemon's
-	// flap shape at a small size, every refresh cold): the anchors after the
-	// joins, the link-down faults and the recovery know no beta and run the
-	// bounded prestep; the last one, after a leave alone, reruns the max
-	// flows stopped before it in full. Rates, trees and counters must be
-	// bit-identical like everything above.
+	// flap shape at a small size, every refresh cold): after the joins, the
+	// link-down faults, the recovery and a leave. Rates, trees, counters and
+	// each anchor's certified ratio must be bit-identical like everything
+	// above.
 	warmFault(solver)
 
 	// Fault-trace replay: a seeded underlay fault scenario (link-down growth,
@@ -333,8 +332,8 @@ func warmFault(solver core.SolverOptions) {
 			panic(err)
 		}
 		st := a.Stats()
-		fmt.Printf("warmfault %s active=%d cold=%d events=%d mstops=%d stopped=%d\n",
-			stage, a.Active(), st.ColdSolves, st.UnderlayEvents, st.MSTOps, st.PrestepStopped)
+		fmt.Printf("warmfault %s active=%d cold=%d events=%d mstops=%d cert=%.17g\n",
+			stage, a.Active(), st.ColdSolves, st.UnderlayEvents, st.MSTOps, st.AnchorCertifiedRatio)
 		for i := 0; i < a.Active(); i++ {
 			// One hash over every tree's overlay edges, hops and rate keeps
 			// the section short while pinning each tree bitwise.

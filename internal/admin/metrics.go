@@ -34,7 +34,7 @@ func PrometheusText(st *StatsResult) string {
 	counter("overcastd_warm_fallbacks_total", "Warm repairs that fell back to a cold solve mid-way.", float64(a.WarmFallbacks))
 	counter("overcastd_repair_phases_total", "Session-phases routed by warm repair.", float64(a.RepairPhases))
 	counter("overcastd_mst_ops_total", "Spanning-tree computations (the paper's running-time unit).", float64(a.MSTOps))
-	counter("overcastd_prestep_stopped_total", "Beta-prestep single-session max flows stopped early once proven unable to set the demand scale.", float64(a.PrestepStopped))
+	gauge("overcastd_anchor_certified_ratio", "Last cold solve's fair share over its weak-duality bound on the optimum (a lower bound on its approximation ratio).", a.AnchorCertifiedRatio)
 
 	p := a.Plane
 	counter("overcastd_plane_rounds_total", "Batch rounds that staged at least one shared-SSSP-plane row.", float64(p.Rounds))

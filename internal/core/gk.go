@@ -25,6 +25,14 @@ type gkState struct {
 	index []map[uint64]int
 	logs  []applyLog // per session; nil unless the state logs applications
 	ops   int        // oracle calls
+	// cert, set by a MaxConcurrentFlow phase loop, holds every session's
+	// original demand; dualBound is then the least D/Σ_i cert[i]·len_i over
+	// the phases' first rounds, where every session is pending. Weak duality
+	// on the M2 LP bounds lambda* by that ratio under any lengths, since the
+	// oracle's tree is a minimum one, so reading it costs no extra oracle
+	// call.
+	cert      []float64
+	dualBound float64
 
 	// Reused phase scratch.
 	rem     []float64
@@ -95,8 +103,16 @@ func (s *gkState) phase(runner *overlay.BatchRunner, ids []int, amounts []float6
 		s.pending = append(s.pending, i)
 	}
 	pending := s.pending
+	certify := s.cert != nil && len(pending) == len(s.cert)
 	for len(pending) > 0 && (!stopAtD || s.bigD < 1) {
-		results := runner.MinTrees(s.d, pending)
+		var results []overlay.BatchResult
+		if certify {
+			results = runner.MinTreesLen(s.d, pending)
+			s.noteDualBound(pending, results)
+			certify = false
+		} else {
+			results = runner.MinTrees(s.d, pending)
+		}
 		s.ops += len(pending)
 		// next reuses pending's backing array: position pos is read before
 		// any write can reach index pos (one append per processed
@@ -120,10 +136,27 @@ func (s *gkState) phase(runner *overlay.BatchRunner, ids []int, amounts []float6
 	return nil
 }
 
+// noteDualBound lowers dualBound to D/Σ_i cert[i]·len_i for a round that
+// drew every session's minimum tree (ids[j]'s in results[j]) under the
+// current lengths.
+func (s *gkState) noteDualBound(ids []int, results []overlay.BatchResult) {
+	sum := 0.0
+	for j, r := range results {
+		if r.Err != nil {
+			return
+		}
+		sum += s.cert[ids[j]] * r.Len
+	}
+	if sum > 0 {
+		s.dualBound = min(s.dualBound, s.bigD/sum)
+	}
+}
+
 // phaseBudget is the Lemma 6 phase bound of one demand-doubling round over m
 // edges: t <= 1 + lambda·log_{1+eps}(1/delta) with log_{1+eps}(1/delta) =
 // (1/eps)·log_{1+eps}(m/(1-eps)), so phases stop within 2·log_{1+eps}(1/delta)
-// while lambda_scaled <= 2 (2.5 allows slack for the approximate betas).
+// while lambda_scaled <= 2 (2.5 allows slack for a demand scale that is
+// only approximate: the prestep's MaxFlow betas are within (1-eps)^2).
 func phaseBudget(m int, eps float64) int {
 	return int(2.5*math.Log(float64(m)/(1-eps))/math.Log(1+eps)/eps) + 2
 }

@@ -20,7 +20,8 @@ type MaxConcurrentFlowOptions struct {
 	// its independent per-session maximum flows out across the workers (each
 	// on one worker with its own plane), the phase loop fans each round of
 	// pending-session oracle calls out to a persistent pool, and the surplus
-	// pass inherits both.
+	// pass inherits both. A Warm anchor's scale round runs on the phase
+	// loop's pool.
 	SolverOptions
 	// SurplusPass, when set, routes additional MaxFlow-style traffic on the
 	// residual capacities after the fair share is secured. The paper's
@@ -39,6 +40,9 @@ type mcfAnchor struct {
 	base   graph.Lengths // epoch-0 lengths delta/c_e
 	dem    []float64     // final scaled per-phase demands
 	phases int
+	// zetaLo and zetaHi bracket the demand scale: zetaLo/k <= lambda* <=
+	// zetaHi (see anchorSolve).
+	zetaLo, zetaHi float64
 }
 
 // MCFRatioToEpsilon converts a target approximation ratio (e.g. 0.95) to the
@@ -52,12 +56,19 @@ type MCFResult struct {
 	*Solution
 	// Lambda is min_i rate_i/dem(i) of the (pre-surplus) fair solution.
 	Lambda float64
-	// PrestepMSTOps counts the spanning-tree operations spent computing the
-	// per-session maximum flows beta_i used for demand scaling — the second
-	// running-time component reported in Table IV. It covers only the
-	// MaxFlows the prestep actually ran: a Warm re-anchor that reuses known
-	// betas spends (and counts) nothing for those sessions, and a MaxFlow
-	// the bounded prestep stopped counts its iterations up to the stop.
+	// DualBound is the least weak-duality upper bound on the M2 optimum
+	// lambda* the phase loop met: D/Σ_i dem(i)·len_i under the lengths at
+	// the start of each phase, with len_i the length of the minimum tree
+	// the phase's first round drew for session i (see gkState.dualBound).
+	DualBound float64
+	// Certified is Lambda/DualBound: a checked lower bound on
+	// Lambda/lambda*, and so on the solve's approximation ratio.
+	Certified float64
+	// PrestepMSTOps counts the spanning-tree operations spent setting the
+	// demand scale — the second running-time component reported in Table
+	// IV. The public MaxConcurrentFlow runs the paper's prestep, one
+	// single-session maximum flow per session; a Warm anchor spends one
+	// oracle round, k calls (see anchorSolve).
 	PrestepMSTOps int
 	// PrestepPlane sums the beta prestep subproblems' own plane counters
 	// (each MaxFlow's fills and cross-round skips/repairs), kept apart from
@@ -65,12 +76,8 @@ type MCFResult struct {
 	// *within-batch* dedup is exactly 1.0, so folding these in would dilute
 	// the phase loop's cross-session dedup ratio.
 	PrestepPlane overlay.PlaneStats
-	// Betas are the single-session maximum flow values. The public
-	// MaxConcurrentFlow computes every one. A Warm anchor that knows no beta
-	// (its first, or its first after a Fault) runs the bounded prestep
-	// (prestep.go), which reports 0 for a session whose MaxFlow it stopped
-	// once it proved beta_i/d_i above the minimum: such a beta cannot set
-	// the demand scale.
+	// Betas are the single-session maximum flow values of the public
+	// MaxConcurrentFlow's prestep; nil for a Warm anchor, which runs none.
 	Betas []float64
 }
 
@@ -98,19 +105,17 @@ type MCFResult struct {
 // TestMCFMatchesExactM2SmallInstances rather than inherited verbatim from
 // the paper's analysis.
 func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, error) {
-	res, _, err := maxConcurrentFlow(p, opts, false, nil)
+	res, _, err := maxConcurrentFlow(p, opts, false)
 	return res, err
 }
 
 // maxConcurrentFlow is MaxConcurrentFlow that, when logged is set, also logs
 // every tree application and returns the phase loop's terminal state as an
 // anchor. The anchor's flows are the pre-scale raw flows; the returned
-// Solution rescales its own copy. A logged solve skips the surplus pass,
-// whose flows have no place in the anchor. known, when non-nil, is aligned
-// with p.Sessions and carries betas the caller already holds (positive) or
-// 0 for unknown; the prestep runs MaxFlow only for the unknown ones, and
-// bounds them when none is known (see prestepBetas).
-func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool, known []float64) (*MCFResult, *mcfAnchor, error) {
+// Solution rescales its own copy. A logged solve sets its demand scale
+// without the beta prestep (see anchorSolve) and skips the surplus pass,
+// whose flows have no place in the anchor.
+func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool) (*MCFResult, *mcfAnchor, error) {
 	eps := opts.Epsilon
 	if eps <= 0 || eps > 0.5 {
 		return nil, nil, fmt.Errorf("core: MaxConcurrentFlow epsilon %v outside (0, 0.5]", eps)
@@ -122,32 +127,101 @@ func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool, k
 	// is built first so the prestep fans out across the same resolved size.
 	runner := overlay.NewBatchRunnerOpts(p.G, p.Oracles, overlay.BatchOptions{Workers: opts.Workers, Plane: opts.Plane})
 	defer runner.Close()
-	workers := runner.Workers()
+	if logged {
+		return anchorSolve(p, eps, runner)
+	}
 
 	// Pre-step: beta_i = single-session maximum flow, for demand scaling,
-	// fanned out over the sessions whose beta is not known (prestep.go).
-	betas, prestepOps, prestepPlane, err := prestepBetas(p, eps, workers, opts, known)
+	// fanned out over the sessions (prestep.go).
+	betas, prestepOps, prestepPlane, err := prestepBetas(p, eps, runner.Workers(), opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	// zeta = min_i beta_i/dem(i) upper-bounds lambda*; scaling demands by
-	// zeta/k puts the scaled optimum in [1, k]. A beta of 0 is a MaxFlow the
-	// bounded prestep stopped once it could not be the minimum.
+	// zeta/k puts the scaled optimum in [1, k].
 	zeta := math.Inf(1)
 	for i, s := range p.Sessions {
-		if v := betas[i] / s.Demand; v > 0 && v < zeta {
-			zeta = v
+		zeta = min(zeta, betas[i]/s.Demand)
+	}
+	gk, base := newMCFState(p, eps, false)
+	res, _, err := mcfPhases(p, runner, gk, base, zeta, float64(k))
+	if err != nil {
+		return nil, nil, err
+	}
+	// Phase-loop counters only: the beta prestep's single-session planes
+	// dedup exactly 1.0 by construction (members within a session are
+	// distinct), so merging them here would drag the reported dedup factor
+	// toward 1 and hide the cross-session sharing the metric exists to
+	// surface. They are reported separately on MCFResult.PrestepPlane.
+	res.PrestepMSTOps, res.PrestepPlane, res.Betas = prestepOps, prestepPlane, betas
+	if opts.SurplusPass {
+		if err := addSurplus(p, gk, res.Solution, opts); err != nil {
+			return nil, nil, err
 		}
+		res.ScaleToFeasible()
 	}
-	dem := make([]float64, k)
-	for i, s := range p.Sessions {
-		dem[i] = s.Demand * zeta / float64(k)
-	}
+	return res, nil, nil
+}
 
-	m := p.G.NumEdges()
+// anchorSolve is the logged solve behind a Warm cold anchor. The beta
+// prestep exists only to pick the demand scale zeta, and any zeta in a
+// bracket around lambda* does that job, so an anchor takes it from one
+// oracle round on its own runner under the epoch-0 lengths delta/c_e,
+// proportional to 1/c_e:
+//   - zetaHi = min_i D_0/(dem(i)·len_i), with D_0 = Σ_e c_e·(delta/c_e), is
+//     a weak-duality upper bound on lambda* (the oracle's tree is the
+//     minimum one);
+//   - zetaLo = min_i b_i/dem(i), with b_i the bottleneck of session i's
+//     tree: routing every session i at b_i/k at once is feasible, so
+//     lambda* >= zetaLo/k.
+//
+// It scales by their geometric mean. The scaled optimum then lies in
+// [zetaLo/zeta, k·zetaHi/zeta], which may reach below 1, outside the
+// paper's regime; an anchor that certifies below (1-eps)^3 therefore reruns
+// once at zeta = zetaLo, where it is at least 1. The round's k oracle calls
+// are its PrestepMSTOps; a discarded first run's calls are added to MSTOps.
+func anchorSolve(p *Problem, eps float64, runner *overlay.BatchRunner) (*MCFResult, *mcfAnchor, error) {
+	k := p.K()
+	gk, base := newMCFState(p, eps, true)
+	zetaLo, zetaHi := math.Inf(1), math.Inf(1)
+	for i, r := range runner.MinTreesLen(gk.d, nil) {
+		if r.Err != nil {
+			return nil, nil, fmt.Errorf("core: MCF scale oracle %d: %w", i, r.Err)
+		}
+		d := p.Sessions[i].Demand
+		zetaLo = min(zetaLo, r.Tree.Bottleneck(p.G)/d)
+		zetaHi = min(zetaHi, gk.bigD/(d*r.Len))
+	}
+	zeta := math.Sqrt(zetaLo * zetaHi)
+	res, anchor, err := mcfPhases(p, runner, gk, base, zeta, float64(k)*zetaHi/zeta)
+	if err != nil {
+		return nil, nil, err
+	}
+	if res.Certified < math.Pow(1-eps, 3) && zeta > zetaLo {
+		first := res
+		gk, base = newMCFState(p, eps, true)
+		if res, anchor, err = mcfPhases(p, runner, gk, base, zetaLo, float64(k)*zetaHi/zetaLo); err != nil {
+			return nil, nil, err
+		}
+		// Any lengths give a valid bound, the discarded run's included.
+		res.MSTOps += first.MSTOps
+		res.DualBound = min(res.DualBound, first.DualBound)
+		res.Certified = res.Lambda / res.DualBound
+	}
+	res.PrestepMSTOps = k
+	anchor.zetaLo, anchor.zetaHi = zetaLo, zetaHi
+	return res, anchor, nil
+}
+
+// newMCFState returns the Garg–Könemann state a phase loop over p starts
+// from, with the epoch-0 lengths delta/c_e, and a copy of those lengths
+// when logged. The ledger wraps the initial assignment as its epoch-0
+// contents, so every phase-loop inflation is journaled as a monotone growth
+// and the plane's cross-round repair can skip untouched sources.
+func newMCFState(p *Problem, eps float64, logged bool) (*gkState, graph.Lengths) {
 	// delta = (m/(1-eps))^(-1/eps), floored against float64 underflow at
 	// extreme accuracy targets (see deltaFloor).
-	delta := math.Pow(float64(m)/(1-eps), -1/eps)
+	delta := math.Pow(float64(p.G.NumEdges())/(1-eps), -1/eps)
 	if delta < deltaFloor {
 		delta = deltaFloor
 	}
@@ -157,19 +231,35 @@ func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool, k
 		vals[e] = delta / p.G.Edges[e].Capacity
 		bigD += delta
 	}
-	var anchor *mcfAnchor
+	var base graph.Lengths
 	if logged {
-		anchor = &mcfAnchor{base: append(graph.Lengths(nil), vals...), dem: dem}
+		base = append(graph.Lengths(nil), vals...)
 	}
-	// The ledger wraps the initial assignment as its epoch-0 contents, so
-	// every phase-loop inflation below is journaled as a monotone growth and
-	// the plane's cross-round repair can skip untouched sources.
-	gk := newGKState(p.G, eps, graph.NewLengthStoreFrom(vals), k, logged)
+	gk := newGKState(p.G, eps, graph.NewLengthStoreFrom(vals), p.K(), logged)
 	gk.bigD = bigD
+	gk.cert = make([]float64, p.K())
+	for i, s := range p.Sessions {
+		gk.cert[i] = s.Demand
+	}
+	gk.dualBound = math.Inf(1)
+	return gk, base
+}
 
-	budget := phaseBudget(m, eps)
-	// At most ~log2(k)+1 doubling rounds of `budget` phases each.
-	maxPhases := budget * (bits.Len(uint(k)) + 2)
+// mcfPhases runs the Table III phase loop from gk with demands scaled by
+// zeta/k, given scaledUB >= lambda*·k/zeta, an upper bound on the scaled
+// optimum, and returns the exactly feasible result; when base is non-nil
+// (a logged state) it also returns the loop's terminal state as an anchor.
+func mcfPhases(p *Problem, runner *overlay.BatchRunner, gk *gkState, base graph.Lengths, zeta, scaledUB float64) (*MCFResult, *mcfAnchor, error) {
+	k := p.K()
+	dem := make([]float64, k)
+	for i, s := range p.Sessions {
+		dem[i] = s.Demand * zeta / float64(k)
+	}
+	budget := phaseBudget(p.G.NumEdges(), gk.eps)
+	// Each doubling round of `budget` phases at least halves the scaled
+	// optimum until it is at most 2, so about log2(scaledUB)+1 rounds.
+	rounds := bits.Len(uint(math.Ceil(scaledUB)))
+	maxPhases := budget * (rounds + 2)
 
 	// One phase routes every session's scaled demand (see gkState.phase);
 	// almost always each tree's bottleneck exceeds the scaled demand and a
@@ -192,7 +282,7 @@ func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool, k
 			}
 			doublings++
 			sinceDoubling = 0
-			if doublings > bits.Len(uint(k))+8 {
+			if doublings > rounds+8 {
 				return nil, nil, fmt.Errorf("core: demand doubling diverged after %d rounds", doublings)
 			}
 		}
@@ -203,13 +293,9 @@ func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool, k
 		sinceDoubling++
 	}
 
-	// Phase-loop counters only: the beta prestep's single-session planes
-	// dedup exactly 1.0 by construction (members within a session are
-	// distinct), so merging them here would drag the reported dedup factor
-	// toward 1 and hide the cross-session sharing the metric exists to
-	// surface. They are reported separately on MCFResult.PrestepPlane.
 	sol := &Solution{G: p.G, Sessions: p.Sessions, Flows: gk.raw, MSTOps: gk.ops, Phases: phases, Plane: runner.Metrics()}
-	if logged {
+	var anchor *mcfAnchor
+	if base != nil {
 		// The anchor keeps the pre-scale flows: the warm allocator
 		// accumulates further raw flow at this level and rescales to exact
 		// feasibility itself on Snapshot.
@@ -217,7 +303,7 @@ func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool, k
 		for i, fs := range gk.raw {
 			sol.Flows[i] = append([]TreeFlow(nil), fs...)
 		}
-		anchor.gk, anchor.phases = gk, phases
+		anchor = &mcfAnchor{gk: gk, base: base, dem: dem, phases: phases}
 	}
 	// Exact feasibility scaling, uniform across sessions (preserves the
 	// fairness ratios); upper-bounded by the Lemma 4 factor
@@ -225,15 +311,9 @@ func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool, k
 	if cong := sol.MaxCongestion(); cong > 0 {
 		sol.Scale(1 / cong)
 	}
-	res := &MCFResult{Solution: sol, PrestepMSTOps: prestepOps, PrestepPlane: prestepPlane, Betas: betas}
+	res := &MCFResult{Solution: sol, DualBound: gk.dualBound}
 	res.Lambda = sol.ConcurrentRatio()
-
-	if opts.SurplusPass && !logged {
-		if err := addSurplus(p, gk, sol, opts); err != nil {
-			return nil, nil, err
-		}
-		sol.ScaleToFeasible()
-	}
+	res.Certified = res.Lambda / res.DualBound
 	return res, anchor, nil
 }
 

@@ -43,7 +43,7 @@ const deltaFloor = 1e-280
 // lengths by (1 + eps·n_e·c/c_e). Finally rescale the accumulated raw flow
 // to feasibility.
 func MaxFlow(p *Problem, opts MaxFlowOptions) (*Solution, error) {
-	sol, _, err := maxFlow(p, opts, math.Inf(1))
+	sol, err := maxFlow(p, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -68,70 +68,15 @@ func maxFlowDelta(p *Problem, eps float64) float64 {
 	return max(delta, deltaFloor)
 }
 
-// lemma2Bound is L = log_{1+eps}((1+eps)/delta), the Lemma 2 bound on the
-// raw congestion MaxFlow ends with. Every tree it routes has normalized
-// length below 1, so each of its edges is below 1 before the bump and below
-// 1+eps after it; a relative load x <= 1 multiplies a length by 1+eps·x >=
-// (1+eps)^x, so an edge of congestion x_e ends at least delta·(1+eps)^x_e.
-// Hence every x_e < L, and the rescaled value of a run that ends having
-// routed raw flow F_T is at least F_T/L. maxFlow's early stop proves a
-// lower bound on F_T and divides it by L.
-func lemma2Bound(eps, delta float64) float64 {
-	return math.Log((1+eps)/delta) / math.Log(1+eps)
-}
-
-// stopMargin is the relative slack of maxFlow's early stop over the bound
-// it proves. The proof holds in exact arithmetic; the loop computes it from
-// floats: L, the accumulated dual objective D (one rounded update per edge
-// bump), the running congestion C_t (rounded sums of loads) and the
-// logarithm. Each is off by a relative error many orders of magnitude
-// below the margin, so a run the margin lets stop is one whose exact bound
-// exceeds stopAbove.
-const stopMargin = 1e-6
-
-// maxFlow runs MaxFlow's loop and returns the unscaled (raw) flows. With a
-// finite stopAbove, which only single-session problems may pass, it may
-// stop early, reporting stopped, once it proves that the rescaled value of
-// the full run exceeds stopAbove, so a caller that needs the value only
-// when it is at most stopAbove can drop it. The proof is a lower bound on
-// the raw flow F_T the full run would route, divided by the Lemma 2 bound L
-// (see lemma2Bound). After each step, with routed raw flow F_t, dual
-// objective D_t = Σ_e c_e·d_e and maximum raw congestion C_t, the flow
-// rescaled by C_t is feasible, so b = F_t/C_t <= beta*, the optimum. Weak
-// duality gives beta* <= D/alpha under any lengths whose minimum tree
-// length is alpha; the run ends only once alpha >= 1, so D_T >= beta*; and
-// a step routing c grows D by eps·c·alpha <= eps·c·D/beta*, so D_T <=
-// D_t·exp(eps·(F_T-F_t)/beta*). Together, F_T >= F_t +
-// (beta*/eps)·ln(beta*/D_t), which is increasing in beta* once beta* > D_t,
-// so F_T >= F_t + (b/eps)·ln(b/D_t) whenever b > D_t, and F_T >= F_t always.
-// The run stops once that bound exceeds stopAbove·L·(1+stopMargin). A
-// stopped run returns its partial flows, MSTOps and plane counters; a run
-// that is not stopped is bitwise MaxFlow's before the rescale.
-func maxFlow(p *Problem, opts MaxFlowOptions, stopAbove float64) (*Solution, bool, error) {
+// maxFlow runs MaxFlow's loop and returns the unscaled (raw) flows.
+func maxFlow(p *Problem, opts MaxFlowOptions) (*Solution, error) {
 	eps := opts.Epsilon
 	if eps <= 0 || eps > 0.5 {
-		return nil, false, fmt.Errorf("core: MaxFlow epsilon %v outside (0, 0.5]", eps)
+		return nil, fmt.Errorf("core: MaxFlow epsilon %v outside (0, 0.5]", eps)
 	}
 	delta := maxFlowDelta(p, eps)
-	bound := lemma2Bound(eps, delta)
-	stopAt := stopAbove * bound * (1 + stopMargin)
 
 	gk := newGKState(p.G, eps, graph.NewLengthStore(p.G, delta), p.K(), false)
-	for _, e := range p.G.Edges {
-		gk.bigD += delta * e.Capacity
-	}
-	// load is the raw flow per edge and cong the maximum raw congestion,
-	// kept only for the early stop's feasible value b. The stop's duality
-	// argument takes the tree length as the normalized length, which holds
-	// only for weight 1: a single session.
-	var load []float64
-	cong := 0.0
-	if !math.IsInf(stopAbove, 1) {
-		if p.K() != 1 {
-			panic(fmt.Sprintf("core: bounded maxFlow on %d sessions, want 1", p.K()))
-		}
-		load = make([]float64, p.G.NumEdges())
-	}
 	// One worker pool plus per-worker scratch for the whole run: the oracle
 	// fan-out below executes every iteration, and rebuilding goroutines and
 	// buffers each time used to dominate the solver's allocation profile.
@@ -140,14 +85,10 @@ func maxFlow(p *Problem, opts MaxFlowOptions, stopAbove float64) (*Solution, boo
 		Plane:   opts.Plane,
 	})
 	defer runner.Close()
-	result := func() *Solution {
-		return &Solution{G: p.G, Sessions: p.Sessions, Flows: gk.raw, MSTOps: gk.ops, Plane: runner.Metrics()}
-	}
 
 	// Lemma 1: at most |E|·log_{1+eps}((1+eps)/delta) augmentations.
-	maxIter := int(float64(p.G.NumEdges())*bound) + 16
+	maxIter := int(float64(p.G.NumEdges())*(math.Log((1+eps)/delta)/math.Log(1+eps))) + 16
 
-	routed := 0.0
 	iter := 0
 	for ; iter < maxIter; iter++ {
 		results := runner.MinTreesLen(gk.d, nil)
@@ -156,7 +97,7 @@ func maxFlow(p *Problem, opts MaxFlowOptions, stopAbove float64) (*Solution, boo
 		bestNorm := math.Inf(1)
 		for i, r := range results {
 			if r.Err != nil {
-				return nil, false, fmt.Errorf("core: MaxFlow oracle %d: %w", i, r.Err)
+				return nil, fmt.Errorf("core: MaxFlow oracle %d: %w", i, r.Err)
 			}
 			norm := r.Len / p.Weight(i)
 			if norm < bestNorm {
@@ -169,28 +110,12 @@ func maxFlow(p *Problem, opts MaxFlowOptions, stopAbove float64) (*Solution, boo
 		}
 		// Saturate the tree's bottleneck c = min_e c_e/n_e(t).
 		t := results[best].Tree
-		c := t.Bottleneck(p.G)
-		gk.apply(best, t, c)
-		routed += c
-		if load == nil {
-			continue
-		}
-		for _, use := range t.Use() {
-			load[use.Edge] += float64(use.Count) * c
-			cong = max(cong, load[use.Edge]/p.G.Edges[use.Edge].Capacity)
-		}
-		finalAtLeast := routed
-		if b := routed / cong; b > gk.bigD {
-			finalAtLeast += b / eps * math.Log(b/gk.bigD)
-		}
-		if finalAtLeast > stopAt {
-			return result(), true, nil
-		}
+		gk.apply(best, t, t.Bottleneck(p.G))
 	}
 	if iter >= maxIter {
-		return nil, false, fmt.Errorf("core: MaxFlow did not converge within %d iterations", maxIter)
+		return nil, fmt.Errorf("core: MaxFlow did not converge within %d iterations", maxIter)
 	}
-	return result(), false, nil
+	return &Solution{G: p.G, Sessions: p.Sessions, Flows: gk.raw, MSTOps: gk.ops, Plane: runner.Metrics()}, nil
 }
 
 // WeightedObjective returns the M1 objective Σ_i w_i·rate_i of a solution

@@ -55,6 +55,24 @@ func TestMCFMatchesExactM2SmallInstances(t *testing.T) {
 		if res.Lambda < (1-3*eps)*ex.Value-1e-9 {
 			t.Fatalf("trial %d: lambda %v below (1-3eps)*%v", trial, res.Lambda, ex.Value)
 		}
+		if res.DualBound < ex.Value-1e-6 {
+			t.Fatalf("trial %d: dual bound %v below optimum %v", trial, res.DualBound, ex.Value)
+		}
+		// The Warm anchor's demand-scale bracket and certificate: zetaLo/k
+		// <= lambda* <= zetaHi, and the dual bound is above lambda*.
+		anchor, zetaLo, zetaHi, err := core.AnchorSolve(p, core.MaxConcurrentFlowOptions{Epsilon: eps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := float64(p.K()); zetaLo/k > ex.Value+1e-6 || zetaHi < ex.Value-1e-6 {
+			t.Fatalf("trial %d: bracket [%v/k, %v] misses optimum %v", trial, zetaLo, zetaHi, ex.Value)
+		}
+		if anchor.DualBound < ex.Value-1e-6 || anchor.Lambda > ex.Value+1e-6 {
+			t.Fatalf("trial %d: anchor lambda %v, dual bound %v, optimum %v", trial, anchor.Lambda, anchor.DualBound, ex.Value)
+		}
+		if anchor.Certified < math.Pow(1-eps, 3) {
+			t.Fatalf("trial %d: anchor certified %v below (1-eps)^3", trial, anchor.Certified)
+		}
 	}
 }
 

@@ -39,17 +39,13 @@ import (
 //     1/maxCongestion — the identical final step of the cold solve — so a
 //     snapshot taken right after the anchor is bit-identical to the cold
 //     solution, and later snapshots stay exactly feasible by construction.
-//   - A cold anchor keeps one fact across re-anchors: each session's beta,
-//     the single-session maximum flow the MaxConcurrentFlow prestep scales
-//     demands by. beta depends only on the session's members, ε, the routing
-//     discipline and the link capacities, so the next anchor reuses the
-//     betas of every surviving session and runs the prestep MaxFlow only for
-//     sessions joined since. Fault, the one path that changes capacities
-//     under the allocator, forgets them all. An anchor that knows no beta
-//     (the first, or the first after a Fault) runs the bounded prestep: it
-//     stops every MaxFlow that it proves cannot set the demand scale
-//     and memoizes 0 (unknown) for it, so the next anchor without a fault
-//     runs that one in full, as it does for a session joined since.
+//   - A cold anchor runs no beta prestep: it takes its demand scale from
+//     one oracle round that brackets the optimum, and checks the result
+//     against a weak-duality bound read from the phase loop's own rounds,
+//     rerunning once at the bracket's safe end when that certificate falls
+//     short (see anchorSolve). Each anchor therefore costs the same k
+//     oracle calls on its scale, whatever the churn or faults before it,
+//     and Stats reports the last anchor's certified ratio.
 //
 // Falling back to cold is always sound (the warm state is simply discarded
 // and re-anchored) and happens when the per-refresh repair budget is
@@ -103,14 +99,14 @@ type WarmStats struct {
 	// D = Σ_e c_e·d_e and the bump attribution regardless of whether the
 	// mirrored length move was monotone.
 	UnderlayEvents int
-	// MSTOps counts spanning-tree computations across anchors and repair.
-	// An anchor's beta prestep counts only the single-session MaxFlows it
-	// ran, not those of the sessions whose beta it reused; a MaxFlow the
-	// bounded prestep stopped counts its iterations up to the stop.
+	// MSTOps counts spanning-tree computations across anchors and repair,
+	// each anchor's k scale-setting oracle calls included.
 	MSTOps int
-	// PrestepStopped counts the single-session MaxFlows that anchors'
-	// bounded beta prestep stopped early (see prestepBetas).
-	PrestepStopped int
+	// AnchorCertified is the last cold anchor's certified ratio
+	// (MCFResult.Certified): its concurrent ratio over the least
+	// weak-duality bound on the optimum its phase loop met. 0 before the
+	// first anchor.
+	AnchorCertified float64
 	// Plane aggregates the shared-SSSP-plane counters across the anchors'
 	// phase loops and the warm repair runner.
 	Plane overlay.PlaneStats
@@ -147,12 +143,6 @@ type Warm struct {
 	demScale float64       // dem_i / demand_i at the anchor (uniform)
 	phases   int           // anchor phase count (catch-up chunk granularity)
 	shrinkOK graph.Epoch   // ledger epoch of the last self-inflicted shrink
-
-	// betas holds, per slot, the single-session maximum flow the last anchor
-	// computed for that session; 0 means unknown (joined since, forgotten by
-	// a Fault, or stopped by the bounded prestep). It survives re-anchors,
-	// unlike the state above.
-	betas []float64
 
 	pendingJoins []int // slots joined since the last refresh, ascending
 	// pendingLeaveDem accumulates the demand of sessions rolled back since
@@ -197,7 +187,6 @@ func (w *Warm) Join(s *overlay.Session, oracle overlay.TreeOracle) error {
 	w.sessions = append(w.sessions, s)
 	w.oracles = append(w.oracles, oracle)
 	w.active = append(w.active, true)
-	w.betas = append(w.betas, 0)
 	w.nActive++
 	if w.runner != nil {
 		w.runner.AddOracle(oracle)
@@ -331,10 +320,7 @@ func (w *Warm) rollback(slot int) {
 // refill). Regardless of the move's direction the next Refresh is latched
 // cold — the anchored dual objective D = Σ_e c_e·d_e and the per-session
 // bump attribution were computed under the old capacities, so incremental
-// repair arithmetic is no longer trustworthy even for a monotone move. The
-// memoized betas are forgotten too: a single-session maximum flow depends on
-// the capacities, so the next anchor knows none and runs the bounded
-// prestep, computing the minimizing betas in full and stopping the rest.
+// repair arithmetic is no longer trustworthy even for a monotone move.
 func (w *Warm) Fault(e graph.EdgeID, lengthFactor float64) error {
 	if e < 0 || (w.gk != nil && e >= graph.EdgeID(w.gk.d.Len())) || e >= graph.EdgeID(w.g.NumEdges()) {
 		return fmt.Errorf("core: warm fault: edge %d out of range", e)
@@ -343,7 +329,6 @@ func (w *Warm) Fault(e graph.EdgeID, lengthFactor float64) error {
 		return fmt.Errorf("core: warm fault: length factor %v must be positive", lengthFactor)
 	}
 	w.stats.UnderlayEvents++
-	clear(w.betas)
 	if w.gk != nil && lengthFactor != 1 {
 		w.gk.d.Bump(e, lengthFactor)
 	}
@@ -544,34 +529,24 @@ func (w *Warm) warmRepair() error {
 // cold re-anchors: a MaxConcurrentFlow solve over the active sessions,
 // whose logged terminal state is adopted slot by slot. The warm state
 // (including any partially applied repair) is discarded — the anchor builds
-// its own problem, oracles, and ledger from scratch — except the memoized
-// betas: the prestep reuses every known one and runs MaxFlow only for the
-// rest, and a successful anchor stores the betas it computed (0 for a
-// MaxFlow the bounded prestep stopped).
+// its own problem, oracles, and ledger from scratch.
 func (w *Warm) cold() error {
 	denseSessions := make([]*overlay.Session, 0, w.nActive)
 	denseToSlot := make([]int, 0, w.nActive)
-	known := make([]float64, 0, w.nActive)
 	for slot, s := range w.sessions {
 		if !w.active[slot] {
 			continue
 		}
 		denseSessions = append(denseSessions, &overlay.Session{ID: len(denseSessions), Members: s.Members, Demand: s.Demand})
 		denseToSlot = append(denseToSlot, slot)
-		known = append(known, w.betas[slot])
 	}
 	p, err := NewProblemWeighted(w.g, denseSessions, w.mode, w.routeWeights)
 	if err != nil {
 		return fmt.Errorf("core: warm cold anchor: %w", err)
 	}
-	res, anchor, err := maxConcurrentFlow(p, MaxConcurrentFlowOptions{Epsilon: w.eps, SolverOptions: w.opts.SolverOptions}, true, known)
+	res, anchor, err := maxConcurrentFlow(p, MaxConcurrentFlowOptions{Epsilon: w.eps, SolverOptions: w.opts.SolverOptions}, true)
 	if err != nil {
 		return fmt.Errorf("core: warm cold anchor: %w", err)
-	}
-	for i, slot := range denseToSlot {
-		if w.betas[slot] = res.Betas[i]; res.Betas[i] == 0 {
-			w.stats.PrestepStopped++
-		}
 	}
 	// Adopt the anchor's state slot by slot; each slot's tree index is
 	// rebuilt on its first add.
@@ -601,6 +576,7 @@ func (w *Warm) cold() error {
 	w.repairSpent = 0
 	w.stats.ColdSolves++
 	w.stats.MSTOps += res.MSTOps + res.PrestepMSTOps
+	w.stats.AnchorCertified = res.Certified
 	w.stats.Plane.Merge(res.Solution.Plane)
 	return nil
 }
@@ -664,9 +640,9 @@ const warmRebalanceFactor = 4.0
 // bound compounded drift tighter; larger values re-anchor less often and push
 // steady-state refresh throughput closer to the pure-warm ceiling. 1 keeps
 // the replayed churn allocations' mean snapshot throughput inside the ε band
-// of the cold baseline's (0.93–0.96 of cold across seeds) while sustaining
-// the ≥2× steady-state speedup the warm path exists for (measured 2.1–2.5×
-// by BenchmarkChurnWarmStart, whose cold baseline also reuses betas).
+// of the cold baseline's (0.913 of cold on the default warmchurn replay)
+// while sustaining the ≥2× steady-state speedup the warm path exists for
+// (measured 2.1–2.8× by the same replay).
 const warmReanchorFactor = 1
 
 // warmLeaveRebalanceFactor is the per-unit-demand-share rebalance owed for a

@@ -151,15 +151,11 @@ func TestWarmFaultBeforeLeaveFallsBackColdFirst(t *testing.T) {
 }
 
 // TestWarmColdAnchorReusesBetas drives an always-cold Warm through a seeded
-// join/leave stream and checks, after every refresh, that the anchor that
-// reused the memoized betas of surviving sessions is bitwise the fresh
-// MaxConcurrentFlow over the same dense sessions, and that its prestep ran
-// MaxFlow only for the slots whose beta was unknown: joined since the
-// previous anchor, stopped by that anchor's bounded prestep, or forgotten
-// by a Fault. An anchor that knows no beta (the first, and the one after
-// the Fault) runs the bounded prestep, so each memoized beta is exact or
-// certified (0, with the fresh beta/d above the first wave's minimum); any
-// other anchor memoizes exact betas.
+// join/leave stream with one Fault and checks, after every refresh, that
+// the anchor is bitwise the logged anchor solve over the same dense
+// sessions, and that it spent exactly k oracle calls on its demand scale,
+// before and after the Fault: an anchor carries nothing across re-anchors,
+// so no churn or capacity change can make its scale cost more or less.
 func TestWarmColdAnchorReusesBetas(t *testing.T) {
 	const eps = 0.2
 	for _, mode := range []RoutingMode{RoutingIP, RoutingArbitrary} {
@@ -177,8 +173,6 @@ func TestWarmColdAnchorReusesBetas(t *testing.T) {
 				}
 				defer w.Close()
 				r := rng.New(uint64(97 + workers))
-				joined := map[int]bool{}  // slots joined since the previous anchor
-				stopped := map[int]bool{} // slots the previous anchor's prestep stopped
 				join := func() {
 					members := r.Sample(g.NumNodes(), 2+r.Intn(3))
 					s, err := overlay.NewSession(w.NumSlots(), members, float64(1+r.Intn(3)))
@@ -188,14 +182,6 @@ func TestWarmColdAnchorReusesBetas(t *testing.T) {
 					if err := w.Join(s, testOracle(t, g, s, mode)); err != nil {
 						t.Fatal(err)
 					}
-					joined[s.ID] = true
-				}
-				leave := func(slot int) {
-					if err := w.Leave(slot); err != nil {
-						t.Fatal(err)
-					}
-					delete(joined, slot)
-					delete(stopped, slot)
 				}
 				leaveRandom := func() {
 					var live []int
@@ -204,27 +190,18 @@ func TestWarmColdAnchorReusesBetas(t *testing.T) {
 							live = append(live, slot)
 						}
 					}
-					leave(live[r.Intn(len(live))])
+					if err := w.Leave(live[r.Intn(len(live))]); err != nil {
+						t.Fatal(err)
+					}
 				}
-				check := func(step string, faulted bool) {
+				check := func(step string) {
 					t.Helper()
-					before, stoppedBefore := w.Stats().MSTOps, w.Stats().PrestepStopped
+					before := w.Stats().MSTOps
 					var dense []*overlay.Session
-					var denseToSlot []int
-					anyKnown := false
 					for slot, s := range w.sessions {
 						if w.active[slot] {
 							dense = append(dense, &overlay.Session{ID: len(dense), Members: s.Members, Demand: s.Demand})
-							denseToSlot = append(denseToSlot, slot)
-							if unknown := w.betas[slot] == 0; unknown != (faulted || joined[slot] || stopped[slot]) {
-								t.Fatalf("%s: slot %d memo unknown=%v, joined=%v stopped=%v faulted=%v", step, slot, unknown, joined[slot], stopped[slot], faulted)
-							}
-							anyKnown = anyKnown || w.betas[slot] > 0
 						}
-					}
-					known := make([]float64, len(denseToSlot))
-					for i, slot := range denseToSlot {
-						known[i] = w.betas[slot]
 					}
 					sol, err := w.Snapshot()
 					if err != nil {
@@ -234,56 +211,29 @@ func TestWarmColdAnchorReusesBetas(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref, err := MaxConcurrentFlow(p, MaxConcurrentFlowOptions{Epsilon: eps, SolverOptions: opts})
+					ref, _, err := maxConcurrentFlow(p, MaxConcurrentFlowOptions{Epsilon: eps, SolverOptions: opts}, true)
 					if err != nil {
 						t.Fatal(err)
 					}
-					memo := make([]float64, len(denseToSlot))
-					for i, slot := range denseToSlot {
-						memo[i] = w.betas[slot]
+					if ref.PrestepMSTOps != len(dense) {
+						t.Fatalf("%s: scale round spent %d oracle calls, want k = %d", step, ref.PrestepMSTOps, len(dense))
 					}
-					wantOps, wantStopped := ref.MSTOps, 0
-					clear(stopped)
-					if bounded := !anyKnown && len(dense) > prestepFirstWave; bounded {
-						bp := replayBoundedPrestep(t, p, eps, ref.Betas)
-						bp.check(t, step, p, memo, ref.Betas)
-						wantOps += bp.ops
-						for i, s := range bp.stopped {
-							if s {
-								stopped[denseToSlot[i]] = true
-								wantStopped++
-							}
-						}
-					} else {
-						for i, slot := range denseToSlot {
-							if w.betas[slot] != ref.Betas[i] {
-								t.Fatalf("%s: slot %d memoized beta %.17g, fresh %.17g", step, slot, w.betas[slot], ref.Betas[i])
-							}
-							if known[i] == 0 {
-								wantOps += soloMaxFlowOps(t, p, i, eps)
-							}
-						}
+					if got := w.Stats().MSTOps - before; got != ref.MSTOps+len(dense) {
+						t.Fatalf("%s: anchor spent %d MSTOps, want %d (phase loop %d plus k = %d on the scale)",
+							step, got, ref.MSTOps+len(dense), ref.MSTOps, len(dense))
 					}
-					if faulted && anyKnown {
-						t.Fatalf("%s: a Fault left memoized betas behind", step)
-					}
-					if got := w.Stats().MSTOps - before; got != wantOps {
-						t.Fatalf("%s: anchor spent %d MSTOps, want %d (phase loop %d plus the prestep of the unknown betas, faulted=%v)",
-							step, got, wantOps, ref.MSTOps, faulted)
-					}
-					if got := w.Stats().PrestepStopped - stoppedBefore; got != wantStopped {
-						t.Fatalf("%s: PrestepStopped grew by %d, want %d", step, got, wantStopped)
+					if got := w.Stats().AnchorCertified; got != ref.Certified {
+						t.Fatalf("%s: anchor certified %.17g, logged solve %.17g", step, got, ref.Certified)
 					}
 					if got, want := testFingerprint(sol), testFingerprint(ref.Solution); got != want {
-						t.Fatalf("%s: anchor rates or trees differ from a fresh solve", step)
+						t.Fatalf("%s: anchor rates or trees differ from a fresh logged solve", step)
 					}
-					clear(joined)
 				}
 
 				for i := 0; i < 3; i++ {
 					join()
 				}
-				check("first anchor", false)
+				check("first anchor")
 				for step := 0; step < 8; step++ {
 					switch {
 					case step == 4:
@@ -295,15 +245,17 @@ func TestWarmColdAnchorReusesBetas(t *testing.T) {
 							t.Fatal(err)
 						}
 						join()
-						check(fmt.Sprintf("step %d (fault)", step), true)
+						check(fmt.Sprintf("step %d (fault)", step))
 						continue
 					case w.ActiveSessions() > 2 && r.Intn(3) == 0:
 						leaveRandom()
 					case r.Intn(4) == 0:
 						// A session that joins and leaves between anchors
-						// never reaches the prestep.
+						// never reaches the anchor.
 						join()
-						leave(w.NumSlots() - 1)
+						if err := w.Leave(w.NumSlots() - 1); err != nil {
+							t.Fatal(err)
+						}
 						join()
 					default:
 						join()
@@ -311,7 +263,7 @@ func TestWarmColdAnchorReusesBetas(t *testing.T) {
 					if r.Intn(2) == 0 && w.ActiveSessions() > 2 {
 						leaveRandom()
 					}
-					check(fmt.Sprintf("step %d", step), false)
+					check(fmt.Sprintf("step %d", step))
 				}
 			})
 		}
@@ -336,16 +288,6 @@ func usedEdge(t *testing.T, w *Warm) graph.EdgeID {
 	}
 	t.Fatal("allocation routes no edge")
 	return 0
-}
-
-// soloMaxFlowOps returns the MSTOps of the prestep MaxFlow of session i of p.
-func soloMaxFlowOps(t *testing.T, p *Problem, i int, eps float64) int {
-	t.Helper()
-	mf, err := MaxFlow(singleSessionProblem(p, i), MaxFlowOptions{Epsilon: eps, SolverOptions: SolverOptions{Workers: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mf.MSTOps
 }
 
 // testOracle builds a per-session oracle matching mode, the way a caller of

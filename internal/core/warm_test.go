@@ -74,13 +74,13 @@ func warmTestInstance(t testing.TB, seed uint64) (*graph.Graph, [][]graph.NodeID
 	return net.Graph, memberSets
 }
 
-// A snapshot taken right after the anchor must be bit-identical to the cold
-// MaxConcurrentFlow solution over the same sessions.
+// A snapshot taken right after the anchor must be bit-identical to the
+// logged anchor solve over the same sessions, at the same demand scale.
 func TestWarmSnapshotMatchesColdAnchorBitwise(t *testing.T) {
 	const eps = 0.1
 	g, memberSets := warmTestInstance(t, 71)
 	p := buildProblem(t, g, memberSets, nil, core.RoutingIP)
-	res, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{Epsilon: eps})
+	res, _, _, err := core.AnchorSolve(p, core.MaxConcurrentFlowOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}

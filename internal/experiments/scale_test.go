@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"overcast/internal/core"
 	"overcast/internal/graph"
 	"overcast/internal/overlay"
 	"overcast/internal/workload"
@@ -189,5 +191,48 @@ func TestPlaneDedupZipfHotScenarios(t *testing.T) {
 			t.Errorf("%s: dedup fell from %.2fx (16 sessions) to %.2fx (64)", scenario, small, large)
 		}
 		t.Logf("%s: dedup %.2fx at 16 sessions, %.2fx at 64", scenario, small, large)
+	}
+}
+
+// TestScaleInstanceAnchorsCertify solves every small scale and scenario
+// instance (SmallScaleSuite, SmallScenarioSuite over every scenario, and a
+// two-level instance) with a Warm cold anchor and checks that the anchor
+// certifies at least (1-eps)^3: its fair share over the least weak-duality
+// bound its phase loop met, so a lower bound on its approximation ratio.
+func TestScaleInstanceAnchorsCertify(t *testing.T) {
+	const eps = 0.3
+	scenarios, err := SmallScenarioSuite(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := append(SmallScaleSuite(), scenarios...)
+	cfgs = append(cfgs, ScaleConfig{Nodes: 96, Sessions: 6, SessionSize: 4, TwoLevelASes: 4})
+	for _, cfg := range cfgs {
+		si, err := NewScaleInstance(7, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := core.NewWarm(si.Net.Graph, si.Problem.Mode, si.Net.LinkDelays(), core.WarmOptions{Epsilon: eps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range si.Sessions {
+			if err := w.Join(s, si.Problem.Oracles[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sol, err := w.Snapshot()
+		w.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name(), err)
+		}
+		if err := sol.CheckFeasible(1e-9); err != nil {
+			t.Fatalf("%s: %v", cfg.Name(), err)
+		}
+		got := w.Stats().AnchorCertified
+		if got < math.Pow(1-eps, 3) {
+			t.Fatalf("%s: anchor certified %.6f below (1-eps)^3 = %.6f", cfg.Name(), got, math.Pow(1-eps, 3))
+		}
+		t.Logf("%s: anchor certified %.4f", cfg.Name(), got)
 	}
 }

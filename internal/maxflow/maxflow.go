@@ -1,8 +1,8 @@
 // Package maxflow implements Dinic's maximum-flow algorithm on directed
-// networks with float64 capacities. It is the substrate behind the graph
-// strength / tree-packing separation oracle (Cunningham's and Barahona's
-// reductions solve the Tutte/Nash-Williams minimization as a sequence of
-// maximum-flow problems) and behind sanity bounds in tests.
+// networks with float64 capacities. No solver uses it: it is the exact
+// reference behind internal/core's two-member cross-check, where a
+// two-member session's arbitrary-routing MaxFlow must match the s–t
+// maximum flow.
 package maxflow
 
 import "fmt"
