@@ -25,13 +25,15 @@ race:
 # Native fuzzing, 60 s per target, as in the CI test job: the Dijkstra heap
 # against its brute-force model, subtree repair against a fresh Dijkstra,
 # the length ledger against a brute-force history model, the Warm anchor's
-# duality certificate, then the admin request-frame decoder.
+# duality certificate, the admin request-frame decoder, then the plane's
+# per-row classification against fresh Dijkstras and direct MinTree calls.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexedHeap$$' -fuzztime 60s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzRepairSubtrees$$' -fuzztime 60s ./internal/routing
 	$(GO) test -run '^$$' -fuzz '^FuzzLengthStore$$' -fuzztime 60s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzAnchorCertificate$$' -fuzztime 60s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 60s ./internal/admin
+	$(GO) test -run '^$$' -fuzz '^FuzzPlaneClassify$$' -fuzztime 60s ./internal/overlay
 
 fmt:
 	gofmt -w .

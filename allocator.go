@@ -38,8 +38,9 @@ type PlaneMode = overlay.PlaneMode
 // The plane modes; see overlay.PlaneMode for what each one does.
 const (
 	// PlaneSubtree keeps a persistent shortest-path plane; a row whose
-	// stored paths were touched is repaired over the affected subtrees or
-	// refilled, whichever the plane's recent repair outcomes favor.
+	// stored paths were touched is repaired over the affected subtrees when
+	// fewer than n/2 length updates (n the node count) hit the ledger since
+	// the row was filled, and refilled otherwise.
 	PlaneSubtree = overlay.PlaneSubtree
 	// PlaneOff runs every session's own Dijkstras (the reference mode).
 	PlaneOff = overlay.PlaneOff

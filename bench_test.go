@@ -768,8 +768,8 @@ func BenchmarkFaultChurn(b *testing.B) {
 // cross-round dirty-source repair: the solve-scoped plane keeps its SSSP
 // rows alive between batches and recomputes only sources whose read paths
 // intersect the edges the ledger journaled since the row was filled, each
-// by subtree repair or full refill as the plane's recent repair outcomes
-// choose. The sub-benchmarks keep their repair=subtree names so the
+// by subtree repair or full refill as the row's journal window
+// chooses. The sub-benchmarks keep their repair=subtree names so the
 // recorded BENCH_scale.json rows stay comparable. Plane-off comparisons
 // live in BenchmarkScaleZipfHotPlane.
 

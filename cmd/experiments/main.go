@@ -19,7 +19,7 @@
 // rows/cells/trials and run 0 as sequential solves). Solver outputs are bit-identical
 // for every worker count — the knob moves wall-clock only. -plane selects
 // the shared SSSP plane mode: subtree (the default; the plane repairs or
-// refills dirty rows as its repair outcomes favor) or off (outputs are
+// refills each dirty row by its journal window) or off (outputs are
 // mode-independent too; scale/churn rows print the plane's dedup factor and
 // repair skip rate when they fired).
 //

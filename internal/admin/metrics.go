@@ -44,7 +44,6 @@ func PrometheusText(st *StatsResult) string {
 	counter("overcastd_plane_skipped_total", "Row refills the dirty-source check proved unnecessary.", float64(p.Skipped))
 	counter("overcastd_plane_subtree_repaired_total", "Row refills downgraded to incremental subtree repairs (resumed Dijkstra over the dirty subtrees only).", float64(p.SubtreeRepaired))
 	counter("overcastd_plane_subtree_nodes_total", "Nodes resettled by subtree repairs (divide by subtree_repaired for the mean repaired-region size).", float64(p.SubtreeNodes))
-	counter("overcastd_plane_tree_hits_total", "Whole oracle evaluations served from the tree cache.", float64(p.TreeHits))
 	gauge("overcastd_plane_dedup_ratio", "Member reads served per Dijkstra computed.", p.Dedup())
 	gauge("overcastd_plane_repair_skip_ratio", "Fraction of row revalidations resolved without a full-row Dijkstra (skipped or subtree-repaired).", p.RepairRate())
 

@@ -19,12 +19,8 @@ import (
 // place. Consume (or copy) the results before rebatching; holding the slice
 // across calls observes the *next* batch's trees. The Tree objects are never
 // mutated after they are returned, so trees extracted from a batch stay
-// valid (and bitwise intact) indefinitely; with the plane on a later batch
-// may return the *same* Tree pointer again when the length ledger proves the
-// recomputation would be identical (the tree cache) —
-// callers must not rely on pointer freshness, only on immutability
-// (TestBatchResultSliceReusedAcrossCalls pins the slice half of this
-// contract, TestTreeCacheServesIdenticalTrees the tree half).
+// valid (and bitwise intact) indefinitely. TestBatchResultSliceReusedAcrossCalls
+// pins this contract.
 type BatchResult struct {
 	Tree *Tree
 	Len  float64
@@ -52,10 +48,11 @@ type BatchOptions struct {
 	// (routing.RepairSubtreesInto) when the bit-identity certificate holds —
 	// monotone ledger window, strictly positive lengths (AllPositive), an
 	// exact (never serviceable-skipped) row, dirty roots the ledger journal
-	// still covers — and recent repair outcomes favor it (repairGate), and
-	// refilled in full otherwise. Outputs are identical in both modes. The
-	// plane is created with the first PlaneOracle, at construction or in
-	// AddOracle, so a runner over fixed-routing oracles never carries one.
+	// still covers — and its journal window holds fewer than n/2 touches (n
+	// the node count), and refilled in full otherwise. Outputs are
+	// identical in both modes. The plane is created with the first
+	// PlaneOracle, at construction or in AddOracle, so a runner over
+	// fixed-routing oracles never carries one.
 	Plane PlaneMode
 }
 
@@ -110,23 +107,11 @@ type BatchRunner struct {
 	// serves; the dirty-source repair check walks exactly these stored
 	// paths. Built with the plane and grown by AddOracle (nil without one).
 	targets map[graph.NodeID][]graph.NodeID
-	// cache[i] is oracle i's last plane-assembled tree with the ledger epoch
-	// it was built at (nil tree = empty). When every member row of the
-	// oracle still has DijkstraEpoch <= the entry's epoch, the rows are
-	// bitwise unchanged since the tree was assembled, so the identical tree
-	// is returned without re-running Prim or route extraction. useCache is
-	// the per-batch-slot decision, precomputed sequentially in stagePlane so
-	// the metrics stay single-writer.
-	cache    []treeCacheEntry
-	useCache []bool
-	metrics  PlaneStats
-	// ls is the ledger of the current batch; lastStore remembers the ledger
-	// of the previous batch so a ledger swap (a different solve phase, a
-	// test driving rounds with fresh stores) invalidates every persistent
-	// row instead of trusting stale epochs. curEpoch is the batch's ledger
-	// epoch, published before the jobs fan out.
+	metrics PlaneStats
+	// lastStore remembers the ledger of the previous batch so a ledger swap
+	// (a different solve phase, a test driving rounds with fresh stores)
+	// invalidates every persistent row instead of trusting stale epochs.
 	lastStore *graph.LengthStore
-	curEpoch  graph.Epoch
 	// staged/toFill/toRepair are per-batch scratch: rows referenced by this
 	// batch, the subset needing a full Dijkstra, and the subset taking a
 	// subtree repair. repairRoots[k] holds the dirty subtree roots of
@@ -141,7 +126,6 @@ type BatchRunner struct {
 	repairRoots [][]graph.NodeID
 	repairOut   [][]graph.NodeID
 	repairOK    []bool
-	gate        repairGate // subtree repair or full refill, from recent outcomes
 
 	// The fan-out (see fanOut). The batch goroutine publishes the stage
 	// (filling: plane row jobs, else batch-slot evals), its job count and
@@ -256,16 +240,14 @@ func (r *BatchRunner) fillJob(pos int, sc *Scratch) {
 }
 
 // initPlane creates the shared plane, unless the mode is PlaneOff, once the
-// oracle set holds its first PlaneOracle: the read targets and tree-cache
-// slots cover every oracle added so far.
+// oracle set holds its first PlaneOracle: the read targets cover every
+// oracle added so far.
 func (r *BatchRunner) initPlane() {
 	if r.mode == PlaneOff {
 		return
 	}
 	r.plane = NewPlane(r.g)
 	r.targets = planeTargets(r.oracles)
-	r.cache = make([]treeCacheEntry, len(r.oracles))
-	r.useCache = make([]bool, len(r.oracles))
 }
 
 // Workers returns the resolved worker-pool size.
@@ -274,52 +256,36 @@ func (r *BatchRunner) Workers() int { return r.workers }
 // AddOracle appends an oracle to the runner's set and returns its id (usable
 // in the ids argument of MinTrees/MinTreesLen). It must be called between
 // batches, from the same goroutine that runs them — never while a batch is in
-// flight. Growing the set never invalidates existing plane rows or cached
-// trees: the new oracle's member sources only *add* read targets, and a
-// stored row that was current for a superset of targets is current for the
-// old ones too (the repair check just walks a few more stored paths).
+// flight. Growing the set never invalidates existing plane rows: the new
+// oracle's member sources only *add* read targets, and a stored row that was
+// current for a superset of targets is current for the old ones too (the
+// repair check just walks a few more stored paths).
 func (r *BatchRunner) AddOracle(o TreeOracle) int {
 	id := len(r.oracles)
 	r.oracles = append(r.oracles, o)
 	r.out = append(r.out, BatchResult{})
 	po, ok := o.(PlaneOracle)
-	if r.plane == nil {
-		if ok {
-			r.initPlane() // sized for the whole set, o included
-		}
-		return id
-	}
-	r.cache = append(r.cache, treeCacheEntry{})
-	r.useCache = append(r.useCache, false)
-	if ok {
+	switch {
+	case !ok:
+	case r.plane == nil:
+		r.initPlane() // covers the whole set, o included
+	default:
 		mergePlaneTargets(r.targets, po.PlaneSources())
 	}
 	return id
 }
 
-// Release drops the runner's references to oracle id and its cached tree, so
-// a departed session's oracle (route tables, memoized trees) can be
-// collected. Like AddOracle it must be called between batches; id keeps its
-// slot and must never appear in a later batch. The plane's read targets keep
-// the released oracle's co-members: a superset of the live reads only makes
-// the skip check walk a few more stored paths.
-func (r *BatchRunner) Release(id int) {
-	r.oracles[id] = nil
-	if r.cache != nil {
-		r.cache[id] = treeCacheEntry{}
-	}
-}
+// Release drops the runner's reference to oracle id, so a departed session's
+// oracle (route tables, memoized trees) can be collected. Like AddOracle it
+// must be called between batches; id keeps its slot and must never appear in
+// a later batch. The plane's read targets keep the released oracle's
+// co-members: a superset of the live reads only makes the skip check walk a
+// few more stored paths.
+func (r *BatchRunner) Release(id int) { r.oracles[id] = nil }
 
 // Metrics returns a snapshot of the runner's shared-plane counters. Call it
 // between batches (the counters are updated while a batch is staged).
 func (r *BatchRunner) Metrics() PlaneStats { return r.metrics }
-
-// treeCacheEntry is one oracle's last plane-assembled tree and the ledger
-// epoch its input rows carried.
-type treeCacheEntry struct {
-	tree  *Tree
-	epoch graph.Epoch
-}
 
 // eval computes the tree of the oracle in batch slot pos.
 func (r *BatchRunner) eval(pos int, sc *Scratch) {
@@ -331,14 +297,7 @@ func (r *BatchRunner) eval(pos int, sc *Scratch) {
 	var err error
 	if r.planeLive {
 		if po, ok := r.oracles[i].(PlaneOracle); ok {
-			if r.useCache != nil && r.useCache[pos] {
-				t = r.cache[i].tree
-			} else {
-				t, err = po.MinTreeFromPlane(r.d, r.plane, sc)
-				if err == nil && r.cache != nil {
-					r.cache[i] = treeCacheEntry{tree: t, epoch: r.curEpoch}
-				}
-			}
+			t, err = po.MinTreeFromPlane(r.d, r.plane, sc)
 		}
 	}
 	if t == nil && err == nil {
@@ -466,18 +425,14 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 		return
 	}
 	if ls != r.lastStore {
-		// A different ledger: every persistent row's epoch (and every cached
-		// tree derived from its rows) is meaningless.
+		// A different ledger: every persistent row's epoch is meaningless.
 		r.plane.Reset()
-		for i := range r.cache {
-			r.cache[i] = treeCacheEntry{}
-		}
 		r.lastStore = ls
 	}
 	r.plane.BeginBatch()
 	cur := ls.Epoch()
-	r.curEpoch = cur
 	r.minLen = ls.MinLengthLB()
+	nodes := graph.Epoch(r.g.NumNodes())
 	requests := 0
 	r.staged = r.staged[:0]
 	for pos := 0; pos < n; pos++ {
@@ -543,30 +498,28 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 		if r.rowServiceable(ls, row) {
 			// Touched tree edges, but none on a stored read path: the row
 			// stays serviceable but is no longer exact. The walk-skip stays
-			// ahead of subtree repair on purpose — it leaves the row's
-			// Dijkstra epoch (and with it the tree cache) untouched, where a
-			// repair would force downstream tree reassembly for rows whose
-			// reads never change.
+			// ahead of subtree repair on purpose: it is cheaper than a
+			// repair, and the row's reads do not change.
 			r.plane.SetFillEpoch(row, cur)
 			r.plane.Validate(row)
 			r.plane.exact[row] = false
 			r.metrics.Skipped++
 			continue
 		}
-		if r.plane.exact[row] && ls.AllPositive() &&
-			scaleSafe(r.minLen, r.plane.maxDist[row]) && r.gate.try() && r.stageRepair(ls, row32) {
+		if r.plane.exact[row] && 2*ls.TouchedCount(fill) < nodes && ls.AllPositive() &&
+			scaleSafe(r.minLen, r.plane.maxDist[row]) && r.stageRepair(ls, row32) {
 			// A read path is dirty, so the row must be recomputed, and the
 			// bit-identity certificate holds (monotone window checked above,
 			// exact content, dirty roots the journal still covers, strictly
 			// positive lengths, and lengths large enough relative to the
 			// row's distances that every relaxation strictly grows its float
 			// key — without that an underflowing length behaves like a
-			// zero-length edge and ties can flip), and the gate lets it try:
-			// resume Dijkstra over just the dirty subtrees. Epochs advance
-			// now so decideTreeCache sees the recompute; the repair runs with
-			// the fills.
+			// zero-length edge and ties can flip). The journal window is
+			// also shorter than n/2 touches: longer windows dirty so much of
+			// the row that the repair mostly bails into the refill it was
+			// meant to avoid. Resume Dijkstra over just the dirty subtrees;
+			// the repair runs with the fills.
 			r.plane.SetFillEpoch(row, cur)
-			r.plane.SetDijkstraEpoch(row, cur)
 			continue
 		}
 		r.metrics.Repaired++
@@ -577,10 +530,8 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 	for _, row32 := range r.toFill {
 		row := int(row32)
 		r.plane.SetFillEpoch(row, cur)
-		r.plane.SetDijkstraEpoch(row, cur)
 		r.plane.exact[row] = true
 	}
-	r.decideTreeCache(n)
 	if nf+nr == 0 {
 		return
 	}
@@ -589,13 +540,13 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 	// metrics. Every repaired row stays exact, whether the subtree path held
 	// or RepairRow fell back to a refill.
 	for k := range r.toRepair {
-		r.gate.note(r.repairOK[k])
 		if r.repairOK[k] {
 			r.metrics.SubtreeRepaired++
 			r.metrics.SubtreeNodes += len(r.repairOut[k])
 		} else {
-			// The subtree path bailed (oversized S or a defensive invariant
-			// miss) and RepairRow ran the fallback refill.
+			// The subtree path bailed (oversized S, a broken scale
+			// certificate or a defensive invariant miss) and RepairRow ran
+			// the fallback refill.
 			r.metrics.Repaired++
 		}
 	}
@@ -605,10 +556,12 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 // next repair slot, collecting the child endpoint of every touched edge of
 // the row's stored parent tree — the subtree roots routing.RepairSubtreesInto
 // resettles — and queues the row for repair. Each edge counts once, at its
-// last touch (LastTouched), so repeated bumps add no duplicates. It reports
-// false, and the row must refill, when the journal no longer covers the
-// window or the roots alone already exceed the repair's own two-thirds size
-// bail (the replay stops there). Slots keep their buffers across batches.
+// last touch (LastTouched), so repeated bumps add no duplicates, and the
+// roots never outnumber the window. It reports false, and the row must
+// refill, when the journal no longer covers the window: the journal keeps at
+// least its last graph.JournalWindow/2 entries and the classifier only sends
+// windows below n/2, so that happens only on graphs of more than
+// JournalWindow nodes. Slots keep their buffers across batches.
 func (r *BatchRunner) stageRepair(ls *graph.LengthStore, row32 int32) bool {
 	k := len(r.toRepair)
 	if k == len(r.repairRoots) {
@@ -618,7 +571,6 @@ func (r *BatchRunner) stageRepair(ls *graph.LengthStore, row32 int32) bool {
 	}
 	epoch := r.plane.FillEpoch(int(row32)) // advanced to each replayed entry's epoch
 	parents := r.plane.ParentRow(int(row32))
-	limit := 2 * len(parents) / 3
 	roots := r.repairRoots[k][:0]
 	covered := ls.ForEachTouched(epoch, func(e graph.EdgeID) bool {
 		epoch++
@@ -630,93 +582,14 @@ func (r *BatchRunner) stageRepair(ls *graph.LengthStore, row32 int32) bool {
 		} else if parents[edge.V] == e {
 			roots = append(roots, edge.V)
 		}
-		return len(roots) > limit
+		return false
 	})
 	r.repairRoots[k] = roots
-	if !covered || len(roots) > limit {
-		r.gate.note(false)
+	if !covered {
 		return false
 	}
 	r.toRepair = append(r.toRepair, row32)
 	return true
-}
-
-// repairGate chooses between subtree repair and full refill for a runner's
-// certified dirty rows. A failed attempt (roots past the size bail, a window
-// the journal no longer covers, a bail inside the kernel) pays for the
-// replay and the partial resettle on top of its refill, and how often
-// attempts fail depends on how the solver bumps lengths — MaxFlow's one tree
-// per iteration mostly repairs, the MaxConcurrentFlow phase loop's every
-// tree per round mostly bails — so the gate follows recent outcomes. Its
-// counts change only in the sequential classify loop and the post-barrier
-// fold, and every outcome is a pure function of row content, so decisions
-// are identical at every worker count.
-type repairGate struct {
-	tries, fails int // recent attempts and failures, halved past repairWindow
-	passed       int // certified rows offered while refilling
-}
-
-const (
-	repairWindow     = 256
-	repairProbeEvery = 8
-)
-
-// try reports whether the next certified dirty row attempts repair: yes
-// while at least half of the recent attempts succeeded (so a fresh runner
-// tries), else every repairProbeEvery-th row, so the choice recovers when
-// the bump pattern changes.
-func (g *repairGate) try() bool {
-	if 2*g.fails <= g.tries {
-		return true
-	}
-	g.passed++
-	return g.passed%repairProbeEvery == 0
-}
-
-// note records one attempt's outcome.
-func (g *repairGate) note(ok bool) {
-	g.tries++
-	if !ok {
-		g.fails++
-	}
-	if g.tries > repairWindow {
-		g.tries, g.fails = g.tries/2, g.fails/2
-	}
-}
-
-// decideTreeCache precomputes, per batch slot, whether the oracle's cached
-// tree is still bitwise exact: every member row's last actual Dijkstra must
-// predate (or coincide with) the epoch the tree was assembled at. Runs
-// sequentially before the eval fan-out so the metrics stay single-writer and
-// the workers only read the decisions.
-func (r *BatchRunner) decideTreeCache(n int) {
-	for pos := 0; pos < n; pos++ {
-		r.useCache[pos] = false
-		i := pos
-		if r.ids != nil {
-			i = r.ids[pos]
-		}
-		po, ok := r.oracles[i].(PlaneOracle)
-		if !ok {
-			continue
-		}
-		ce := r.cache[i]
-		if ce.tree == nil {
-			continue
-		}
-		current := true
-		for _, s := range po.PlaneSources() {
-			row := r.plane.Row(s)
-			if row < 0 || r.plane.DijkstraEpoch(row) > ce.epoch {
-				current = false
-				break
-			}
-		}
-		if current {
-			r.useCache[pos] = true
-			r.metrics.TreeHits++
-		}
-	}
 }
 
 // MinTrees evaluates the oracles named by ids (nil = all oracles) under ls's

@@ -143,7 +143,7 @@ func TestBatchSubsetEvaluation(t *testing.T) {
 // between batches must return, for every batch over the grown set, exactly
 // what a runner built with the full set up front returns — with the plane on
 // and off, across worker counts, and with batches interleaved between the
-// AddOracle calls so stored plane rows and cached trees survive the growth.
+// AddOracle calls so stored plane rows survive the growth.
 // The pool keeps its requested size, and the plane appears with the first
 // plane-aware oracle, never before.
 func TestBatchAddOracleGrowsDynamicRunner(t *testing.T) {
@@ -409,9 +409,9 @@ func TestBatchClaimLoopMatchesSequential(t *testing.T) {
 
 // TestBatchReleasedSlots pins the departed-oracle contract: a runner built
 // over an oracle list with nil (departed) slots derives its plane targets
-// from the live oracles only, a runner that Releases ids drops the oracle and
-// its cached tree, and both keep answering batches over the live ids exactly
-// like a runner that never lost an oracle.
+// from the live oracles only, a runner that Releases ids drops the oracle,
+// and both keep answering batches over the live ids exactly like a runner
+// that never lost an oracle.
 func TestBatchReleasedSlots(t *testing.T) {
 	g, oracles := mixedBatchFixture(t, 12)
 	gone := []int{1, 4, 7}
@@ -438,11 +438,11 @@ func TestBatchReleasedSlots(t *testing.T) {
 				t.Fatalf("%v: targets over nil slots %v, want the live oracles' %v", mode, lazy.targets, compacted.targets)
 			}
 			ls := graph.NewLengthStore(g, 1)
-			released.MinTrees(ls, nil) // cache a tree for every oracle
+			released.MinTrees(ls, nil) // stage rows for every oracle
 			for _, id := range gone {
 				released.Release(id)
-				if released.oracles[id] != nil || (released.cache != nil && released.cache[id].tree != nil) {
-					t.Fatalf("%v: Release(%d) kept the oracle or its cached tree", mode, id)
+				if released.oracles[id] != nil {
+					t.Fatalf("%v: Release(%d) kept the oracle", mode, id)
 				}
 			}
 			for round := 0; round < 6; round++ {

@@ -49,12 +49,6 @@ type Plane struct {
 	// maintained by the batch runner (FillRow leaves it to the caller,
 	// which knows which ledger — if any — the lengths came from).
 	fillEpoch []graph.Epoch
-	// dijkstraEpoch[row] is the ledger epoch of the row's last *actual*
-	// (re)computation — unlike fillEpoch it does not advance on repair
-	// skips, so a consumer caching values derived from row reads (the batch
-	// runner's tree cache) can tell "content provably unchanged" from
-	// "content recomputed and possibly different".
-	dijkstraEpoch []graph.Epoch
 	// valid[row] marks the batch stamp the row was last filled or proven
 	// current at; Lookup serves only rows validated in the current stamp, so
 	// stale persistent rows can never leak into an oracle read.
@@ -125,7 +119,6 @@ func (p *Plane) Stage(src graph.NodeID) bool {
 		p.dists = append(p.dists, make([]float64, n))
 		p.parents = append(p.parents, make([]graph.EdgeID, n))
 		p.fillEpoch = append(p.fillEpoch, -1)
-		p.dijkstraEpoch = append(p.dijkstraEpoch, -1)
 		p.valid = append(p.valid, 0)
 		p.refStamp = append(p.refStamp, 0)
 		p.exact = append(p.exact, false)
@@ -134,7 +127,6 @@ func (p *Plane) Stage(src graph.NodeID) bool {
 	p.rowOf[src] = int32(row)
 	p.sources = append(p.sources, src)
 	p.fillEpoch[row] = -1
-	p.dijkstraEpoch[row] = -1
 	p.valid[row] = 0
 	p.refStamp[row] = p.stamp
 	p.exact[row] = false
@@ -176,13 +168,6 @@ func (p *Plane) FillEpoch(row int) graph.Epoch { return p.fillEpoch[row] }
 // batch driver advances it both on refill and when a repair check proves the
 // content unchanged up to the current epoch.
 func (p *Plane) SetFillEpoch(row int, epoch graph.Epoch) { p.fillEpoch[row] = epoch }
-
-// DijkstraEpoch returns the ledger epoch of row's last actual computation
-// (-1 = never computed under the current ledger).
-func (p *Plane) DijkstraEpoch(row int) graph.Epoch { return p.dijkstraEpoch[row] }
-
-// SetDijkstraEpoch records that row's content was (re)computed at epoch.
-func (p *Plane) SetDijkstraEpoch(row int, epoch graph.Epoch) { p.dijkstraEpoch[row] = epoch }
 
 // Validate marks row as current for the present stamp without refilling it —
 // the repair fast path, only sound when the driver has proven the stored
@@ -313,10 +298,8 @@ type PlaneStats struct {
 	// repairs; SubtreeNodes/SubtreeRepaired is the mean repaired-region
 	// size.
 	SubtreeNodes int
-	// TreeHits counts whole oracle evaluations served from the tree cache:
-	// every member row of the session was proven unchanged since the tree
-	// was assembled, so Prim and route extraction were skipped along with
-	// the Dijkstras.
+	// TreeHits is always 0; kept only because the benchmark harness
+	// (bench/main.go) reads it.
 	TreeHits int
 	// NonMonotoneRefills counts rows degraded from the skip/repair fast path
 	// to a full refill because the ledger reported a non-monotone window
@@ -368,6 +351,5 @@ func (m *PlaneStats) Merge(o PlaneStats) {
 	m.Skipped += o.Skipped
 	m.SubtreeRepaired += o.SubtreeRepaired
 	m.SubtreeNodes += o.SubtreeNodes
-	m.TreeHits += o.TreeHits
 	m.NonMonotoneRefills += o.NonMonotoneRefills
 }

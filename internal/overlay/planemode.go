@@ -16,9 +16,10 @@ const (
 	// whose stored trees took no touched edge are skipped, and a row with a
 	// dirty read path is either repaired by resuming Dijkstra over only the
 	// affected subtrees (routing.RepairSubtreesInto, rooted below the
-	// touched tree edges the ledger journal names) or refilled in full. The
-	// runner chooses between the two from its own recent repair outcomes,
-	// and refills whenever the bit-identity certificate fails.
+	// touched tree edges the ledger journal names) or refilled in full. A
+	// row repairs when its ledger journal window since its fill holds fewer
+	// than n/2 touches (n the node count) and the bit-identity certificate
+	// holds, and refills otherwise.
 	PlaneSubtree PlaneMode = iota
 	// PlaneOff disables the plane: every oracle runs its own per-member
 	// Dijkstras. The reference PlaneSubtree is diffed against.

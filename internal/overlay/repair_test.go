@@ -99,14 +99,14 @@ func TestRepairLedgerSwapInvalidates(t *testing.T) {
 // TestRepairRoundAllocs is the allocation gate for the repair hot path:
 // under the same bump-one-tree round pattern, rounds with the persistent
 // plane must allocate no more than plane-off rounds do — the dirty checks,
-// journal replays, skip bookkeeping, and tree cache all run on pooled state.
+// journal replays and skip bookkeeping all run on pooled state.
 func TestRepairRoundAllocs(t *testing.T) {
 	g, oracles := arbBatchFixture(t, 6)
 	measure := func(mode PlaneMode) float64 {
 		r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 1, Plane: mode})
 		defer r.Close()
 		ls := graph.NewLengthStore(g, 1)
-		res := r.MinTrees(ls, nil) // warm up rows and caches
+		res := r.MinTrees(ls, nil) // warm up the rows
 		bumpTreeEdges(ls, res[0].Tree)
 		round := 0
 		return testing.AllocsPerRun(50, func() {
@@ -121,42 +121,5 @@ func TestRepairRoundAllocs(t *testing.T) {
 	off := measure(PlaneOff)
 	if got := measure(PlaneSubtree); got > off {
 		t.Fatalf("%v rounds allocate %.1f/round vs %.1f/round with the plane off — repair state is not pooled", PlaneSubtree, got, off)
-	}
-}
-
-// TestTreeCacheServesIdenticalTrees pins the tree cache: when nothing moved
-// between two batches on one ledger, the second batch serves every slot
-// from the cache (TreeHits) with trees bitwise equal to a direct call.
-func TestTreeCacheServesIdenticalTrees(t *testing.T) {
-	g, oracles := arbBatchFixture(t, 6)
-	r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 2})
-	defer r.Close()
-	ls := graph.NewLengthStore(g, 1)
-	first := r.MinTrees(ls, nil)
-	firstKeys := make([]string, len(first))
-	for i, res := range first {
-		firstKeys[i] = res.Tree.Key()
-	}
-	if r.Metrics().TreeHits != 0 {
-		t.Fatalf("cold batch reported tree hits: %+v", r.Metrics())
-	}
-	second := r.MinTrees(ls, nil)
-	for i, res := range second {
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		if res.Tree.Key() != firstKeys[i] {
-			t.Fatalf("oracle %d: cached tree differs", i)
-		}
-		want, err := oracles[i].MinTree(ls.Values())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Tree.Key() != want.Key() {
-			t.Fatalf("oracle %d: cached tree differs from direct call", i)
-		}
-	}
-	if hits := r.Metrics().TreeHits; hits != len(oracles) {
-		t.Fatalf("tree cache hits %d, want %d (every slot)", hits, len(oracles))
 	}
 }

@@ -1,13 +1,16 @@
 package overlay
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"overcast/internal/graph"
+	"overcast/internal/rng"
 	"overcast/internal/routing"
+	"overcast/internal/topology"
 )
 
 // TestSubtreeRepairRowsBitIdentical drives a persistent runner through
@@ -74,50 +77,47 @@ func TestSubtreeRepairRowsBitIdentical(t *testing.T) {
 }
 
 // certifiedDirtyRows counts the rows a full batch (nil ids) on r would find
-// dirty with the subtree-repair certificate holding — the rows offered to
-// the repair gate — using the classifier's own predicates, which read but
-// never write runner state.
-func certifiedDirtyRows(r *BatchRunner, ls *graph.LengthStore) int {
+// dirty with the subtree-repair certificate holding, split by journal window:
+// short rows (fewer than n/2 touches since their fill) and long rows. It
+// uses the classifier's own predicates, which read but never write runner
+// state.
+func certifiedDirtyRows(r *BatchRunner, ls *graph.LengthStore) (short, long int) {
 	if r.plane == nil {
-		return 0
+		return 0, 0
 	}
-	n := 0
 	for row := 0; row < r.plane.NumSources(); row++ {
-		fill := r.plane.FillEpoch(row)
-		if fill < 0 || fill == ls.Epoch() || !ls.MonotoneSince(fill) ||
-			r.treeUntouched(ls, row) || r.rowServiceable(ls, row) {
-			continue
-		}
-		if r.plane.exact[row] && ls.AllPositive() && scaleSafe(ls.MinLengthLB(), r.plane.maxDist[row]) {
-			n++
+		switch {
+		case !certifiedDirty(r, ls, row):
+		case 2*ls.TouchedCount(r.plane.FillEpoch(row)) < graph.Epoch(r.g.NumNodes()):
+			short++
+		default:
+			long++
 		}
 	}
-	return n
+	return short, long
 }
 
-// gateAttempts returns how many repair outcomes a gate recorded between two
-// snapshots: note adds one try per attempt, and halves the counts when tries
-// reaches repairWindow+1 (at most once between the snapshots here, since a
-// batch makes far fewer attempts than that).
-func gateAttempts(before, after repairGate) int {
-	if after.tries >= before.tries {
-		return after.tries - before.tries
-	}
-	return repairWindow + 1 - before.tries + after.tries - (repairWindow+1)/2
+// certifiedDirty reports whether a batch referencing row would find it
+// dirty with the subtree-repair certificate holding, whatever its window.
+func certifiedDirty(r *BatchRunner, ls *graph.LengthStore, row int) bool {
+	fill := r.plane.FillEpoch(row)
+	return fill >= 0 && fill != ls.Epoch() && ls.MonotoneSince(fill) &&
+		!r.treeUntouched(ls, row) && !r.rowServiceable(ls, row) &&
+		r.plane.exact[row] && ls.AllPositive() && scaleSafe(ls.MinLengthLB(), r.plane.maxDist[row])
 }
 
-// TestRepairSelectorFollowsOutcomes pins the plane's choice between subtree
-// repair and full refill. Every round runs a full batch and then bumps
-// either every session's tree (the MaxConcurrentFlow phase shape, where
-// most repairs bail) or one tree (the MaxFlow shape, where most hold).
-// Every result must equal a direct MinTree call, and the decisions must not
-// depend on the worker count.
-func TestRepairSelectorFollowsOutcomes(t *testing.T) {
+// TestRepairWindowRule pins the plane's choice between subtree repair and
+// full refill: a certified dirty row attempts repair iff its journal window
+// holds fewer than n/2 touches. Every round runs a full batch and then bumps
+// either every session's tree (the MaxConcurrentFlow phase shape, whose
+// windows are long) or one tree (the MaxFlow shape, whose windows are
+// short). Every result must equal a direct MinTree call, and the decisions
+// must not depend on the worker count.
+func TestRepairWindowRule(t *testing.T) {
 	const rounds = 40
 	type outcome struct {
-		certified, attempts []int
-		m                   PlaneStats
-		gate                repairGate
+		short, long, attempts []int
+		m                     PlaneStats
 	}
 	run := func(workers int, bumpAll func(round int) bool) outcome {
 		g, oracles := arbBatchFixture(t, 7)
@@ -126,10 +126,11 @@ func TestRepairSelectorFollowsOutcomes(t *testing.T) {
 		ls := graph.NewLengthStore(g, 1)
 		var o outcome
 		for round := 0; round < rounds; round++ {
-			c, before := certifiedDirtyRows(r, ls), r.gate
+			short, long := certifiedDirtyRows(r, ls)
 			results := r.MinTrees(ls, nil)
-			o.certified = append(o.certified, c)
-			o.attempts = append(o.attempts, gateAttempts(before, r.gate))
+			o.short = append(o.short, short)
+			o.long = append(o.long, long)
+			o.attempts = append(o.attempts, len(r.toRepair))
 			for i, res := range results {
 				want, err := oracles[i].MinTree(ls.Values())
 				if err != nil || res.Err != nil {
@@ -147,7 +148,7 @@ func TestRepairSelectorFollowsOutcomes(t *testing.T) {
 				bumpTreeEdges(ls, results[round%len(results)].Tree)
 			}
 		}
-		o.m, o.gate = r.Metrics(), r.gate
+		o.m = r.Metrics()
 		return o
 	}
 	sum := func(xs []int) int {
@@ -160,32 +161,27 @@ func TestRepairSelectorFollowsOutcomes(t *testing.T) {
 
 	t.Run("every-tree-bumped", func(t *testing.T) {
 		o := run(2, func(int) bool { return true })
-		// After the first failing batches the gate refills and only probes.
-		cert, att := sum(o.certified[rounds/2:]), sum(o.attempts[rounds/2:])
-		if cert == 0 || att > cert/6 {
-			t.Fatalf("second half: %d attempts on %d certified dirty rows, want about 1/8 (%+v)", att, cert, o.gate)
-		}
-		if att == 0 {
-			t.Fatalf("second half: the gate stopped probing (%d certified rows)", cert)
+		if sum(o.long) == 0 || sum(o.attempts) != 0 {
+			t.Fatalf("%d attempts on %d long-window certified rows, want 0 on > 0 (%+v)", sum(o.attempts), sum(o.long), o.m)
 		}
 	})
 	t.Run("one-tree-bumped", func(t *testing.T) {
 		o := run(2, func(int) bool { return false })
-		for round := range o.certified {
-			if o.attempts[round] != o.certified[round] {
-				t.Fatalf("round %d: %d attempts on %d certified dirty rows, want all", round, o.attempts[round], o.certified[round])
+		for round := range o.short {
+			if o.attempts[round] != o.short[round] {
+				t.Fatalf("round %d: %d attempts on %d short-window certified rows, want all", round, o.attempts[round], o.short[round])
 			}
 		}
-		if sum(o.certified) == 0 || o.m.SubtreeRepaired == 0 {
-			t.Fatalf("no certified dirty row was repaired (%+v)", o.m)
+		if sum(o.short) == 0 || o.m.SubtreeRepaired == 0 {
+			t.Fatalf("no short-window certified row was repaired (%+v)", o.m)
 		}
 	})
 	t.Run("workers", func(t *testing.T) {
-		// Switch shapes halfway, so the gate runs through both states.
+		// Switch shapes halfway, so both windows occur.
 		shape := func(round int) bool { return round < rounds/2 }
 		a, b := run(1, shape), run(4, shape)
-		if a.m != b.m || a.gate != b.gate || fmt.Sprint(a.attempts) != fmt.Sprint(b.attempts) {
-			t.Fatalf("workers 1 vs 4 diverge:\n%+v %+v %v\n%+v %+v %v", a.m, a.gate, a.attempts, b.m, b.gate, b.attempts)
+		if a.m != b.m || fmt.Sprint(a.attempts) != fmt.Sprint(b.attempts) {
+			t.Fatalf("workers 1 vs 4 diverge:\n%+v %v\n%+v %v", a.m, a.attempts, b.m, b.attempts)
 		}
 	})
 }
@@ -193,12 +189,15 @@ func TestRepairSelectorFollowsOutcomes(t *testing.T) {
 // TestSubtreeRepairSparseBatches drives subtree repair through batches that
 // name a rotating subset of oracles, so rows sit out several batches and
 // their dirty roots must come from a journal window spanning all of them.
-// One batch follows a window longer than the row's node count, and one
-// follows a burst that overruns graph.JournalWindow. Every result must equal
-// a direct MinTree call and every exact validated row a fresh
-// ShortestPathsInto, bitwise. Non-vacuity: a subtree repair succeeds on a
-// window spanning several batches and on a window longer than n, and a row
-// whose window the journal no longer covers is refilled.
+// Most batches bump one edge of a routed tree, so windows over several
+// batches stay below n/2 touches; some follow a scatter of 2n bumps, and
+// one follows a burst that overruns graph.JournalWindow. Every result must
+// equal a direct MinTree call and every exact validated row a fresh
+// ShortestPathsInto, bitwise, and no row with a window of n/2 or more may
+// attempt repair. Non-vacuity: a subtree repair succeeds on a window
+// spanning several batches, a certified dirty row with a window of at
+// least n/2 is refilled, and a row whose window the journal no longer
+// covers is refilled.
 func TestSubtreeRepairSparseBatches(t *testing.T) {
 	const k = 9
 	g, oracles := arbBatchFixture(t, k)
@@ -213,7 +212,7 @@ func TestSubtreeRepairSparseBatches(t *testing.T) {
 		// batchOf maps a batch's ledger epoch to its index, so a row's fill
 		// epoch tells how many batches its window spans.
 		batchOf := map[graph.Epoch]int{}
-		var spanRepairs, longRepairs, unknownRefills int
+		var spanRepairs, longRefills, unknownRefills int
 		for round := 0; round < 120; round++ {
 			// A rotating window of 2..4 consecutive oracle ids.
 			ids := make([]int, 2+round%3)
@@ -222,8 +221,8 @@ func TestSubtreeRepairSparseBatches(t *testing.T) {
 			}
 			pl := r.plane
 			type window struct {
-				fill    graph.Epoch
-				covered bool
+				fill               graph.Epoch
+				covered, certified bool
 			}
 			before := map[graph.NodeID]window{}
 			if pl != nil {
@@ -233,7 +232,7 @@ func TestSubtreeRepairSparseBatches(t *testing.T) {
 						continue
 					}
 					covered := ls.ForEachTouched(fill, func(graph.EdgeID) bool { return true })
-					before[pl.Source(row)] = window{fill, covered}
+					before[pl.Source(row)] = window{fill, covered, certifiedDirty(r, ls, row)}
 				}
 			}
 			cur := ls.Epoch()
@@ -254,19 +253,21 @@ func TestSubtreeRepairSparseBatches(t *testing.T) {
 			pl = r.plane
 			for kk, row32 := range r.toRepair {
 				w := before[pl.Source(int(row32))]
-				if !r.repairOK[kk] {
-					continue
+				if 2*(cur-w.fill) >= graph.Epoch(n) {
+					t.Fatalf("workers=%d round %d: row %d attempted repair on a window of %d touches (n = %d)",
+						workers, round, row32, cur-w.fill, n)
 				}
-				if round-batchOf[w.fill] >= 3 {
+				if r.repairOK[kk] && round-batchOf[w.fill] >= 3 {
 					spanRepairs++
-				}
-				if cur-w.fill > graph.Epoch(n) {
-					longRepairs++
 				}
 			}
 			for _, row32 := range r.toFill {
-				if w, ok := before[pl.Source(int(row32))]; ok && !w.covered {
+				w, ok := before[pl.Source(int(row32))]
+				if ok && !w.covered {
 					unknownRefills++
+				}
+				if ok && w.certified && 2*(cur-w.fill) >= graph.Epoch(n) {
+					longRefills++
 				}
 			}
 			for row := 0; row < pl.NumSources(); row++ {
@@ -295,13 +296,136 @@ func TestSubtreeRepairSparseBatches(t *testing.T) {
 					ls.Bump(rng.Intn(g.NumEdges()), 1+rng.Float64()*0.01)
 				}
 			default:
-				bumpTreeEdges(ls, results[rng.Intn(len(results))].Tree)
+				use := results[rng.Intn(len(results))].Tree.Use()
+				ls.Bump(use[rng.Intn(len(use))].Edge, 1.05)
 			}
 		}
 		r.Close()
-		if spanRepairs == 0 || longRepairs == 0 || unknownRefills == 0 {
-			t.Fatalf("workers=%d: repairs across >=3 batches %d, repairs on windows > n %d, refills from unknown windows %d; want all > 0 (%+v)",
-				workers, spanRepairs, longRepairs, unknownRefills, r.Metrics())
+		if spanRepairs == 0 || longRefills == 0 || unknownRefills == 0 {
+			t.Fatalf("workers=%d: repairs across >=3 batches %d, certified refills on windows >= n/2 %d, refills from unknown windows %d; want all > 0 (%+v)",
+				workers, spanRepairs, longRefills, unknownRefills, r.Metrics())
 		}
 	}
+}
+
+// classifyFuzzSessions and classifyFuzzRounds size FuzzPlaneClassify: the
+// sessions of its fixture, and the most rounds one input drives.
+const (
+	classifyFuzzSessions = 6
+	classifyFuzzRounds   = 32
+)
+
+// FuzzPlaneClassify drives a persistent runner's per-row classification
+// (skip, read-path walk, subtree repair, refill) on a 24-node Waxman graph
+// with six overlapping arbitrary-routing sessions. Each round takes four
+// bytes: the batch (a bitmask of sessions, rotated by the top two bits; an
+// empty mask runs them all), which results' trees to bump (bit 6: one edge
+// of each instead of all), the bump factor in (1, 2], and a byte below 16
+// that halves one edge with Set (a non-monotone window). After every batch
+// each result must equal a direct MinTree call, and every exact validated
+// row a fresh ShortestPathsInto, bitwise.
+func FuzzPlaneClassify(f *testing.F) {
+	net, err := topology.Waxman(topology.DefaultWaxman(24), rng.New(3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	g := net.Graph
+	n, m := g.NumNodes(), g.NumEdges()
+	oracles := make([]TreeOracle, classifyFuzzSessions)
+	for i := range oracles {
+		members := []graph.NodeID{i % 3, i%3 + 1, (i + 11) % n, (i + 17) % n}
+		s, err := NewSession(i, dedupNodes(members), 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if oracles[i], err = NewArbitraryOracle(g, s); err != nil {
+			f.Fatal(err)
+		}
+	}
+	// Seeds replay TestSubtreeRepairSparseBatches' shape (rotating batches
+	// of 2..4 sessions, one edge of one routed tree bumped per round; seed 7
+	// adds a shrink every ninth round) and the phase-loop shape (full
+	// batches, every tree bumped).
+	f.Add([]byte{})
+	for _, seed := range []int64{5, 7} {
+		rnd := rand.New(rand.NewSource(seed))
+		var data []byte
+		for round := 0; round < classifyFuzzRounds; round++ {
+			size := 2 + round%3
+			var mask byte
+			for j := 0; j < size; j++ {
+				mask |= 1 << ((round + 2*j) % classifyFuzzSessions)
+			}
+			shrink := byte(255)
+			if seed == 7 && round%9 == 8 {
+				shrink = byte(rnd.Intn(16))
+			}
+			data = append(data, mask, 1<<rnd.Intn(size)|0x40, byte(rnd.Intn(256)), shrink)
+		}
+		f.Add(data)
+	}
+	f.Add(bytes.Repeat([]byte{0, 0x3f, 12, 255}, classifyFuzzRounds/2))
+
+	sp := routing.NewDijkstraScratch(g)
+	dist := make([]float64, n)
+	parent := make([]graph.EdgeID, n)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 1})
+		defer r.Close()
+		ls := graph.NewLengthStore(g, 1)
+		for round := 0; round < classifyFuzzRounds && 4*round+3 < len(data); round++ {
+			a, b, c, s := data[4*round], data[4*round+1], data[4*round+2], data[4*round+3]
+			var ids []int
+			for j := 0; j < classifyFuzzSessions; j++ {
+				if i := (int(a>>6) + j) % classifyFuzzSessions; a&(1<<i) != 0 {
+					ids = append(ids, i)
+				}
+			}
+			results := r.MinTreesLen(ls, ids)
+			for j, res := range results {
+				i := j
+				if ids != nil {
+					i = ids[j]
+				}
+				want, err := oracles[i].MinTree(ls.Values())
+				if err != nil || res.Err != nil {
+					t.Fatalf("round %d oracle %d: %v / %v", round, i, res.Err, err)
+				}
+				if res.Tree.Key() != want.Key() ||
+					math.Float64bits(res.Len) != math.Float64bits(want.LengthUnder(ls.Values())) {
+					t.Fatalf("round %d oracle %d: result differs from direct call", round, i)
+				}
+			}
+			pl := r.plane
+			for row := 0; row < pl.NumSources(); row++ {
+				if pl.valid[row] != pl.stamp || !pl.exact[row] {
+					continue
+				}
+				sp.ShortestPathsInto(g, pl.Source(row), ls.Values(), dist, parent)
+				for v := range dist {
+					if math.Float64bits(dist[v]) != math.Float64bits(pl.dists[row][v]) || parent[v] != pl.parents[row][v] {
+						t.Fatalf("round %d row %d (src %d): node %d is (%.17g, %d), fresh fill (%.17g, %d)",
+							round, row, pl.Source(row), v, pl.dists[row][v], pl.parents[row][v], dist[v], parent[v])
+					}
+				}
+			}
+			factor := 1 + (float64(c)+1)/256
+			for j, res := range results {
+				if b&(1<<j) == 0 {
+					continue
+				}
+				use := res.Tree.Use()
+				if b&0x40 != 0 {
+					use = use[int(c)%len(use):][:1]
+				}
+				for _, u := range use {
+					ls.Bump(u.Edge, factor)
+				}
+			}
+			if s < 16 {
+				e := graph.EdgeID((int(s)*m/16 + int(c)) % m)
+				ls.Set(e, ls.At(e)/2)
+			}
+		}
+	})
 }
