@@ -264,13 +264,12 @@ func (r *BatchRunner) AddOracle(o TreeOracle) int {
 	id := len(r.oracles)
 	r.oracles = append(r.oracles, o)
 	r.out = append(r.out, BatchResult{})
-	po, ok := o.(PlaneOracle)
-	switch {
-	case !ok:
-	case r.plane == nil:
-		r.initPlane() // covers the whole set, o included
-	default:
-		mergePlaneTargets(r.targets, po.PlaneSources())
+	if po, ok := o.(PlaneOracle); ok {
+		if r.plane == nil {
+			r.initPlane() // covers the whole set, o included
+		} else {
+			mergePlaneTargets(r.targets, po.PlaneSources())
+		}
 	}
 	return id
 }
