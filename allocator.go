@@ -153,8 +153,8 @@ type AllocatorStats struct {
 	// capacity drift) applied through Fault. Each one latches a cold re-solve
 	// for the next Snapshot/Rebalance.
 	UnderlayEvents int
-	// Plane aggregates the shared-SSSP-plane counters across anchors, warm
-	// repair, and online joins.
+	// Plane holds the shared-SSSP-plane counters of the runner that serves
+	// the cold solves and warm repair.
 	Plane PlaneStats
 }
 
@@ -211,11 +211,7 @@ func NewAllocator(net *Network, opts AllocatorOptions) (*Allocator, error) {
 	if len(net.inner.Pos) == net.inner.Graph.NumNodes() && len(net.inner.Pos) > 0 {
 		weights = net.inner.LinkDelays()
 	}
-	mode := core.RoutingIP
-	if opts.Routing == RoutingArbitrary {
-		mode = core.RoutingArbitrary
-	}
-	warm, err := core.NewWarm(net.inner.Graph, mode, weights, core.WarmOptions{
+	warm, err := core.NewWarm(net.inner.Graph, core.WarmOptions{
 		Epsilon:           opts.Epsilon,
 		SolverOptions:     core.SolverOptions{Workers: opts.Workers, Plane: opts.Plane},
 		RepairPhaseBudget: opts.RepairPhaseBudget,

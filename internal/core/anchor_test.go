@@ -58,14 +58,17 @@ const boundSlack = 1e-9
 // checkAnchor runs the logged anchor solve of p and checks its certificate:
 // Lambda is below both the phase loop's dual bound and the scale round's
 // zetaHi, the solution is feasible, and the anchor certifies at least
-// (1-eps)^3 after the zetaLo fallback.
+// (1-eps)^3 after the zetaLo fallback. The anchor's own lambda must be
+// bitwise the concurrent ratio of its rescaled flows.
 func checkAnchor(t testing.TB, name string, p *Problem, eps float64) (*MCFResult, *mcfAnchor) {
 	t.Helper()
-	res, anchor, err := maxConcurrentFlow(p, MaxConcurrentFlowOptions{Epsilon: eps, SolverOptions: SolverOptions{Workers: 2}}, true)
+	res, anchor, err := denseAnchor(p, MaxConcurrentFlowOptions{Epsilon: eps, SolverOptions: SolverOptions{Workers: 2}})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	switch {
+	case math.Float64bits(anchor.lambda) != math.Float64bits(res.Lambda):
+		t.Fatalf("%s: anchor lambda %.17g, rescaled flows' ratio %.17g", name, anchor.lambda, res.Lambda)
 	case res.Lambda > res.DualBound*(1+boundSlack):
 		t.Fatalf("%s: lambda %.17g above its dual bound %.17g", name, res.Lambda, res.DualBound)
 	case res.Lambda > anchor.zetaHi*(1+boundSlack):
@@ -152,12 +155,16 @@ func phasesAt(t *testing.T, p *Problem, eps float64, anchor *mcfAnchor, zeta flo
 	t.Helper()
 	runner := overlay.NewBatchRunnerOpts(p.G, p.Oracles, overlay.BatchOptions{Workers: 1})
 	defer runner.Close()
-	gk, base := newMCFState(p, eps, true)
-	res, _, err := mcfPhases(p, runner, gk, base, zeta, float64(p.K())*anchor.zetaHi/zeta)
+	ids := make([]int, p.K())
+	for i := range ids {
+		ids[i] = i
+	}
+	gk := newMCFState(p.G, eps, p.Sessions, ids)
+	_, phases, err := mcfPhases(runner, gk, p.Sessions, ids, zeta, float64(p.K())*anchor.zetaHi/zeta)
 	if err != nil {
 		t.Fatalf("phase loop at zeta %v: %v", zeta, err)
 	}
-	return res
+	return phaseResult(p, gk, phases)
 }
 
 // TestAnchorThinLinkCompletesAtZetaLo pins the doubling cap on the instance
@@ -232,8 +239,8 @@ func TestAnchorFallsBackToZetaLo(t *testing.T) {
 	if first.Certified >= math.Pow(1-eps, 3) {
 		t.Fatalf("geometric-mean run certifies %.17g: the fallback goes unexercised", first.Certified)
 	}
-	if res.MSTOps != first.MSTOps+anchor.gk.ops {
-		t.Fatalf("anchor MSTOps %d, want the discarded run's %d plus the rerun's %d", res.MSTOps, first.MSTOps, anchor.gk.ops)
+	if rerun := phasesAt(t, p, eps, anchor, anchor.zetaLo); res.MSTOps != first.MSTOps+rerun.MSTOps {
+		t.Fatalf("anchor MSTOps %d, want the discarded run's %d plus the rerun's %d", res.MSTOps, first.MSTOps, rerun.MSTOps)
 	}
 	t.Logf("certified %.3g at the geometric mean, %.3g after the rerun at zetaLo", first.Certified, res.Certified)
 }

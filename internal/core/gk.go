@@ -23,14 +23,15 @@ type gkState struct {
 	// index[i] maps a tree's KeyHash to its position in raw[i]; nil until
 	// the next add to session i, which builds it from raw[i].
 	index []map[uint64]int
-	logs  []applyLog // per session; nil unless the state logs applications
+	logs  []applyLog // per session; set only by a Warm anchor, nil otherwise
 	ops   int        // oracle calls
-	// cert, set by a MaxConcurrentFlow phase loop, holds every session's
-	// original demand; dualBound is then the least D/Σ_i cert[i]·len_i over
-	// the phases' first rounds, where every session is pending. Weak duality
-	// on the M2 LP bounds lambda* by that ratio under any lengths, since the
-	// oracle's tree is a minimum one, so reading it costs no extra oracle
-	// call.
+	// cert, set by a MaxConcurrentFlow phase loop, holds the original demand
+	// of every session it routes (0 for any other index); dualBound is then
+	// the least D/Σ_i cert[i]·len_i over the phases' first rounds, where
+	// every routed session is pending. Weak duality on the M2 LP bounds
+	// lambda* by that ratio under any lengths, since the oracle's tree is a
+	// minimum one, so reading it costs no extra oracle call. Phases run with
+	// cert set must route every session it weighs.
 	cert      []float64
 	dualBound float64
 
@@ -39,12 +40,8 @@ type gkState struct {
 	pending []int
 }
 
-func newGKState(g *graph.Graph, eps float64, d *graph.LengthStore, k int, logged bool) *gkState {
-	s := &gkState{g: g, eps: eps, d: d, raw: make([][]TreeFlow, k), index: make([]map[uint64]int, k)}
-	if logged {
-		s.logs = make([]applyLog, k)
-	}
-	return s
+func newGKState(g *graph.Graph, eps float64, d *graph.LengthStore, k int) *gkState {
+	return &gkState{g: g, eps: eps, d: d, raw: make([][]TreeFlow, k), index: make([]map[uint64]int, k)}
 }
 
 // add accrues rate onto tree t of session i, deduplicating by KeyHash (the
@@ -85,25 +82,25 @@ func (s *gkState) apply(i int, t *overlay.Tree, c float64) {
 	}
 }
 
-// phase routes amounts[j] for session ids[j] through one phase of batched
-// oracle rounds. Each round queries the pending sessions' minimum trees
+// phase routes amounts[i] for every session i in ids through one phase of
+// batched oracle rounds. Each round queries the pending sessions' minimum trees
 // against the current lengths through runner (oracle id == session index),
 // then applies them in the listed order, each routing up to its tree's
 // bottleneck; a session whose bottleneck is below its remaining amount stays
 // pending and gets a fresh tree under the moved lengths next round. When
 // stopAtD is set the phase stops as soon as D reaches 1, the Garg–Könemann
-// stop criterion.
+// stop criterion. With cert set, the first round also lowers dualBound.
 func (s *gkState) phase(runner *overlay.BatchRunner, ids []int, amounts []float64, stopAtD bool) error {
 	if len(s.rem) < len(s.raw) {
 		s.rem = append(s.rem, make([]float64, len(s.raw)-len(s.rem))...)
 	}
 	s.pending = s.pending[:0]
-	for j, i := range ids {
-		s.rem[i] = amounts[j]
+	for _, i := range ids {
+		s.rem[i] = amounts[i]
 		s.pending = append(s.pending, i)
 	}
 	pending := s.pending
-	certify := s.cert != nil && len(pending) == len(s.cert)
+	certify := s.cert != nil
 	for len(pending) > 0 && (!stopAtD || s.bigD < 1) {
 		var results []overlay.BatchResult
 		if certify {

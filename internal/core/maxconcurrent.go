@@ -20,8 +20,8 @@ type MaxConcurrentFlowOptions struct {
 	// its independent per-session maximum flows out across the workers (each
 	// on one worker with its own plane), the phase loop fans each round of
 	// pending-session oracle calls out to a persistent pool, and the surplus
-	// pass inherits both. A Warm anchor's scale round runs on the phase
-	// loop's pool.
+	// pass inherits both. A Warm anchor takes its knobs from
+	// WarmOptions.SolverOptions instead, on the allocator's own runner.
 	SolverOptions
 	// SurplusPass, when set, routes additional MaxFlow-style traffic on the
 	// residual capacities after the fair share is secured. The paper's
@@ -32,14 +32,17 @@ type MaxConcurrentFlowOptions struct {
 	SurplusPass bool
 }
 
-// mcfAnchor is the state of a logged MaxConcurrentFlow solve at the moment
-// its phase loop stops, before the feasibility rescale: the seed a Warm
-// allocator resumes from.
+// mcfAnchor is a Warm cold anchor's phase loop at the moment it stops,
+// before the feasibility rescale: the state warm repair resumes from. Its
+// slices are indexed like the sessions the anchor was solved over.
 type mcfAnchor struct {
 	gk     *gkState      // live ledger, pre-scale flows, application logs, D
 	base   graph.Lengths // epoch-0 lengths delta/c_e
 	dem    []float64     // final scaled per-phase demands
 	phases int
+	// lambda is the concurrent ratio the flows reach once rescaled to exact
+	// feasibility; lambda/gk.dualBound is the anchor's certified ratio.
+	lambda float64
 	// zetaLo and zetaHi bracket the demand scale: zetaLo/k <= lambda* <=
 	// zetaHi (see anchorSolve).
 	zetaLo, zetaHi float64
@@ -105,20 +108,9 @@ type MCFResult struct {
 // TestMCFMatchesExactM2SmallInstances rather than inherited verbatim from
 // the paper's analysis.
 func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, error) {
-	res, _, err := maxConcurrentFlow(p, opts, false)
-	return res, err
-}
-
-// maxConcurrentFlow is MaxConcurrentFlow that, when logged is set, also logs
-// every tree application and returns the phase loop's terminal state as an
-// anchor. The anchor's flows are the pre-scale raw flows; the returned
-// Solution rescales its own copy. A logged solve sets its demand scale
-// without the beta prestep (see anchorSolve) and skips the surplus pass,
-// whose flows have no place in the anchor.
-func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool) (*MCFResult, *mcfAnchor, error) {
 	eps := opts.Epsilon
 	if eps <= 0 || eps > 0.5 {
-		return nil, nil, fmt.Errorf("core: MaxConcurrentFlow epsilon %v outside (0, 0.5]", eps)
+		return nil, fmt.Errorf("core: MaxConcurrentFlow epsilon %v outside (0, 0.5]", eps)
 	}
 	k := p.K()
 	// The phase loop fans each round of pending-session oracle calls out to
@@ -127,15 +119,12 @@ func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool) (
 	// is built first so the prestep fans out across the same resolved size.
 	runner := overlay.NewBatchRunnerOpts(p.G, p.Oracles, overlay.BatchOptions{Workers: opts.Workers, Plane: opts.Plane})
 	defer runner.Close()
-	if logged {
-		return anchorSolve(p, eps, runner)
-	}
 
 	// Pre-step: beta_i = single-session maximum flow, for demand scaling,
 	// fanned out over the sessions (prestep.go).
 	betas, prestepOps, prestepPlane, err := prestepBetas(p, eps, runner.Workers(), opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// zeta = min_i beta_i/dem(i) upper-bounds lambda*; scaling demands by
 	// zeta/k puts the scaled optimum in [1, k].
@@ -143,11 +132,26 @@ func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool) (
 	for i, s := range p.Sessions {
 		zeta = min(zeta, betas[i]/s.Demand)
 	}
-	gk, base := newMCFState(p, eps, false)
-	res, _, err := mcfPhases(p, runner, gk, base, zeta, float64(k))
-	if err != nil {
-		return nil, nil, err
+	ids := make([]int, k)
+	for i := range ids {
+		ids[i] = i
 	}
+	gk := newMCFState(p.G, eps, p.Sessions, ids)
+	_, phases, err := mcfPhases(runner, gk, p.Sessions, ids, zeta, float64(k))
+	if err != nil {
+		return nil, err
+	}
+	// The solution's flows alias gk's, so the surplus pass below merges into
+	// the rescaled fair solution through gk's index.
+	sol := &Solution{G: p.G, Sessions: p.Sessions, Flows: gk.raw, MSTOps: gk.ops, Phases: phases, Plane: runner.Metrics()}
+	// Exact feasibility scaling, uniform across sessions (preserves the
+	// fairness ratios); upper-bounded by the Lemma 4 factor
+	// log_{1+eps}(1/delta).
+	if cong := sol.MaxCongestion(); cong > 0 {
+		sol.Scale(1 / cong)
+	}
+	res := &MCFResult{Solution: sol, Lambda: sol.ConcurrentRatio(), DualBound: gk.dualBound}
+	res.Certified = res.Lambda / res.DualBound
 	// Phase-loop counters only: the beta prestep's single-session planes
 	// dedup exactly 1.0 by construction (members within a session are
 	// distinct), so merging them here would drag the reported dedup factor
@@ -156,18 +160,20 @@ func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool) (
 	res.PrestepMSTOps, res.PrestepPlane, res.Betas = prestepOps, prestepPlane, betas
 	if opts.SurplusPass {
 		if err := addSurplus(p, gk, res.Solution, opts); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		res.ScaleToFeasible()
 	}
-	return res, nil, nil
+	return res, nil
 }
 
-// anchorSolve is the logged solve behind a Warm cold anchor. The beta
-// prestep exists only to pick the demand scale zeta, and any zeta in a
-// bracket around lambda* does that job, so an anchor takes it from one
-// oracle round on its own runner under the epoch-0 lengths delta/c_e,
-// proportional to 1/c_e:
+// anchorSolve is the solve behind a Warm cold anchor, over the sessions
+// named by ids (ascending; oracle ids on runner and indices into sessions,
+// whose other entries it ignores). It logs every tree application and runs
+// no surplus pass, whose flows have no place in an anchor. The beta prestep
+// exists only to pick the demand scale zeta, and any zeta in a bracket
+// around lambda* does that job, so an anchor takes it from one oracle round
+// under the epoch-0 lengths delta/c_e, proportional to 1/c_e:
 //   - zetaHi = min_i D_0/(dem(i)·len_i), with D_0 = Σ_e c_e·(delta/c_e), is
 //     a weak-duality upper bound on lambda* (the oracle's tree is the
 //     minimum one);
@@ -178,84 +184,103 @@ func maxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions, logged bool) (
 // It scales by their geometric mean. The scaled optimum then lies in
 // [zetaLo/zeta, k·zetaHi/zeta], which may reach below 1, outside the
 // paper's regime; an anchor that certifies below (1-eps)^3 therefore reruns
-// once at zeta = zetaLo, where it is at least 1. The round's k oracle calls
-// are its PrestepMSTOps; a discarded first run's calls are added to MSTOps.
-func anchorSolve(p *Problem, eps float64, runner *overlay.BatchRunner) (*MCFResult, *mcfAnchor, error) {
-	k := p.K()
-	gk, base := newMCFState(p, eps, true)
-	zetaLo, zetaHi := math.Inf(1), math.Inf(1)
-	for i, r := range runner.MinTreesLen(gk.d, nil) {
+// once at zeta = zetaLo, where it is at least 1. The scale round's k oracle
+// calls are not in gk.ops; a discarded first run's calls are.
+func anchorSolve(g *graph.Graph, runner *overlay.BatchRunner, eps float64, sessions []*overlay.Session, ids []int) (*mcfAnchor, error) {
+	k := len(ids)
+	gk := newMCFState(g, eps, sessions, ids)
+	a := &mcfAnchor{base: append(graph.Lengths(nil), gk.d.Values()...), zetaLo: math.Inf(1), zetaHi: math.Inf(1)}
+	for j, r := range runner.MinTreesLen(gk.d, ids) {
 		if r.Err != nil {
-			return nil, nil, fmt.Errorf("core: MCF scale oracle %d: %w", i, r.Err)
+			return nil, fmt.Errorf("core: MCF scale oracle %d: %w", ids[j], r.Err)
 		}
-		d := p.Sessions[i].Demand
-		zetaLo = min(zetaLo, r.Tree.Bottleneck(p.G)/d)
-		zetaHi = min(zetaHi, gk.bigD/(d*r.Len))
+		d := sessions[ids[j]].Demand
+		a.zetaLo = min(a.zetaLo, r.Tree.Bottleneck(g)/d)
+		a.zetaHi = min(a.zetaHi, gk.bigD/(d*r.Len))
 	}
-	zeta := math.Sqrt(zetaLo * zetaHi)
-	res, anchor, err := mcfPhases(p, runner, gk, base, zeta, float64(k)*zetaHi/zeta)
-	if err != nil {
-		return nil, nil, err
+	run := func(gk *gkState, zeta float64) (err error) {
+		gk.logs = make([]applyLog, len(sessions))
+		a.gk = gk
+		if a.dem, a.phases, err = mcfPhases(runner, gk, sessions, ids, zeta, float64(k)*a.zetaHi/zeta); err == nil {
+			a.lambda = feasibleRatio(gk, sessions, ids)
+		}
+		return err
 	}
-	if res.Certified < math.Pow(1-eps, 3) && zeta > zetaLo {
-		first := res
-		gk, base = newMCFState(p, eps, true)
-		if res, anchor, err = mcfPhases(p, runner, gk, base, zetaLo, float64(k)*zetaHi/zetaLo); err != nil {
-			return nil, nil, err
+	zeta := math.Sqrt(a.zetaLo * a.zetaHi)
+	if err := run(gk, zeta); err != nil {
+		return nil, err
+	}
+	if a.lambda/gk.dualBound < math.Pow(1-eps, 3) && zeta > a.zetaLo {
+		if err := run(newMCFState(g, eps, sessions, ids), a.zetaLo); err != nil {
+			return nil, err
 		}
 		// Any lengths give a valid bound, the discarded run's included.
-		res.MSTOps += first.MSTOps
-		res.DualBound = min(res.DualBound, first.DualBound)
-		res.Certified = res.Lambda / res.DualBound
+		a.gk.ops += gk.ops
+		a.gk.dualBound = min(a.gk.dualBound, gk.dualBound)
 	}
-	res.PrestepMSTOps = k
-	anchor.zetaLo, anchor.zetaHi = zetaLo, zetaHi
-	return res, anchor, nil
+	return a, nil
 }
 
-// newMCFState returns the Garg–Könemann state a phase loop over p starts
-// from, with the epoch-0 lengths delta/c_e, and a copy of those lengths
-// when logged. The ledger wraps the initial assignment as its epoch-0
-// contents, so every phase-loop inflation is journaled as a monotone growth
-// and the plane's cross-round repair can skip untouched sources.
-func newMCFState(p *Problem, eps float64, logged bool) (*gkState, graph.Lengths) {
+// feasibleRatio returns min_i rate_i/dem(i) over ids once gk's raw flows are
+// rescaled to exact feasibility: bitwise the ConcurrentRatio of a rescaled
+// copy, without making one.
+func feasibleRatio(gk *gkState, sessions []*overlay.Session, ids []int) float64 {
+	factor := 1.0
+	if cong := (&Solution{G: gk.g, Flows: gk.raw}).MaxCongestion(); cong > 0 {
+		factor = 1 / cong
+	}
+	ratio := math.Inf(1)
+	for _, i := range ids {
+		total := 0.0
+		for _, tf := range gk.raw[i] {
+			total += tf.Rate * factor
+		}
+		ratio = min(ratio, total/sessions[i].Demand)
+	}
+	return ratio
+}
+
+// newMCFState returns the Garg–Könemann state a phase loop over the sessions
+// ids starts from, indexed like sessions: the epoch-0 lengths delta/c_e and
+// ids' demands as the dual-bound weights. The ledger wraps the initial
+// assignment as its epoch-0 contents, so every phase-loop inflation is
+// journaled as a monotone growth and the plane's cross-round repair can skip
+// untouched sources.
+func newMCFState(g *graph.Graph, eps float64, sessions []*overlay.Session, ids []int) *gkState {
 	// delta = (m/(1-eps))^(-1/eps), floored against float64 underflow at
 	// extreme accuracy targets (see deltaFloor).
-	delta := math.Pow(float64(p.G.NumEdges())/(1-eps), -1/eps)
+	delta := math.Pow(float64(g.NumEdges())/(1-eps), -1/eps)
 	if delta < deltaFloor {
 		delta = deltaFloor
 	}
-	vals := graph.NewLengths(p.G, 0)
+	vals := graph.NewLengths(g, 0)
 	bigD := 0.0
 	for e := range vals {
-		vals[e] = delta / p.G.Edges[e].Capacity
+		vals[e] = delta / g.Edges[e].Capacity
 		bigD += delta
 	}
-	var base graph.Lengths
-	if logged {
-		base = append(graph.Lengths(nil), vals...)
-	}
-	gk := newGKState(p.G, eps, graph.NewLengthStoreFrom(vals), p.K(), logged)
+	gk := newGKState(g, eps, graph.NewLengthStoreFrom(vals), len(sessions))
 	gk.bigD = bigD
-	gk.cert = make([]float64, p.K())
-	for i, s := range p.Sessions {
-		gk.cert[i] = s.Demand
+	gk.cert = make([]float64, len(sessions))
+	for _, i := range ids {
+		gk.cert[i] = sessions[i].Demand
 	}
 	gk.dualBound = math.Inf(1)
-	return gk, base
+	return gk
 }
 
-// mcfPhases runs the Table III phase loop from gk with demands scaled by
-// zeta/k, given scaledUB >= lambda*·k/zeta, an upper bound on the scaled
-// optimum, and returns the exactly feasible result; when base is non-nil
-// (a logged state) it also returns the loop's terminal state as an anchor.
-func mcfPhases(p *Problem, runner *overlay.BatchRunner, gk *gkState, base graph.Lengths, zeta, scaledUB float64) (*MCFResult, *mcfAnchor, error) {
-	k := p.K()
-	dem := make([]float64, k)
-	for i, s := range p.Sessions {
-		dem[i] = s.Demand * zeta / float64(k)
+// mcfPhases runs the Table III phase loop from gk over the sessions ids
+// (oracle ids on runner), with demands scaled by zeta/k, given scaledUB >=
+// lambda*·k/zeta, an upper bound on the scaled optimum. It leaves the
+// pre-scale flows in gk and returns the final scaled per-phase demands,
+// indexed like sessions, and the phase count.
+func mcfPhases(runner *overlay.BatchRunner, gk *gkState, sessions []*overlay.Session, ids []int, zeta, scaledUB float64) ([]float64, int, error) {
+	k := len(ids)
+	dem := make([]float64, len(sessions))
+	for _, i := range ids {
+		dem[i] = sessions[i].Demand * zeta / float64(k)
 	}
-	budget := phaseBudget(p.G.NumEdges(), gk.eps)
+	budget := phaseBudget(gk.g.NumEdges(), gk.eps)
 	// Each doubling round of `budget` phases at least halves the scaled
 	// optimum until it is at most 2, so about log2(scaledUB)+1 rounds.
 	rounds := bits.Len(uint(math.Ceil(scaledUB)))
@@ -264,16 +289,12 @@ func mcfPhases(p *Problem, runner *overlay.BatchRunner, gk *gkState, base graph.
 	// One phase routes every session's scaled demand (see gkState.phase);
 	// almost always each tree's bottleneck exceeds the scaled demand and a
 	// phase is a single round.
-	all := make([]int, k)
-	for i := range all {
-		all[i] = i
-	}
 	phases := 0
 	sinceDoubling := 0
 	doublings := 0
 	for gk.bigD < 1 {
 		if phases >= maxPhases {
-			return nil, nil, fmt.Errorf("core: MaxConcurrentFlow exceeded %d phases", maxPhases)
+			return nil, 0, fmt.Errorf("core: MaxConcurrentFlow exceeded %d phases", maxPhases)
 		}
 		if sinceDoubling >= budget {
 			// lambda_scaled > 2: double demands to halve it (Sec. III-C).
@@ -283,38 +304,16 @@ func mcfPhases(p *Problem, runner *overlay.BatchRunner, gk *gkState, base graph.
 			doublings++
 			sinceDoubling = 0
 			if doublings > rounds+8 {
-				return nil, nil, fmt.Errorf("core: demand doubling diverged after %d rounds", doublings)
+				return nil, 0, fmt.Errorf("core: demand doubling diverged after %d rounds", doublings)
 			}
 		}
-		if err := gk.phase(runner, all, dem, true); err != nil {
-			return nil, nil, fmt.Errorf("core: MCF %w", err)
+		if err := gk.phase(runner, ids, dem, true); err != nil {
+			return nil, 0, fmt.Errorf("core: MCF %w", err)
 		}
 		phases++
 		sinceDoubling++
 	}
-
-	sol := &Solution{G: p.G, Sessions: p.Sessions, Flows: gk.raw, MSTOps: gk.ops, Phases: phases, Plane: runner.Metrics()}
-	var anchor *mcfAnchor
-	if base != nil {
-		// The anchor keeps the pre-scale flows: the warm allocator
-		// accumulates further raw flow at this level and rescales to exact
-		// feasibility itself on Snapshot.
-		sol.Flows = make([][]TreeFlow, k)
-		for i, fs := range gk.raw {
-			sol.Flows[i] = append([]TreeFlow(nil), fs...)
-		}
-		anchor = &mcfAnchor{gk: gk, base: base, dem: dem, phases: phases}
-	}
-	// Exact feasibility scaling, uniform across sessions (preserves the
-	// fairness ratios); upper-bounded by the Lemma 4 factor
-	// log_{1+eps}(1/delta).
-	if cong := sol.MaxCongestion(); cong > 0 {
-		sol.Scale(1 / cong)
-	}
-	res := &MCFResult{Solution: sol, DualBound: gk.dualBound}
-	res.Lambda = sol.ConcurrentRatio()
-	res.Certified = res.Lambda / res.DualBound
-	return res, anchor, nil
+	return dem, phases, nil
 }
 
 // addSurplus runs a MaxFlow pass on the residual capacities left by sol and

@@ -76,7 +76,7 @@ func maxFlow(p *Problem, opts MaxFlowOptions) (*Solution, error) {
 	}
 	delta := maxFlowDelta(p, eps)
 
-	gk := newGKState(p.G, eps, graph.NewLengthStore(p.G, delta), p.K(), false)
+	gk := newGKState(p.G, eps, graph.NewLengthStore(p.G, delta), p.K())
 	// One worker pool plus per-worker scratch for the whole run: the oracle
 	// fan-out below executes every iteration, and rebuilding goroutines and
 	// buffers each time used to dominate the solver's allocation profile.

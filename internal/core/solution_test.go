@@ -67,7 +67,7 @@ func TestSolverFlowsHoldDistinctTrees(t *testing.T) {
 			}
 			distinct(t, "MaxConcurrentFlow+surplus", mcf.Solution)
 
-			w, err := core.NewWarm(g, mode, nil, core.WarmOptions{Epsilon: 0.1, SolverOptions: solver})
+			w, err := core.NewWarm(g, core.WarmOptions{Epsilon: 0.1, SolverOptions: solver})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,12 +15,13 @@ import (
 // cold on every event. The mechanism reuses the Garg–Könemann invariant that
 // the phase loop already maintains:
 //
-//   - A cold anchor solve runs MaxConcurrentFlow once with application
-//     logging and keeps, instead of discarding, its terminal gkState (length
-//     ledger, dual objective D = Σ_e c_e·d_e, pre-scale raw flows and
-//     application logs; the loop stops exactly when D ≥ 1) plus the final
-//     scaled demands. Warm repair then routes through the same
-//     gkState.phase and gkState.apply as the cold loop.
+//   - A cold anchor runs the MaxConcurrentFlow phase loop in place, over the
+//     active slots' own oracles on the allocator's runner, with application
+//     logging, and keeps its terminal gkState (length ledger, dual objective
+//     D = Σ_e c_e·d_e, pre-scale raw flows and application logs; the loop
+//     stops exactly when D ≥ 1) plus the final scaled demands, all indexed
+//     by slot. Warm repair then routes through the same gkState.phase and
+//     gkState.apply as the cold loop.
 //   - A Join routes only the newcomer's fair share — demand_k times the
 //     anchored raw-rate-per-demand ratio — under the live lengths, in
 //     anchor-phase-sized chunks through a BatchRunner whose shared SSSP
@@ -65,8 +66,9 @@ import (
 type WarmOptions struct {
 	// Epsilon is the FPTAS error parameter, in (0, 0.5].
 	Epsilon float64
-	// SolverOptions forward to the anchor solves and the warm repair runner;
-	// Workers 0 means GOMAXPROCS. Outputs are bit-identical for every value.
+	// SolverOptions configure the one runner that serves the anchors and warm
+	// repair; Workers 0 means GOMAXPROCS. Outputs are bit-identical for
+	// every value.
 	SolverOptions
 	// RepairPhaseBudget bounds the warm repair work per Refresh, counted in
 	// session-phases (one session's demand routed through one phase). 0
@@ -107,8 +109,8 @@ type WarmStats struct {
 	// weak-duality bound on the optimum its phase loop met. 0 before the
 	// first anchor.
 	AnchorCertified float64
-	// Plane aggregates the shared-SSSP-plane counters across the anchors'
-	// phase loops and the warm repair runner.
+	// Plane holds the shared-SSSP-plane counters of the runner that serves
+	// the anchors' phase loops and warm repair.
 	Plane overlay.PlaneStats
 }
 
@@ -122,18 +124,16 @@ var errWarmFallback = errors.New("core: warm repair fell back to cold")
 // updates; Refresh/Snapshot bring the allocation back to the Garg–Könemann
 // stop criterion incrementally. Not safe for concurrent use.
 type Warm struct {
-	g            *graph.Graph
-	mode         RoutingMode
-	routeWeights graph.Lengths
-	opts         WarmOptions
-	eps          float64
+	g    *graph.Graph
+	opts WarmOptions
+	eps  float64
 
 	sessions []*overlay.Session
 	oracles  []overlay.TreeOracle
 	active   []bool
 	nActive  int
 
-	runner *overlay.BatchRunner // lazily created; oracle id == slot
+	runner *overlay.BatchRunner // lazily created; serves anchors and repair; oracle id == slot
 
 	// Anchored state (gk == nil until the first cold solve); gk is indexed
 	// by slot.
@@ -160,17 +160,17 @@ type Warm struct {
 	affectedList []graph.EdgeID
 }
 
-// NewWarm creates a warm allocator over g. Mode and routeWeights fix how
-// cold-anchor oracles are built; joined sessions bring their own oracles
-// (which must use the same routing discipline).
-func NewWarm(g *graph.Graph, mode RoutingMode, routeWeights graph.Lengths, opts WarmOptions) (*Warm, error) {
+// NewWarm creates a warm allocator over g. Joined sessions bring their own
+// oracles, which every anchor and warm repair routes through, so the routing
+// discipline is whatever the caller built them with.
+func NewWarm(g *graph.Graph, opts WarmOptions) (*Warm, error) {
 	if g == nil || g.NumEdges() == 0 {
 		return nil, fmt.Errorf("core: empty graph")
 	}
 	if opts.Epsilon <= 0 || opts.Epsilon > 0.5 {
 		return nil, fmt.Errorf("core: warm allocator epsilon %v outside (0, 0.5]", opts.Epsilon)
 	}
-	return &Warm{g: g, mode: mode, routeWeights: routeWeights, opts: opts, eps: opts.Epsilon}, nil
+	return &Warm{g: g, opts: opts, eps: opts.Epsilon}, nil
 }
 
 // Join admits a session under the next arrival slot. s.ID must equal the
@@ -397,13 +397,15 @@ func (w *Warm) Refresh() error {
 	return nil
 }
 
-func (w *Warm) ensureRunner() {
-	if w.runner == nil {
-		w.runner = overlay.NewBatchRunnerOpts(w.g, w.oracles, overlay.BatchOptions{
-			Workers: w.opts.Workers,
-			Plane:   w.opts.Plane,
-		})
+// activeSlots returns the slots of the sessions that have not left, ascending.
+func (w *Warm) activeSlots() []int {
+	slots := make([]int, 0, w.nActive)
+	for slot := range w.sessions {
+		if w.active[slot] {
+			slots = append(slots, slot)
+		}
 	}
+	return slots
 }
 
 // rawRatio returns the anchored raw-rate-per-unit-demand level: the target a
@@ -431,7 +433,6 @@ func (w *Warm) rawRatio() float64 {
 // errWarmFallback when the budget runs out or the anchored fair-share level
 // is gone.
 func (w *Warm) warmRepair() error {
-	w.ensureRunner()
 	budget := w.opts.RepairPhaseBudget
 	used := 0
 	charge := func(n int) bool {
@@ -466,12 +467,12 @@ func (w *Warm) warmRepair() error {
 			// to catch newcomers up to.
 			return errWarmFallback
 		}
-		slots := append([]int(nil), w.pendingJoins...)
-		chunks := make([]float64, len(slots))
-		for i, slot := range slots {
+		slots := w.pendingJoins
+		chunks := make([]float64, len(w.sessions))
+		for _, slot := range slots {
 			s := w.sessions[slot]
 			w.dem[slot] = s.Demand * w.demScale
-			chunks[i] = s.Demand * ratio / float64(w.phases)
+			chunks[slot] = s.Demand * ratio / float64(w.phases)
 			churnDem += s.Demand
 		}
 		for ph := 0; ph < w.phases; ph++ {
@@ -491,19 +492,12 @@ func (w *Warm) warmRepair() error {
 	}
 
 	if rebalance > 0 || w.gk.bigD < 1 {
-		slots := make([]int, 0, w.nActive)
-		amounts := make([]float64, 0, w.nActive)
-		for slot := range w.sessions {
-			if w.active[slot] {
-				slots = append(slots, slot)
-				amounts = append(amounts, w.dem[slot])
-			}
-		}
+		slots := w.activeSlots()
 		for ph := 0; ph < rebalance; ph++ {
 			if !charge(len(slots)) {
 				return errWarmFallback
 			}
-			if err := w.gk.phase(w.runner, slots, amounts, false); err != nil {
+			if err := w.gk.phase(w.runner, slots, w.dem, false); err != nil {
 				return err
 			}
 		}
@@ -516,7 +510,7 @@ func (w *Warm) warmRepair() error {
 			if ph >= safety || !charge(len(slots)) {
 				return errWarmFallback
 			}
-			if err := w.gk.phase(w.runner, slots, amounts, true); err != nil {
+			if err := w.gk.phase(w.runner, slots, w.dem, true); err != nil {
 				return err
 			}
 		}
@@ -526,67 +520,43 @@ func (w *Warm) warmRepair() error {
 	return nil
 }
 
-// cold re-anchors: a MaxConcurrentFlow solve over the active sessions,
-// whose logged terminal state is adopted slot by slot. The warm state
-// (including any partially applied repair) is discarded — the anchor builds
-// its own problem, oracles, and ledger from scratch.
+// cold re-anchors: the MaxConcurrentFlow phase loop over the active slots,
+// run in place on the allocator's own oracles and runner, whose terminal
+// state becomes the warm state. The previous state (including any
+// partially applied repair) is discarded; the anchor's fresh ledger makes
+// the runner reset its plane rows.
 func (w *Warm) cold() error {
-	denseSessions := make([]*overlay.Session, 0, w.nActive)
-	denseToSlot := make([]int, 0, w.nActive)
-	for slot, s := range w.sessions {
-		if !w.active[slot] {
-			continue
-		}
-		denseSessions = append(denseSessions, &overlay.Session{ID: len(denseSessions), Members: s.Members, Demand: s.Demand})
-		denseToSlot = append(denseToSlot, slot)
+	if w.runner == nil {
+		w.runner = overlay.NewBatchRunnerOpts(w.g, w.oracles, overlay.BatchOptions{Workers: w.opts.Workers, Plane: w.opts.Plane})
 	}
-	p, err := NewProblemWeighted(w.g, denseSessions, w.mode, w.routeWeights)
+	ids := w.activeSlots()
+	a, err := anchorSolve(w.g, w.runner, w.eps, w.sessions, ids)
 	if err != nil {
 		return fmt.Errorf("core: warm cold anchor: %w", err)
 	}
-	res, anchor, err := maxConcurrentFlow(p, MaxConcurrentFlowOptions{Epsilon: w.eps, SolverOptions: w.opts.SolverOptions}, true)
-	if err != nil {
-		return fmt.Errorf("core: warm cold anchor: %w", err)
-	}
-	// Adopt the anchor's state slot by slot; each slot's tree index is
-	// rebuilt on its first add.
-	n := len(w.sessions)
-	dense := anchor.gk
-	w.gk = newGKState(w.g, w.eps, dense.d, n, true)
-	w.gk.bigD = dense.bigD
-	w.base, w.phases = anchor.base, max(anchor.phases, 1)
-	w.demScale = anchor.dem[0] / denseSessions[0].Demand
-	w.dem = make([]float64, n)
-	for i, slot := range denseToSlot {
-		w.gk.raw[slot], w.gk.logs[slot], w.dem[slot] = dense.raw[i], dense.logs[i], anchor.dem[i]
-		// A tree's key hashes its session id: re-key the anchor's trees
-		// from the dense id to the slot's, so the trees warm repair routes
-		// for this slot merge into them.
-		if i != slot {
-			for j, tf := range w.gk.raw[slot] {
-				w.gk.raw[slot][j].Tree = overlay.NewTree(slot, tf.Tree.Pairs, tf.Tree.Routes)
-			}
-		}
-	}
+	w.gk, w.base, w.dem, w.phases = a.gk, a.base, a.dem, max(a.phases, 1)
+	w.demScale = a.dem[ids[0]] / w.sessions[ids[0]].Demand
+	w.stats.ColdSolves++
+	w.stats.MSTOps += w.gk.ops + len(ids) // the scale round's k oracle calls included
+	w.stats.AnchorCertified = a.lambda / w.gk.dualBound
+	// Warm repair routes subsets of the slots: it neither certifies nor
+	// double-counts the anchor's oracle calls.
+	w.gk.cert, w.gk.ops = nil, 0
 	w.shrinkOK = w.gk.d.Epoch()
 	w.pendingJoins = w.pendingJoins[:0]
 	w.pendingLeaveDem = 0
 	w.dirty = false
 	w.forceCold = false
 	w.repairSpent = 0
-	w.stats.ColdSolves++
-	w.stats.MSTOps += res.MSTOps + res.PrestepMSTOps
-	w.stats.AnchorCertified = res.Certified
-	w.stats.Plane.Merge(res.Solution.Plane)
 	return nil
 }
 
 // Snapshot refreshes and returns the current exactly feasible allocation
 // over the active sessions, reindexed densely in arrival order. A snapshot
-// taken right after a cold anchor is bit-identical to that cold solve's
-// Solution; after warm repair it stays exactly feasible by the same final
-// rescale. The returned Solution owns its trees (rebuilt under the dense
-// ids) and does not alias warm state.
+// taken right after a cold anchor is bit-identical to the anchor solve over
+// the same sessions as a dense problem; after warm repair it stays exactly
+// feasible by the same final rescale. The returned Solution owns its trees
+// (rebuilt under the dense ids) and does not alias warm state.
 func (w *Warm) Snapshot() (*Solution, error) {
 	if err := w.Refresh(); err != nil {
 		return nil, err

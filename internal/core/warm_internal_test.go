@@ -21,7 +21,7 @@ func TestWarmExternalShrinkForcesColdResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := net.Graph
-	w, err := NewWarm(g, RoutingArbitrary, nil, WarmOptions{Epsilon: 0.1})
+	w, err := NewWarm(g, WarmOptions{Epsilon: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestWarmFaultBeforeLeaveFallsBackColdFirst(t *testing.T) {
 	members := [][]int{{0, 5, 9}, {2, 11, 17}, {4, 20, 23}}
 	newWarm := func(sets [][]int) *Warm {
 		t.Helper()
-		w, err := NewWarm(g, RoutingArbitrary, nil, WarmOptions{Epsilon: 0.1})
+		w, err := NewWarm(g, WarmOptions{Epsilon: 0.1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestWarmColdAnchorReusesBetas(t *testing.T) {
 				}
 				g := net.Graph
 				opts := SolverOptions{Workers: workers}
-				w, err := NewWarm(g, mode, nil, WarmOptions{Epsilon: eps, SolverOptions: opts, RepairPhaseBudget: -1})
+				w, err := NewWarm(g, WarmOptions{Epsilon: eps, SolverOptions: opts, RepairPhaseBudget: -1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -211,7 +211,7 @@ func TestWarmColdAnchorReusesBetas(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref, _, err := maxConcurrentFlow(p, MaxConcurrentFlowOptions{Epsilon: eps, SolverOptions: opts}, true)
+					ref, _, err := denseAnchor(p, MaxConcurrentFlowOptions{Epsilon: eps, SolverOptions: opts})
 					if err != nil {
 						t.Fatal(err)
 					}

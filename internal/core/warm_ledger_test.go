@@ -94,7 +94,7 @@ func newWarmChurn(t *testing.T, mode RoutingMode, budget int) *warmChurn {
 		t.Fatal(err)
 	}
 	perm := r.Perm(30)
-	w, err := NewWarm(net.Graph, mode, nil, WarmOptions{Epsilon: 0.1, RepairPhaseBudget: budget, SolverOptions: SolverOptions{Workers: 2}})
+	w, err := NewWarm(net.Graph, WarmOptions{Epsilon: 0.1, RepairPhaseBudget: budget, SolverOptions: SolverOptions{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +179,9 @@ func (c *warmChurn) snap() {
 }
 
 // TestWarmLeaveReleasesOracle pins the departed-session release: after
-// Warm.Leave neither the allocator nor its repair runner holds the slot's
-// oracle (a GC collects it), including a runner created lazily after a leave,
-// over an oracle list with a nil slot. The script leaves once before the
-// runner exists and three times after, and the fingerprint of its ledger and
+// Warm.Leave neither the allocator nor its runner, which the first cold
+// anchor creates, holds the slot's oracle (a GC collects it). The script
+// leaves four times after that anchor, and the fingerprint of its ledger and
 // snapshots is pinned in both routings.
 func TestWarmLeaveReleasesOracle(t *testing.T) {
 	for _, tc := range []struct {
@@ -208,15 +207,15 @@ func TestWarmLeaveReleasesOracle(t *testing.T) {
 			for slot := 0; slot < 5; slot++ {
 				c.join(slot)
 			}
-			c.snap() // cold anchor: the repair runner does not exist yet
+			c.snap() // cold anchor: creates the runner
+			if c.w.runner == nil {
+				t.Fatal("no runner after the first cold anchor")
+			}
 			c.leave(2)
 			released(2)
 			c.join(5)
-			if c.w.runner != nil {
-				t.Fatal("repair runner exists before the first warm refresh")
-			}
-			c.snap() // warm: the runner is created over a nil slot 2
-			if c.w.runner == nil || c.w.Stats().WarmRefreshes != 1 {
+			c.snap()
+			if c.w.Stats().WarmRefreshes != 1 {
 				t.Fatalf("stats %+v: the second snapshot did not repair warm", c.w.Stats())
 			}
 			c.leave(0)

@@ -85,7 +85,7 @@ func TestWarmSnapshotMatchesColdAnchorBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, err := core.NewWarm(g, core.RoutingIP, nil, core.WarmOptions{Epsilon: eps})
+	w, err := core.NewWarm(g, core.WarmOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestWarmSnapshotMatchesColdAnchorBitwise(t *testing.T) {
 func TestWarmJoinQualityVsExact(t *testing.T) {
 	const eps = 0.05
 	g, memberSets := warmTestInstance(t, 72)
-	w, err := core.NewWarm(g, core.RoutingIP, nil, core.WarmOptions{Epsilon: eps})
+	w, err := core.NewWarm(g, core.WarmOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestWarmJoinQualityVsExact(t *testing.T) {
 func TestWarmLeaveRegrowQualityVsExact(t *testing.T) {
 	const eps = 0.05
 	g, memberSets := warmTestInstance(t, 73)
-	w, err := core.NewWarm(g, core.RoutingIP, nil, core.WarmOptions{Epsilon: eps})
+	w, err := core.NewWarm(g, core.WarmOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestWarmDeterministicAcrossWorkersAndPlane(t *testing.T) {
 	const eps = 0.1
 	g, memberSets := warmTestInstance(t, 74)
 	run := func(solver core.SolverOptions) string {
-		w, err := core.NewWarm(g, core.RoutingArbitrary, nil, core.WarmOptions{Epsilon: eps, SolverOptions: solver})
+		w, err := core.NewWarm(g, core.WarmOptions{Epsilon: eps, SolverOptions: solver})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestWarmDeterministicAcrossWorkersAndPlane(t *testing.T) {
 func TestWarmBudgetFallsBackToCold(t *testing.T) {
 	const eps = 0.1
 	g, memberSets := warmTestInstance(t, 75)
-	w, err := core.NewWarm(g, core.RoutingIP, nil, core.WarmOptions{Epsilon: eps, RepairPhaseBudget: 1})
+	w, err := core.NewWarm(g, core.WarmOptions{Epsilon: eps, RepairPhaseBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestWarmBudgetFallsBackToCold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wc, err := core.NewWarm(g, core.RoutingIP, nil, core.WarmOptions{Epsilon: eps, RepairPhaseBudget: -1})
+	wc, err := core.NewWarm(g, core.WarmOptions{Epsilon: eps, RepairPhaseBudget: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestWarmBudgetFallsBackToCold(t *testing.T) {
 // and a join+leave between refreshes leaving no trace.
 func TestWarmSlotContract(t *testing.T) {
 	g, memberSets := warmTestInstance(t, 76)
-	w, err := core.NewWarm(g, core.RoutingIP, nil, core.WarmOptions{Epsilon: 0.1})
+	w, err := core.NewWarm(g, core.WarmOptions{Epsilon: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestWarmIPRefreshAllocBudget(t *testing.T) {
 	}
 	g := net.Graph
 	perm := r.Perm(40)
-	w, err := core.NewWarm(g, core.RoutingIP, nil, core.WarmOptions{Epsilon: 0.1, SolverOptions: core.SolverOptions{Workers: 1}})
+	w, err := core.NewWarm(g, core.WarmOptions{Epsilon: 0.1, SolverOptions: core.SolverOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

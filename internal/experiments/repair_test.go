@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	"overcast/internal/core"
@@ -116,6 +117,33 @@ func TestReportDeterministicAndSane(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("cdn %s row not reproduced across workers/plane/repair settings: %+v vs %+v", row.Solver, row, again)
+		}
+	}
+}
+
+// TestWarmChurnArbitraryPlaneIndependent replays a warm arbitrary-routing
+// churn under the plane and without it: every snapshot's throughput must be
+// bitwise equal. Its joins and leaves grow and release the oracles of one
+// long-lived runner, so the plane's rows meet read targets they were not
+// checked for.
+func TestWarmChurnArbitraryPlaneIndependent(t *testing.T) {
+	run := func(plane overlay.PlaneMode) []float64 {
+		rep, err := WarmChurnRun(5, WarmChurnConfig{
+			Nodes: 50, Arbitrary: true, Epsilon: 0.5, Horizon: 30, SnapshotEvery: 2,
+			SolverOptions: core.SolverOptions{Plane: plane},
+		})
+		if err != nil {
+			t.Fatalf("plane %v: %v", plane, err)
+		}
+		return rep.Throughputs
+	}
+	on, off := run(overlay.PlaneSubtree), run(overlay.PlaneOff)
+	if len(on) != len(off) || len(on) == 0 {
+		t.Fatalf("%d snapshots under the plane, %d without", len(on), len(off))
+	}
+	for i := range on {
+		if math.Float64bits(on[i]) != math.Float64bits(off[i]) {
+			t.Fatalf("snapshot %d: throughput %.17g under the plane, %.17g without", i, on[i], off[i])
 		}
 	}
 }

@@ -212,7 +212,7 @@ func TestScaleInstanceAnchorsCertify(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := core.NewWarm(si.Net.Graph, si.Problem.Mode, si.Net.LinkDelays(), core.WarmOptions{Epsilon: eps})
+		w, err := core.NewWarm(si.Net.Graph, core.WarmOptions{Epsilon: eps})
 		if err != nil {
 			t.Fatal(err)
 		}

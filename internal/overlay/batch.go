@@ -103,11 +103,14 @@ type BatchRunner struct {
 	// minLen is the batch ledger's MinLengthLB snapshot, taken at staging and
 	// passed to RepairRow for the post-repair scale-separation re-check.
 	minLen float64
-	// targets[src] is the static set of co-members whose reads row src
+	// targets[src] is the set of live co-members whose reads row src
 	// serves; the dirty-source repair check walks exactly these stored
-	// paths. Built with the plane and grown by AddOracle (nil without one).
-	targets map[graph.NodeID][]graph.NodeID
-	metrics PlaneStats
+	// paths. Built with the plane and grown by AddOracle (nil without a
+	// plane). Release only sets targetsStale, and the next batch rebuilds
+	// the sets from the live oracles, so a leave costs no rebuild of its own.
+	targets      map[graph.NodeID][]graph.NodeID
+	targetsStale bool
+	metrics      PlaneStats
 	// lastStore remembers the ledger of the previous batch so a ledger swap
 	// (a different solve phase, a test driving rounds with fresh stores)
 	// invalidates every persistent row instead of trusting stale epochs.
@@ -256,10 +259,11 @@ func (r *BatchRunner) Workers() int { return r.workers }
 // AddOracle appends an oracle to the runner's set and returns its id (usable
 // in the ids argument of MinTrees/MinTreesLen). It must be called between
 // batches, from the same goroutine that runs them — never while a batch is in
-// flight. Growing the set never invalidates existing plane rows: the new
-// oracle's member sources only *add* read targets, and a stored row that was
-// current for a superset of targets is current for the old ones too (the
-// repair check just walks a few more stored paths).
+// flight. The new oracle's member sources add read targets. An exact row
+// stays current for them: its whole content was a fresh fill at its epoch,
+// and the next classification checks the new paths too. A row a read-path
+// skip demoted from exact was proven only for its old targets, so a row that
+// gains a target is sent back to a full fill.
 func (r *BatchRunner) AddOracle(o TreeOracle) int {
 	id := len(r.oracles)
 	r.oracles = append(r.oracles, o)
@@ -268,7 +272,11 @@ func (r *BatchRunner) AddOracle(o TreeOracle) int {
 		if r.plane == nil {
 			r.initPlane() // covers the whole set, o included
 		} else {
-			mergePlaneTargets(r.targets, po.PlaneSources())
+			mergePlaneTargets(r.targets, po.PlaneSources(), func(src graph.NodeID) {
+				if row := r.plane.Row(src); row >= 0 && !r.plane.exact[row] {
+					r.plane.SetFillEpoch(row, -1)
+				}
+			})
 		}
 	}
 	return id
@@ -277,10 +285,17 @@ func (r *BatchRunner) AddOracle(o TreeOracle) int {
 // Release drops the runner's reference to oracle id, so a departed session's
 // oracle (route tables, memoized trees) can be collected. Like AddOracle it
 // must be called between batches; id keeps its slot and must never appear in
-// a later batch. The plane's read targets keep the released oracle's
-// co-members: a superset of the live reads only makes the skip check walk a
-// few more stored paths.
-func (r *BatchRunner) Release(id int) { r.oracles[id] = nil }
+// a later batch. The next batch rebuilds the plane's read targets from the
+// live oracles, so the skip check walks only paths someone still reads: a
+// row proven current for a set of targets is current for any subset of it.
+// Until then the sets also hold the released co-members. The sets shrink
+// only at that rebuild and grow only through AddOracle, so a target
+// AddOracle finds already present has been checked on every row that serves
+// it since the row's last fill.
+func (r *BatchRunner) Release(id int) {
+	r.oracles[id] = nil
+	r.targetsStale = true
+}
 
 // Metrics returns a snapshot of the runner's shared-plane counters. Call it
 // between batches (the counters are updated while a batch is staged).
@@ -339,8 +354,8 @@ func (r *BatchRunner) treeUntouched(ls *graph.LengthStore, row int) bool {
 // oracles never read a whole row: MinTreeFromPlane reads, for the row rooted
 // at member i, only dist[m_j] (overlay weights) and the stored parent chains
 // m_j -> m_i (route extraction) for the co-members j > i of the sessions
-// containing the source. Those targets are static (member sets never change)
-// and precomputed per source (planeTargets). The walk reports whether every
+// containing the source. Those targets are precomputed per source
+// (planeTargets) and change only between batches (AddOracle, Release). The walk reports whether every
 // stored source->target path of row is untouched since the row's fill epoch
 // (LastTouched stamps are complete history, so it needs no journal window).
 //
@@ -356,8 +371,10 @@ func (r *BatchRunner) treeUntouched(ls *graph.LengthStore, row int) bool {
 // current but not the whole row: a skip validated only by this walk demotes
 // the row from exact to serviceable (subtree repair must not seed from its
 // frontier afterwards). Path cleanliness composes ((fill,cur] clean and
-// (cur,cur'] clean iff (fill,cur'] clean) precisely because the checked
-// target set is static, which is why the skip may advance the row's epoch.
+// (cur,cur'] clean iff (fill,cur'] clean) for a target set that never gains
+// a path the earlier walk skipped, which is why the skip may advance the
+// row's epoch: Release only drops targets, and AddOracle sends a demoted row
+// that gains one back to a full fill.
 func (r *BatchRunner) rowServiceable(ls *graph.LengthStore, row int) bool {
 	fill := r.plane.FillEpoch(row)
 	parents := r.plane.ParentRow(row)
@@ -383,7 +400,8 @@ func (r *BatchRunner) rowServiceable(ls *graph.LengthStore, row int) bool {
 // co-members whose distance/route reads are served from that source's row
 // (the co-members with a larger member index, over all sessions — see
 // ArbitraryOracle.MinTreeFromPlane's weight orientation), deduplicated and
-// sorted. The sets are static because session member lists are immutable.
+// sorted. Session member lists are immutable, so only the oracle set moves
+// them.
 func planeTargets(oracles []TreeOracle) map[graph.NodeID][]graph.NodeID {
 	targets := make(map[graph.NodeID][]graph.NodeID)
 	for _, o := range oracles {
@@ -391,15 +409,17 @@ func planeTargets(oracles []TreeOracle) map[graph.NodeID][]graph.NodeID {
 		if !ok {
 			continue
 		}
-		mergePlaneTargets(targets, po.PlaneSources())
+		mergePlaneTargets(targets, po.PlaneSources(), nil)
 	}
 	return targets
 }
 
 // mergePlaneTargets folds one oracle's member list into the per-source target
-// sets, keeping each set sorted and deduplicated.
-func mergePlaneTargets(targets map[graph.NodeID][]graph.NodeID, members []graph.NodeID) {
+// sets, keeping each set sorted and deduplicated, and calls grew (when
+// non-nil) with every source whose set gained a target.
+func mergePlaneTargets(targets map[graph.NodeID][]graph.NodeID, members []graph.NodeID, grew func(src graph.NodeID)) {
 	for i, s := range members {
+		old := len(targets[s])
 		ts := append(targets[s], members[i+1:]...)
 		sort.Ints(ts)
 		dedup := ts[:0]
@@ -409,6 +429,9 @@ func mergePlaneTargets(targets map[graph.NodeID][]graph.NodeID, members []graph.
 			}
 		}
 		targets[s] = dedup
+		if grew != nil && len(dedup) > old {
+			grew(s)
+		}
 	}
 }
 
@@ -422,6 +445,10 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 	r.planeLive = false
 	if r.plane == nil {
 		return
+	}
+	if r.targetsStale {
+		r.targets = planeTargets(r.oracles)
+		r.targetsStale = false
 	}
 	if ls != r.lastStore {
 		// A different ledger: every persistent row's epoch is meaningless.

@@ -409,8 +409,8 @@ func TestBatchClaimLoopMatchesSequential(t *testing.T) {
 
 // TestBatchReleasedSlots pins the departed-oracle contract: a runner built
 // over an oracle list with nil (departed) slots derives its plane targets
-// from the live oracles only, a runner that Releases ids drops the oracle,
-// and both keep answering batches over the live ids exactly like a runner
+// from the live oracles only, a runner that Releases ids drops the oracle
+// and rebuilds its targets from the live ones at the next batch, and both keep answering batches over the live ids exactly like a runner
 // that never lost an oracle.
 func TestBatchReleasedSlots(t *testing.T) {
 	g, oracles := mixedBatchFixture(t, 12)
@@ -451,10 +451,60 @@ func TestBatchReleasedSlots(t *testing.T) {
 				sameResults(t, mode.String()+" released", released.MinTreesLen(ls, live), want)
 				bumpTreeEdges(ls, want[round%len(want)].Tree)
 			}
+			if !reflect.DeepEqual(released.targets, compacted.targets) {
+				t.Fatalf("%v: targets after Release and a batch %v, want the live oracles' %v", mode, released.targets, compacted.targets)
+			}
 			for _, r := range []*BatchRunner{full, lazy, released, compacted} {
 				r.Close()
 			}
 		}
+	}
+}
+
+// TestBatchAddOracleRefillsWalkedRow pins AddOracle on a row that a
+// read-path walk demoted from exact. On batchFixture's ring of cliques,
+// session {0,1} reads only the path 0→1 from row 0. Bumping the tree edge
+// 0–5 leaves that path clean, so the next batch walk-skips the row and
+// advances its epoch while its route to 5 goes stale. A session {0,5}
+// added afterwards reads exactly that route: the row must be refilled, not
+// served.
+func TestBatchAddOracleRefillsWalkedRow(t *testing.T) {
+	g, _ := batchFixture(t, 0)
+	arb := func(id int, members ...graph.NodeID) TreeOracle {
+		s, err := NewSession(id, members, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := NewArbitraryOracle(g, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	e, ok := g.EdgeBetween(0, 5)
+	if !ok {
+		t.Fatal("fixture lost the 0-5 edge")
+	}
+	for _, workers := range []int{1, 3} {
+		r := NewBatchRunnerOpts(g, []TreeOracle{arb(0, 0, 1)}, BatchOptions{Workers: workers})
+		ls := graph.NewLengthStore(g, 1)
+		r.MinTrees(ls, nil)
+		ls.Bump(e, 10)
+		r.MinTrees(ls, nil)
+		if row := r.plane.Row(0); r.plane.exact[row] {
+			t.Fatalf("workers=%d: row 0 still exact after the walk skip; the fixture no longer exercises it", workers)
+		}
+		o := arb(1, 0, 5)
+		got := r.MinTreesLen(ls, []int{r.AddOracle(o)})[0]
+		want, err := o.MinTree(ls.Values())
+		if err != nil || got.Err != nil {
+			t.Fatalf("workers=%d: %v / %v", workers, got.Err, err)
+		}
+		if got.Tree.Key() != want.Key() || got.Len != want.LengthUnder(ls.Values()) {
+			t.Fatalf("workers=%d: plane served %s (len %v), direct MinTree %s (len %v)",
+				workers, got.Tree.Key(), got.Len, want.Key(), want.LengthUnder(ls.Values()))
+		}
+		r.Close()
 	}
 }
 

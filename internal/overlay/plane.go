@@ -266,7 +266,7 @@ func (p *Plane) Lookup(src graph.NodeID) (dist []float64, parent []graph.EdgeID,
 
 // PlaneStats aggregates shared-SSSP-plane counters over a consumer's
 // lifetime (a BatchRunner's rounds, a churn prefabrication pass, an
-// allocator's anchors, warm repair and online joins). The interesting
+// allocator's anchors and warm repair). The interesting
 // ratios: Dedup — how many per-member SSSP reads each *computed* Dijkstra
 // row served; and RepairRate — how often cross-round dirty-source repair
 // avoided a full-row Dijkstra.

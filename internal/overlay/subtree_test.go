@@ -317,13 +317,16 @@ const (
 
 // FuzzPlaneClassify drives a persistent runner's per-row classification
 // (skip, read-path walk, subtree repair, refill) on a 24-node Waxman graph
-// with six overlapping arbitrary-routing sessions. Each round takes four
-// bytes: the batch (a bitmask of sessions, rotated by the top two bits; an
-// empty mask runs them all), which results' trees to bump (bit 6: one edge
-// of each instead of all), the bump factor in (1, 2], and a byte below 16
-// that halves one edge with Set (a non-monotone window). After every batch
-// each result must equal a direct MinTree call, and every exact validated
-// row a fresh ShortestPathsInto, bitwise.
+// with six overlapping arbitrary-routing sessions in six batch positions.
+// Each round takes four bytes: the batch (a bitmask of positions, rotated by
+// the top two bits; an empty mask runs them all), which results' trees to
+// bump (bit 6: one edge of each instead of all), the bump factor in (1, 2],
+// and a last byte s. Below 16, s halves one edge with Set (a non-monotone
+// window); from 16 to 87 it replaces the oracle in position (s−16) mod 6,
+// Releasing it and AddOracle-ing session (s−16)/6 of twelve: the six it
+// started with and six that pair their sources with new members, so rows
+// lose and gain read targets. After every batch each result must equal a direct MinTree
+// call, and every exact validated row a fresh ShortestPathsInto, bitwise.
 func FuzzPlaneClassify(f *testing.F) {
 	net, err := topology.Waxman(topology.DefaultWaxman(24), rng.New(3))
 	if err != nil {
@@ -331,9 +334,14 @@ func FuzzPlaneClassify(f *testing.F) {
 	}
 	g := net.Graph
 	n, m := g.NumNodes(), g.NumEdges()
-	oracles := make([]TreeOracle, classifyFuzzSessions)
+	// The first classifyFuzzSessions oracles start in the runner; the rest
+	// are the replacement pool.
+	oracles := make([]TreeOracle, 2*classifyFuzzSessions)
 	for i := range oracles {
 		members := []graph.NodeID{i % 3, i%3 + 1, (i + 11) % n, (i + 17) % n}
+		if i >= classifyFuzzSessions {
+			members = []graph.NodeID{i % 3, (i + 17) % n, i%3 + 5}
+		}
 		s, err := NewSession(i, dedupNodes(members), 1)
 		if err != nil {
 			f.Fatal(err)
@@ -365,29 +373,44 @@ func FuzzPlaneClassify(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add(bytes.Repeat([]byte{0, 0x3f, 12, 255}, classifyFuzzRounds/2))
+	// Churn: one edge of one tree bumped per round and a position replaced
+	// every third round, so walked rows meet new targets.
+	var churn []byte
+	for round := 0; round < classifyFuzzRounds; round++ {
+		s := byte(255)
+		if round%3 == 2 {
+			s = byte(16 + (7*round)%(len(oracles)*classifyFuzzSessions))
+		}
+		churn = append(churn, 0, 0x41, byte(37*round), s)
+	}
+	f.Add(churn)
 
 	sp := routing.NewDijkstraScratch(g)
 	dist := make([]float64, n)
 	parent := make([]graph.EdgeID, n)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewBatchRunnerOpts(g, oracles, BatchOptions{Workers: 1})
+		r := NewBatchRunnerOpts(g, oracles[:classifyFuzzSessions], BatchOptions{Workers: 1})
 		defer r.Close()
+		// byID[id] is the oracle behind runner id; pos[j] the id in batch
+		// position j.
+		byID := append([]TreeOracle(nil), oracles[:classifyFuzzSessions]...)
+		pos := intRange(classifyFuzzSessions)
 		ls := graph.NewLengthStore(g, 1)
 		for round := 0; round < classifyFuzzRounds && 4*round+3 < len(data); round++ {
 			a, b, c, s := data[4*round], data[4*round+1], data[4*round+2], data[4*round+3]
 			var ids []int
 			for j := 0; j < classifyFuzzSessions; j++ {
 				if i := (int(a>>6) + j) % classifyFuzzSessions; a&(1<<i) != 0 {
-					ids = append(ids, i)
+					ids = append(ids, pos[i])
 				}
+			}
+			if ids == nil {
+				ids = pos
 			}
 			results := r.MinTreesLen(ls, ids)
 			for j, res := range results {
-				i := j
-				if ids != nil {
-					i = ids[j]
-				}
-				want, err := oracles[i].MinTree(ls.Values())
+				i := ids[j]
+				want, err := byID[i].MinTree(ls.Values())
 				if err != nil || res.Err != nil {
 					t.Fatalf("round %d oracle %d: %v / %v", round, i, res.Err, err)
 				}
@@ -422,9 +445,16 @@ func FuzzPlaneClassify(f *testing.F) {
 					ls.Bump(u.Edge, factor)
 				}
 			}
-			if s < 16 {
+			switch {
+			case s < 16:
 				e := graph.EdgeID((int(s)*m/16 + int(c)) % m)
 				ls.Set(e, ls.At(e)/2)
+			case int(s) < 16+len(oracles)*classifyFuzzSessions:
+				j, o := int(s-16)%classifyFuzzSessions, oracles[int(s-16)/classifyFuzzSessions]
+				r.Release(pos[j])
+				byID[pos[j]] = nil
+				pos[j] = r.AddOracle(o)
+				byID = append(byID, o)
 			}
 		}
 	})
