@@ -105,9 +105,9 @@ type BatchRunner struct {
 	minLen float64
 	// targets[src] is the set of live co-members whose reads row src
 	// serves; the dirty-source repair check walks exactly these stored
-	// paths. Built with the plane and grown by AddOracle (nil without a
-	// plane). Release only sets targetsStale, and the next batch rebuilds
-	// the sets from the live oracles, so a leave costs no rebuild of its own.
+	// paths. Built with the plane, grown by AddOracle, and rebuilt from the
+	// live oracles by the first batch after a Release sets targetsStale
+	// (nil without a plane).
 	targets      map[graph.NodeID][]graph.NodeID
 	targetsStale bool
 	metrics      PlaneStats
@@ -288,10 +288,9 @@ func (r *BatchRunner) AddOracle(o TreeOracle) int {
 // a later batch. The next batch rebuilds the plane's read targets from the
 // live oracles, so the skip check walks only paths someone still reads: a
 // row proven current for a set of targets is current for any subset of it.
-// Until then the sets also hold the released co-members. The sets shrink
-// only at that rebuild and grow only through AddOracle, so a target
-// AddOracle finds already present has been checked on every row that serves
-// it since the row's last fill.
+// The sets shrink only at that rebuild and grow only through AddOracle, so a
+// target AddOracle finds already present has been checked on every row that
+// serves it since the row's last fill.
 func (r *BatchRunner) Release(id int) {
 	r.oracles[id] = nil
 	r.targetsStale = true
@@ -355,9 +354,10 @@ func (r *BatchRunner) treeUntouched(ls *graph.LengthStore, row int) bool {
 // at member i, only dist[m_j] (overlay weights) and the stored parent chains
 // m_j -> m_i (route extraction) for the co-members j > i of the sessions
 // containing the source. Those targets are precomputed per source
-// (planeTargets) and change only between batches (AddOracle, Release). The walk reports whether every
-// stored source->target path of row is untouched since the row's fill epoch
-// (LastTouched stamps are complete history, so it needs no journal window).
+// (planeTargets) and change only between batches. The walk reports whether
+// every stored source->target path of row is untouched since the row's fill
+// epoch (LastTouched stamps are complete history, so it needs no journal
+// window).
 //
 // Why that is bit-exact under a monotone window: growing edges can never
 // lower any distance, so an untouched stored shortest path keeps both its
@@ -373,8 +373,8 @@ func (r *BatchRunner) treeUntouched(ls *graph.LengthStore, row int) bool {
 // frontier afterwards). Path cleanliness composes ((fill,cur] clean and
 // (cur,cur'] clean iff (fill,cur'] clean) for a target set that never gains
 // a path the earlier walk skipped, which is why the skip may advance the
-// row's epoch: Release only drops targets, and AddOracle sends a demoted row
-// that gains one back to a full fill.
+// row's epoch: the rebuild after a Release only drops targets, and AddOracle
+// sends a demoted row that gains one back to a full fill.
 func (r *BatchRunner) rowServiceable(ls *graph.LengthStore, row int) bool {
 	fill := r.plane.FillEpoch(row)
 	parents := r.plane.ParentRow(row)
