@@ -26,7 +26,8 @@ race:
 # against its brute-force model, subtree repair against a fresh Dijkstra,
 # the length ledger against a brute-force history model, the Warm anchor's
 # duality certificate, the admin request-frame decoder, then the plane's
-# per-row classification against fresh Dijkstras and direct MinTree calls.
+# per-row classification (skip / walk / subtree repair / refill) against
+# fresh Dijkstras and direct MinTree calls.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexedHeap$$' -fuzztime 60s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzRepairSubtrees$$' -fuzztime 60s ./internal/routing

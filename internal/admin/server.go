@@ -149,7 +149,9 @@ func (s *Server) logf(format string, args ...any) {
 // served as the current snapshot (bit-identical to what the pre-crash daemon
 // last persisted) until the next refresh recomputes it. Returns the number
 // of sessions restored; a missing state file restores zero and is not an
-// error. Must be called before Listen.
+// error. A file whose session tokens are zero, repeated or above its
+// next_token is rejected before any session rejoins. Must be called before
+// Listen.
 func (s *Server) Restore() (int, error) {
 	if s.opts.StatePath == "" {
 		return 0, nil
@@ -168,12 +170,19 @@ func (s *Server) Restore() (int, error) {
 	if st.V != ProtocolVersion {
 		return 0, fmt.Errorf("admin: restore: state file version %d, want %d", st.V, ProtocolVersion)
 	}
+	// Check every token before the first Join, so a bad file leaves the
+	// allocator untouched: a token above next_token would be handed out again
+	// by the next join while its session is still live.
+	seen := make(map[uint64]bool, len(st.Sessions))
+	for _, ps := range st.Sessions {
+		if ps.Token == 0 || ps.Token > st.NextToken || seen[ps.Token] {
+			return 0, fmt.Errorf("admin: restore: invalid or duplicate session token %d (next_token %d)", ps.Token, st.NextToken)
+		}
+		seen[ps.Token] = true
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, ps := range st.Sessions {
-		if ps.Token == 0 || s.sessions[ps.Token] != nil {
-			return 0, fmt.Errorf("admin: restore: invalid or duplicate session token %d", ps.Token)
-		}
 		p, err := s.alloc.Join(overcast.Session{Members: ps.Members, Demand: ps.Demand})
 		if err != nil {
 			return 0, fmt.Errorf("admin: restore: rejoin session %d: %w", ps.Token, err)

@@ -496,6 +496,25 @@ func TestRestoreMissingAndCorruptState(t *testing.T) {
 	if _, err := newSrv(future).Restore(); err == nil {
 		t.Fatal("future-versioned state restored silently")
 	}
+
+	// Bad tokens: each file must be rejected before any session rejoins.
+	for name, body := range map[string]string{
+		"above-next": `{"v":1,"next_token":0,"sessions":[{"token":1,"members":[0,1],"demand":1}]}`,
+		"zero":       `{"v":1,"next_token":2,"sessions":[{"token":0,"members":[0,1],"demand":1}]}`,
+		"duplicate":  `{"v":1,"next_token":2,"sessions":[{"token":1,"members":[0,1],"demand":1},{"token":1,"members":[2,3],"demand":1}]}`,
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv := newSrv(path)
+		if n, err := srv.Restore(); err == nil {
+			t.Fatalf("%s token: restored %d sessions silently", name, n)
+		}
+		if alloc.Active() != 0 || len(srv.sessions) != 0 {
+			t.Fatalf("%s token: rejected file left %d allocator sessions, %d server sessions", name, alloc.Active(), len(srv.sessions))
+		}
+	}
 }
 
 // TestWatchStream is the acceptance test of the watch satellite: a subscribed

@@ -2,7 +2,7 @@ package overlay
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -38,21 +38,20 @@ type BatchOptions struct {
 	// Dijkstra row per *distinct* member source of its plane-aware oracles,
 	// then assembles every plane-aware oracle's tree from those rows. Rows
 	// persist across batches and are recomputed only when the length ledger
-	// shows a touched edge inside the row's stored SSSP tree — unaffected
+	// shows a touched edge on a stored path some oracle reads — unaffected
 	// sources skip their Dijkstra entirely. Sound because the solvers'
 	// length updates are monotone growths (LengthStore.MonotoneSince guards
-	// the rest): growing an edge outside a shortest-path tree cannot change
-	// any distance, and the deterministic tie-breaks resolve identically, so
-	// the stored row is bitwise what a refill would produce. A dirty row is
-	// repaired by resuming Dijkstra over only the affected subtrees
+	// the rest): growing an edge off a shortest path cannot change its
+	// distance, and the deterministic tie-breaks resolve identically, so
+	// the stored reads are bitwise what a refill would produce. A dirty row
+	// is repaired by resuming Dijkstra over only the affected subtrees
 	// (routing.RepairSubtreesInto) when the bit-identity certificate holds —
-	// monotone ledger window, strictly positive lengths (AllPositive), an
-	// exact (never serviceable-skipped) row, dirty roots the ledger journal
-	// still covers — and its journal window holds fewer than n/2 touches (n
-	// the node count), and refilled in full otherwise. Outputs are
-	// identical in both modes. The plane is created with the first
-	// PlaneOracle, at construction or in AddOracle, so a runner over
-	// fixed-routing oracles never carries one.
+	// monotone ledger window, strictly positive lengths (AllPositive), dirty
+	// roots the ledger journal still covers — and its journal window holds
+	// fewer than n/2 touches (n the node count), and refilled in full
+	// otherwise. Outputs are identical in both modes. The plane is created
+	// by the first batch that finds a PlaneOracle in the set, so a runner
+	// over fixed-routing oracles never carries one.
 	Plane PlaneMode
 }
 
@@ -105,9 +104,9 @@ type BatchRunner struct {
 	minLen float64
 	// targets[src] is the set of live co-members whose reads row src
 	// serves; the dirty-source repair check walks exactly these stored
-	// paths. Built with the plane, grown by AddOracle, and rebuilt from the
-	// live oracles by the first batch after a Release sets targetsStale
-	// (nil without a plane).
+	// paths. Rebuilt from the live oracles by the first batch after
+	// construction, AddOracle or Release sets targetsStale (nil while the
+	// plane is off).
 	targets      map[graph.NodeID][]graph.NodeID
 	targetsStale bool
 	metrics      PlaneStats
@@ -172,12 +171,9 @@ func NewBatchRunnerOpts(g *graph.Graph, oracles []TreeOracle, opts BatchOptions)
 		g: g, oracles: append([]TreeOracle(nil), oracles...), workers: workers, mode: opts.Plane,
 		out: make([]BatchResult, len(oracles)),
 		sc:  NewScratch(g),
-	}
-	for _, o := range oracles {
-		if _, ok := o.(PlaneOracle); ok {
-			r.initPlane()
-			break
-		}
+		// The first batch builds the read targets and, if the set holds a
+		// PlaneOracle, the plane.
+		targetsStale: true,
 	}
 	// Helpers range over a local copy: Close nils r.wake, possibly before a
 	// helper has started. The buffer holds one token per helper, so the
@@ -242,55 +238,27 @@ func (r *BatchRunner) fillJob(pos int, sc *Scratch) {
 		int(r.toRepair[k]), r.d, sc.dijkstra(), r.minLen, r.repairRoots[k], r.repairOut[k][:0])
 }
 
-// initPlane creates the shared plane, unless the mode is PlaneOff, once the
-// oracle set holds its first PlaneOracle: the read targets cover every
-// oracle added so far.
-func (r *BatchRunner) initPlane() {
-	if r.mode == PlaneOff {
-		return
-	}
-	r.plane = NewPlane(r.g)
-	r.targets = planeTargets(r.oracles)
-}
-
 // Workers returns the resolved worker-pool size.
 func (r *BatchRunner) Workers() int { return r.workers }
 
 // AddOracle appends an oracle to the runner's set and returns its id (usable
 // in the ids argument of MinTrees/MinTreesLen). It must be called between
 // batches, from the same goroutine that runs them — never while a batch is in
-// flight. The new oracle's member sources add read targets. An exact row
-// stays current for them: its whole content was a fresh fill at its epoch,
-// and the next classification checks the new paths too. A row a read-path
-// skip demoted from exact was proven only for its old targets, so a row that
-// gains a target is sent back to a full fill.
+// flight. The next batch rebuilds the plane's read targets from the live
+// oracles, so the new oracle's paths are walked against each row's fill
+// epoch like every other target.
 func (r *BatchRunner) AddOracle(o TreeOracle) int {
-	id := len(r.oracles)
 	r.oracles = append(r.oracles, o)
 	r.out = append(r.out, BatchResult{})
-	if po, ok := o.(PlaneOracle); ok {
-		if r.plane == nil {
-			r.initPlane() // covers the whole set, o included
-		} else {
-			mergePlaneTargets(r.targets, po.PlaneSources(), func(src graph.NodeID) {
-				if row := r.plane.Row(src); row >= 0 && !r.plane.exact[row] {
-					r.plane.SetFillEpoch(row, -1)
-				}
-			})
-		}
-	}
-	return id
+	r.targetsStale = true
+	return len(r.oracles) - 1
 }
 
 // Release drops the runner's reference to oracle id, so a departed session's
 // oracle (route tables, memoized trees) can be collected. Like AddOracle it
 // must be called between batches; id keeps its slot and must never appear in
 // a later batch. The next batch rebuilds the plane's read targets from the
-// live oracles, so the skip check walks only paths someone still reads: a
-// row proven current for a set of targets is current for any subset of it.
-// The sets shrink only at that rebuild and grow only through AddOracle, so a
-// target AddOracle finds already present has been checked on every row that
-// serves it since the row's last fill.
+// live oracles, so the skip check walks only paths someone still reads.
 func (r *BatchRunner) Release(id int) {
 	r.oracles[id] = nil
 	r.targetsStale = true
@@ -327,28 +295,6 @@ func (r *BatchRunner) eval(pos int, sc *Scratch) {
 	r.out[pos] = res
 }
 
-// treeUntouched reports whether a replay of the ledger journal since row's
-// fill epoch hits no edge of the row's stored parent tree — an edge is a
-// parent edge iff it is the stored parent of one of its own two endpoints, so
-// each probe is O(1). No touched tree edge at all means the entire row, not
-// just its read paths, is bitwise what a recompute would produce (given a
-// monotone window). A window of at least n touches almost surely hits the
-// tree and is not replayed; it reports false, as does a window the journal no
-// longer covers, leaving the row to the exact read-path walk.
-func (r *BatchRunner) treeUntouched(ls *graph.LengthStore, row int) bool {
-	fill := r.plane.FillEpoch(row)
-	parents := r.plane.ParentRow(row)
-	if ls.TouchedCount(fill) >= graph.Epoch(len(parents)) {
-		return false
-	}
-	hit := false
-	return ls.ForEachTouched(fill, func(e graph.EdgeID) bool {
-		edge := r.g.Edges[e]
-		hit = parents[edge.U] == e || parents[edge.V] == e
-		return hit
-	}) && !hit
-}
-
 // rowServiceable is the exact read-path walk of the dirty-source check. The
 // oracles never read a whole row: MinTreeFromPlane reads, for the row rooted
 // at member i, only dist[m_j] (overlay weights) and the stored parent chains
@@ -367,14 +313,10 @@ func (r *BatchRunner) treeUntouched(ls *graph.LengthStore, row int) bool {
 // (competitors' keys only grew), still receives its stored winning offer
 // first (the offer is untouched), and competing offers only became more
 // losing. Touched edges elsewhere in the row's SSSP tree may well change the
-// parts nobody reads, so true proves the read-visible parts of the row
-// current but not the whole row: a skip validated only by this walk demotes
-// the row from exact to serviceable (subtree repair must not seed from its
-// frontier afterwards). Path cleanliness composes ((fill,cur] clean and
-// (cur,cur'] clean iff (fill,cur'] clean) for a target set that never gains
-// a path the earlier walk skipped, which is why the skip may advance the
-// row's epoch: the rebuild after a Release only drops targets, and AddOracle
-// sends a demoted row that gains one back to a full fill.
+// parts nobody reads, so true proves the row's reads current but not the
+// whole row: the skip validates the row for this batch and leaves its fill
+// epoch alone, so the next walk, over whatever targets the live oracles
+// then name, checks against the epoch the stored content really has.
 func (r *BatchRunner) rowServiceable(ls *graph.LengthStore, row int) bool {
 	fill := r.plane.FillEpoch(row)
 	parents := r.plane.ParentRow(row)
@@ -405,34 +347,18 @@ func (r *BatchRunner) rowServiceable(ls *graph.LengthStore, row int) bool {
 func planeTargets(oracles []TreeOracle) map[graph.NodeID][]graph.NodeID {
 	targets := make(map[graph.NodeID][]graph.NodeID)
 	for _, o := range oracles {
-		po, ok := o.(PlaneOracle)
-		if !ok {
-			continue
-		}
-		mergePlaneTargets(targets, po.PlaneSources(), nil)
-	}
-	return targets
-}
-
-// mergePlaneTargets folds one oracle's member list into the per-source target
-// sets, keeping each set sorted and deduplicated, and calls grew (when
-// non-nil) with every source whose set gained a target.
-func mergePlaneTargets(targets map[graph.NodeID][]graph.NodeID, members []graph.NodeID, grew func(src graph.NodeID)) {
-	for i, s := range members {
-		old := len(targets[s])
-		ts := append(targets[s], members[i+1:]...)
-		sort.Ints(ts)
-		dedup := ts[:0]
-		for j, t := range ts {
-			if j == 0 || t != ts[j-1] {
-				dedup = append(dedup, t)
+		if po, ok := o.(PlaneOracle); ok {
+			members := po.PlaneSources()
+			for i, s := range members {
+				targets[s] = append(targets[s], members[i+1:]...)
 			}
 		}
-		targets[s] = dedup
-		if grew != nil && len(dedup) > old {
-			grew(s)
-		}
 	}
+	for s, ts := range targets {
+		slices.Sort(ts)
+		targets[s] = slices.Compact(ts)
+	}
+	return targets
 }
 
 // stagePlane runs stage 1 of a batch: walk the distinct member sources of
@@ -440,15 +366,22 @@ func mergePlaneTargets(targets map[graph.NodeID][]graph.NodeID, members []graph.
 // assignment), classify each stored row — current (skip),
 // subtree-repairable, or needing a full fill — and fan the fills and repairs
 // across the worker pool. No-op when the plane is off or the batch has no
-// plane-aware oracle.
+// plane-aware oracle. The plane is created here, once the oracle set first
+// holds a PlaneOracle.
 func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 	r.planeLive = false
-	if r.plane == nil {
+	if r.mode == PlaneOff {
 		return
 	}
 	if r.targetsStale {
 		r.targets = planeTargets(r.oracles)
 		r.targetsStale = false
+	}
+	if r.plane == nil {
+		if len(r.targets) == 0 {
+			return
+		}
+		r.plane = NewPlane(r.g)
 	}
 	if ls != r.lastStore {
 		// A different ledger: every persistent row's epoch is meaningless.
@@ -511,35 +444,24 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 			r.toFill = append(r.toFill, row32)
 			continue
 		}
-		if r.treeUntouched(ls, row) {
-			// No touched edge entered the row's stored tree since its fill
-			// epoch, so the whole stored row — or, for a row demoted to
-			// serviceable, its read-visible paths — is bitwise what a
-			// recompute would produce.
-			r.plane.SetFillEpoch(row, cur)
-			r.plane.Validate(row)
-			r.metrics.Skipped++
-			continue
-		}
 		if r.rowServiceable(ls, row) {
-			// Touched tree edges, but none on a stored read path: the row
-			// stays serviceable but is no longer exact. The walk-skip stays
-			// ahead of subtree repair on purpose: it is cheaper than a
-			// repair, and the row's reads do not change.
-			r.plane.SetFillEpoch(row, cur)
+			// No stored read path took a touched edge: the reads are
+			// current for this batch, and the fill epoch stays where the
+			// content was filled. The walk-skip stays ahead of subtree
+			// repair on purpose: it is cheaper than a repair, and the row's
+			// reads do not change.
 			r.plane.Validate(row)
-			r.plane.exact[row] = false
 			r.metrics.Skipped++
 			continue
 		}
-		if r.plane.exact[row] && 2*ls.TouchedCount(fill) < nodes && ls.AllPositive() &&
+		if 2*ls.TouchedCount(fill) < nodes && ls.AllPositive() &&
 			scaleSafe(r.minLen, r.plane.maxDist[row]) && r.stageRepair(ls, row32) {
 			// A read path is dirty, so the row must be recomputed, and the
 			// bit-identity certificate holds (monotone window checked above,
-			// exact content, dirty roots the journal still covers, strictly
-			// positive lengths, and lengths large enough relative to the
-			// row's distances that every relaxation strictly grows its float
-			// key — without that an underflowing length behaves like a
+			// dirty roots the journal still covers, strictly positive
+			// lengths, and lengths large enough relative to the row's
+			// distances that every relaxation strictly grows its float key —
+			// without that an underflowing length behaves like a
 			// zero-length edge and ties can flip). The journal window is
 			// also shorter than n/2 touches: longer windows dirty so much of
 			// the row that the repair mostly bails into the refill it was
@@ -554,17 +476,14 @@ func (r *BatchRunner) stagePlane(ls *graph.LengthStore, n int) {
 	nf, nr := len(r.toFill), len(r.toRepair)
 	r.metrics.Sources += nf + nr
 	for _, row32 := range r.toFill {
-		row := int(row32)
-		r.plane.SetFillEpoch(row, cur)
-		r.plane.exact[row] = true
+		r.plane.SetFillEpoch(int(row32), cur)
 	}
 	if nf+nr == 0 {
 		return
 	}
 	r.fanOut(nf+nr, true)
 	// Post-barrier, single-writer again: fold the repair outcomes into the
-	// metrics. Every repaired row stays exact, whether the subtree path held
-	// or RepairRow fell back to a refill.
+	// metrics.
 	for k := range r.toRepair {
 		if r.repairOK[k] {
 			r.metrics.SubtreeRepaired++

@@ -145,11 +145,12 @@ func TestBatchSubsetEvaluation(t *testing.T) {
 // and off, across worker counts, and with batches interleaved between the
 // AddOracle calls so stored plane rows survive the growth.
 // The pool keeps its requested size, and the plane appears with the first
-// plane-aware oracle, never before.
+// batch over a plane-aware oracle, never before.
 func TestBatchAddOracleGrowsDynamicRunner(t *testing.T) {
 	g, fixed := batchFixture(t, 6)
-	// A couple of plane-aware (arbitrary) oracles exercise the plane-target
-	// merge in AddOracle; the fixed ones the plane-oblivious path.
+	// A couple of plane-aware (arbitrary) oracles exercise the plane's
+	// creation and the target rebuild after AddOracle; the fixed ones the
+	// plane-oblivious path.
 	oracles := append([]TreeOracle(nil), fixed[:4]...)
 	for i := 4; i < 6; i++ {
 		s, err := NewSession(i, []graph.NodeID{i, (i + 7) % 24, (i + 13) % 24, (i + 18) % 24}, 1)
@@ -173,14 +174,17 @@ func TestBatchAddOracleGrowsDynamicRunner(t *testing.T) {
 				if id := dyn.AddOracle(o); id != i {
 					t.Fatalf("AddOracle returned id %d, want %d", id, i)
 				}
-				if wantPlane := plane != PlaneOff && i >= 4; (dyn.plane != nil) != wantPlane {
-					t.Fatalf("plane=%v after %d adds: has plane %v, want %v", plane, i+1, dyn.plane != nil, wantPlane)
+				if i == 4 && dyn.plane != nil {
+					t.Fatalf("plane=%v: AddOracle built the plane before a batch", plane)
 				}
 				// Batch over the grown prefix between arrivals, under fresh
 				// lengths, and compare slot by slot.
 				d := lengthsFor(g, i)
 				got := dyn.MinTreesLen(graph.NewLengthStoreFrom(d), nil)
 				want := static.MinTreesLen(graph.NewLengthStoreFrom(d), intRange(i+1))
+				if wantPlane := plane != PlaneOff && i >= 4; (dyn.plane != nil) != wantPlane {
+					t.Fatalf("plane=%v after %d adds and a batch: has plane %v, want %v", plane, i+1, dyn.plane != nil, wantPlane)
+				}
 				if len(got) != i+1 {
 					t.Fatalf("plane=%v workers=%d: %d results after %d adds", plane, workers, len(got), i+1)
 				}
@@ -410,8 +414,9 @@ func TestBatchClaimLoopMatchesSequential(t *testing.T) {
 // TestBatchReleasedSlots pins the departed-oracle contract: a runner built
 // over an oracle list with nil (departed) slots derives its plane targets
 // from the live oracles only, a runner that Releases ids drops the oracle
-// and rebuilds its targets from the live ones at the next batch, and both keep answering batches over the live ids exactly like a runner
-// that never lost an oracle.
+// and rebuilds its targets from the live ones at the next batch, and both
+// keep answering batches over the live ids exactly like a runner that never
+// lost an oracle.
 func TestBatchReleasedSlots(t *testing.T) {
 	g, oracles := mixedBatchFixture(t, 12)
 	gone := []int{1, 4, 7}
@@ -434,11 +439,9 @@ func TestBatchReleasedSlots(t *testing.T) {
 			lazy := NewBatchRunnerOpts(g, withNil, opts)
 			released := NewBatchRunnerOpts(g, oracles, opts)
 			compacted := NewBatchRunnerOpts(g, compact, opts)
-			if !reflect.DeepEqual(lazy.targets, compacted.targets) {
-				t.Fatalf("%v: targets over nil slots %v, want the live oracles' %v", mode, lazy.targets, compacted.targets)
-			}
 			ls := graph.NewLengthStore(g, 1)
-			released.MinTrees(ls, nil) // stage rows for every oracle
+			compacted.MinTrees(ls, nil) // build the reference targets
+			released.MinTrees(ls, nil)  // stage rows for every oracle
 			for _, id := range gone {
 				released.Release(id)
 				if released.oracles[id] != nil {
@@ -448,6 +451,9 @@ func TestBatchReleasedSlots(t *testing.T) {
 			for round := 0; round < 6; round++ {
 				want := full.MinTreesLen(ls, live)
 				sameResults(t, mode.String()+" lazy", lazy.MinTreesLen(ls, live), want)
+				if round == 0 && !reflect.DeepEqual(lazy.targets, compacted.targets) {
+					t.Fatalf("%v: targets over nil slots %v, want the live oracles' %v", mode, lazy.targets, compacted.targets)
+				}
 				sameResults(t, mode.String()+" released", released.MinTreesLen(ls, live), want)
 				bumpTreeEdges(ls, want[round%len(want)].Tree)
 			}
@@ -462,12 +468,12 @@ func TestBatchReleasedSlots(t *testing.T) {
 }
 
 // TestBatchAddOracleRefillsWalkedRow pins AddOracle on a row that a
-// read-path walk demoted from exact. On batchFixture's ring of cliques,
-// session {0,1} reads only the path 0→1 from row 0. Bumping the tree edge
-// 0–5 leaves that path clean, so the next batch walk-skips the row and
-// advances its epoch while its route to 5 goes stale. A session {0,5}
-// added afterwards reads exactly that route: the row must be refilled, not
-// served.
+// read-path walk skipped. On batchFixture's ring of cliques, session {0,1}
+// reads only the path 0→1 from row 0. Bumping the tree edge 0–5 leaves
+// that path clean, so the next batch walk-skips the row, which keeps its
+// old fill epoch while its route to 5 goes stale. A session {0,5} added
+// afterwards reads exactly that route: the walk against the row's true
+// fill epoch must find it dirty, so the row is recomputed, not served.
 func TestBatchAddOracleRefillsWalkedRow(t *testing.T) {
 	g, _ := batchFixture(t, 0)
 	arb := func(id int, members ...graph.NodeID) TreeOracle {
@@ -491,8 +497,8 @@ func TestBatchAddOracleRefillsWalkedRow(t *testing.T) {
 		r.MinTrees(ls, nil)
 		ls.Bump(e, 10)
 		r.MinTrees(ls, nil)
-		if row := r.plane.Row(0); r.plane.exact[row] {
-			t.Fatalf("workers=%d: row 0 still exact after the walk skip; the fixture no longer exercises it", workers)
+		if row := r.plane.Row(0); r.plane.FillEpoch(row) == ls.Epoch() {
+			t.Fatalf("workers=%d: row 0 was recomputed instead of walk-skipped; the fixture no longer exercises the skip", workers)
 		}
 		o := arb(1, 0, 5)
 		got := r.MinTreesLen(ls, []int{r.AddOracle(o)})[0]

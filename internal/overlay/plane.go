@@ -19,8 +19,8 @@ import (
 // Since the length-ledger refactor the plane is additionally *persistent*
 // across rounds: rows carry the ledger epoch they were filled at
 // (FillEpoch/SetFillEpoch), and a batch driver holding a graph.LengthStore
-// can prove a stored row is still exact without recomputing it — see
-// BatchRunner's dirty-source repair. The proof obligation lives with the
+// can prove a stored row's reads are still current without recomputing it —
+// see BatchRunner's dirty-source repair. The proof obligation lives with the
 // driver; the plane itself only stores the rows and their epochs.
 //
 // Determinism: a row's content is a pure function of (graph, source, length
@@ -45,9 +45,10 @@ type Plane struct {
 	sources []graph.NodeID
 	dists   [][]float64
 	parents [][]graph.EdgeID
-	// fillEpoch[row] is the ledger epoch the row's content corresponds to;
-	// maintained by the batch runner (FillRow leaves it to the caller,
-	// which knows which ledger — if any — the lengths came from).
+	// fillEpoch[row] is the ledger epoch at which the row's whole content
+	// is a fresh fill; maintained by the batch runner (FillRow leaves it to
+	// the caller, which knows which ledger — if any — the lengths came
+	// from).
 	fillEpoch []graph.Epoch
 	// valid[row] marks the batch stamp the row was last filled or proven
 	// current at; Lookup serves only rows validated in the current stamp, so
@@ -58,12 +59,6 @@ type Plane struct {
 	refStamp []uint32
 	stamp    uint32
 
-	// exact[row] reports whether the row's stored content is exactly what a
-	// fresh fill would produce: true after every content write, false once a
-	// read-path skip left unread parts of the row stale. Subtree repair seeds
-	// its resumed heap from the row's frontier distances, so the batch driver
-	// only repairs exact rows.
-	exact []bool
 	// maxDist[row] is the largest finite stored distance in the row (0 when
 	// nothing reachable), maintained by every content write. It is the row
 	// side of the subtree-repair scale-separation certificate: repair is
@@ -121,7 +116,6 @@ func (p *Plane) Stage(src graph.NodeID) bool {
 		p.fillEpoch = append(p.fillEpoch, -1)
 		p.valid = append(p.valid, 0)
 		p.refStamp = append(p.refStamp, 0)
-		p.exact = append(p.exact, false)
 		p.maxDist = append(p.maxDist, 0)
 	}
 	p.rowOf[src] = int32(row)
@@ -129,7 +123,6 @@ func (p *Plane) Stage(src graph.NodeID) bool {
 	p.fillEpoch[row] = -1
 	p.valid[row] = 0
 	p.refStamp[row] = p.stamp
-	p.exact[row] = false
 	p.maxDist[row] = 0
 	return true
 }
@@ -164,14 +157,15 @@ func (p *Plane) NumSources() int { return len(p.sources) }
 // FillEpoch returns the ledger epoch row was filled at (-1 = never filled).
 func (p *Plane) FillEpoch(row int) graph.Epoch { return p.fillEpoch[row] }
 
-// SetFillEpoch records the ledger epoch row's content corresponds to. The
-// batch driver advances it both on refill and when a repair check proves the
-// content unchanged up to the current epoch.
+// SetFillEpoch records the ledger epoch at which row's whole content is a
+// fresh fill. The batch driver moves it only when a full fill or a subtree
+// repair rewrites the row; a skip leaves it alone.
 func (p *Plane) SetFillEpoch(row int, epoch graph.Epoch) { p.fillEpoch[row] = epoch }
 
 // Validate marks row as current for the present stamp without refilling it —
-// the repair fast path, only sound when the driver has proven the stored
-// content equals what a fresh fill would produce.
+// the skip fast path, only sound when the driver has proven that every stored
+// value a reader will take from the row equals what a fresh fill would
+// produce.
 func (p *Plane) Validate(row int) { p.valid[row] = p.stamp }
 
 // ParentRow returns row's stored parent-edge array (the SSSP tree rooted at
@@ -280,12 +274,12 @@ type PlaneStats struct {
 	// member of every plane-aware oracle evaluated in a round).
 	Requests int
 	// Repaired counts full refills forced by the dirty-source check: a
-	// ledger-touched edge intersected the row's stored SSSP tree, so the row
+	// ledger-touched edge lay on a stored read path of the row, so the row
 	// was recomputed. A subset of Sources.
 	Repaired int
 	// Skipped counts refills avoided across rounds: the ledger proved no
-	// touched edge could alter the row, so the stored content was served
-	// as-is (no Dijkstra at all).
+	// touched edge could alter what the row's readers take from it, so the
+	// stored content was served as-is (no Dijkstra at all).
 	Skipped int
 	// SubtreeRepaired counts rows repaired by subtree-scoped Dijkstra
 	// resumption (routing.RepairSubtreesInto) instead of a full refill: only

@@ -14,10 +14,11 @@ import (
 )
 
 // TestSubtreeRepairRowsBitIdentical drives a persistent runner through
-// randomized monotone bump sequences and, after every batch, compares every
-// exact validated plane row bitwise (dist bits, parent edges) against a fresh
-// ShortestPathsInto under the current lengths, and every batch result against
-// a direct MinTree call. Non-vacuity: the run must take the subtree path.
+// randomized monotone bump sequences and, after every batch, checks the
+// plane rows against fresh ShortestPathsInto fills (checkPlaneRows: whole
+// rows filled at the current epoch, read targets of walk-skipped rows), and
+// every batch result against a direct MinTree call. Non-vacuity: the run
+// must take the subtree path and check walk-skipped rows.
 func TestSubtreeRepairRowsBitIdentical(t *testing.T) {
 	g, oracles := arbBatchFixture(t, 7)
 	for _, workers := range []int{1, 4} {
@@ -27,6 +28,7 @@ func TestSubtreeRepairRowsBitIdentical(t *testing.T) {
 		sp := routing.NewDijkstraScratch(g)
 		dist := make([]float64, g.NumNodes())
 		parent := make([]graph.EdgeID, g.NumNodes())
+		walkedRows := 0
 		for round := 0; round < 40; round++ {
 			results := r.MinTreesLen(ls, nil)
 			for i, res := range results {
@@ -41,23 +43,7 @@ func TestSubtreeRepairRowsBitIdentical(t *testing.T) {
 					t.Fatalf("workers=%d round %d oracle %d: tree differs from direct call", workers, round, i)
 				}
 			}
-			pl := r.plane
-			for row := 0; row < pl.NumSources(); row++ {
-				if pl.valid[row] != pl.stamp || !pl.exact[row] {
-					continue
-				}
-				sp.ShortestPathsInto(g, pl.Source(row), ls.Values(), dist, parent)
-				for v := range dist {
-					if math.Float64bits(dist[v]) != math.Float64bits(pl.dists[row][v]) {
-						t.Fatalf("workers=%d round %d row %d (src %d): dist[%d] %.17g != fresh %.17g",
-							workers, round, row, pl.Source(row), v, pl.dists[row][v], dist[v])
-					}
-					if parent[v] != pl.parents[row][v] {
-						t.Fatalf("workers=%d round %d row %d (src %d): parent[%d] %d != fresh %d",
-							workers, round, row, pl.Source(row), v, pl.parents[row][v], parent[v])
-					}
-				}
-			}
+			walkedRows += checkPlaneRows(t, fmt.Sprintf("workers=%d round %d", workers, round), r, ls, sp, dist, parent)
 			// Mutate like a solver iteration: usually inflate one routed tree,
 			// sometimes a few random edges, so touched sets vary in shape.
 			if rng.Intn(4) > 0 {
@@ -69,11 +55,65 @@ func TestSubtreeRepairRowsBitIdentical(t *testing.T) {
 			}
 		}
 		m := r.Metrics()
-		if m.SubtreeRepaired == 0 {
-			t.Fatalf("workers=%d: subtree repair never fired (%+v)", workers, m)
+		if m.SubtreeRepaired == 0 || walkedRows == 0 {
+			t.Fatalf("workers=%d: %d walk-skipped rows checked, subtree repair %+v; want both > 0", workers, walkedRows, m)
 		}
 		r.Close()
 	}
+}
+
+// checkPlaneRows compares r's plane against fresh ShortestPathsInto fills
+// under ls, bitwise (dist bits, parent edges): a row whose fill epoch is the
+// ledger's current epoch must equal the fresh fill at every node, and a row
+// validated in the current batch with an older fill epoch (a walk skip)
+// must equal it at every read target — the target's distance and every
+// parent edge on its chain back to the source. It returns how many
+// walk-skipped rows it checked. dist and parent are caller-owned scratch.
+func checkPlaneRows(t *testing.T, label string, r *BatchRunner, ls *graph.LengthStore,
+	sp *routing.DijkstraScratch, dist []float64, parent []graph.EdgeID) (walked int) {
+	t.Helper()
+	pl := r.plane
+	if pl == nil {
+		return 0
+	}
+	same := func(row, v int) bool {
+		return math.Float64bits(dist[v]) == math.Float64bits(pl.dists[row][v]) && parent[v] == pl.parents[row][v]
+	}
+	for row := 0; row < pl.NumSources(); row++ {
+		fill, src := pl.FillEpoch(row), pl.Source(row)
+		if fill != ls.Epoch() && (fill < 0 || pl.valid[row] != pl.stamp) {
+			continue
+		}
+		sp.ShortestPathsInto(r.g, src, ls.Values(), dist, parent)
+		if fill == ls.Epoch() {
+			for v := range dist {
+				if !same(row, v) {
+					t.Fatalf("%s: row %d (src %d, fill %d): node %d is (%.17g, %d), fresh fill (%.17g, %d)",
+						label, row, src, fill, v, pl.dists[row][v], pl.parents[row][v], dist[v], parent[v])
+				}
+			}
+			continue
+		}
+		walked++
+		for _, target := range r.targets[src] {
+			for v := target; v != src; {
+				if !same(row, v) {
+					t.Fatalf("%s: walked row %d (src %d, fill %d < %d): node %d on the chain to target %d is (%.17g, %d), fresh fill (%.17g, %d)",
+						label, row, src, fill, ls.Epoch(), v, target, pl.dists[row][v], pl.parents[row][v], dist[v], parent[v])
+				}
+				e := parent[v]
+				if e < 0 {
+					break
+				}
+				if edge := r.g.Edges[e]; v == edge.U {
+					v = edge.V
+				} else {
+					v = edge.U
+				}
+			}
+		}
+	}
+	return walked
 }
 
 // certifiedDirtyRows counts the rows a full batch (nil ids) on r would find
@@ -101,9 +141,8 @@ func certifiedDirtyRows(r *BatchRunner, ls *graph.LengthStore) (short, long int)
 // dirty with the subtree-repair certificate holding, whatever its window.
 func certifiedDirty(r *BatchRunner, ls *graph.LengthStore, row int) bool {
 	fill := r.plane.FillEpoch(row)
-	return fill >= 0 && fill != ls.Epoch() && ls.MonotoneSince(fill) &&
-		!r.treeUntouched(ls, row) && !r.rowServiceable(ls, row) &&
-		r.plane.exact[row] && ls.AllPositive() && scaleSafe(ls.MinLengthLB(), r.plane.maxDist[row])
+	return fill >= 0 && fill != ls.Epoch() && ls.MonotoneSince(fill) && !r.rowServiceable(ls, row) &&
+		ls.AllPositive() && scaleSafe(ls.MinLengthLB(), r.plane.maxDist[row])
 }
 
 // TestRepairWindowRule pins the plane's choice between subtree repair and
@@ -192,8 +231,8 @@ func TestRepairWindowRule(t *testing.T) {
 // Most batches bump one edge of a routed tree, so windows over several
 // batches stay below n/2 touches; some follow a scatter of 2n bumps, and
 // one follows a burst that overruns graph.JournalWindow. Every result must
-// equal a direct MinTree call and every exact validated row a fresh
-// ShortestPathsInto, bitwise, and no row with a window of n/2 or more may
+// equal a direct MinTree call, the plane rows must pass checkPlaneRows, and
+// no row with a window of n/2 or more may
 // attempt repair. Non-vacuity: a subtree repair succeeds on a window
 // spanning several batches, a certified dirty row with a window of at
 // least n/2 is refilled, and a row whose window the journal no longer
@@ -270,18 +309,7 @@ func TestSubtreeRepairSparseBatches(t *testing.T) {
 					longRefills++
 				}
 			}
-			for row := 0; row < pl.NumSources(); row++ {
-				if pl.valid[row] != pl.stamp || !pl.exact[row] {
-					continue
-				}
-				sp.ShortestPathsInto(g, pl.Source(row), ls.Values(), dist, parent)
-				for v := range dist {
-					if math.Float64bits(dist[v]) != math.Float64bits(pl.dists[row][v]) || parent[v] != pl.parents[row][v] {
-						t.Fatalf("workers=%d round %d row %d (src %d): node %d is (%.17g, %d), fresh fill (%.17g, %d)",
-							workers, round, row, pl.Source(row), v, pl.dists[row][v], pl.parents[row][v], dist[v], parent[v])
-					}
-				}
-			}
+			checkPlaneRows(t, fmt.Sprintf("workers=%d round %d", workers, round), r, ls, sp, dist, parent)
 			switch {
 			case round == 40:
 				// Overrun the journal on one routed edge: windows reaching
@@ -325,8 +353,8 @@ const (
 // window); from 16 to 87 it replaces the oracle in position (s−16) mod 6,
 // Releasing it and AddOracle-ing session (s−16)/6 of twelve: the six it
 // started with and six that pair their sources with new members, so rows
-// lose and gain read targets. After every batch each result must equal a direct MinTree
-// call, and every exact validated row a fresh ShortestPathsInto, bitwise.
+// lose and gain read targets. After every batch each result must equal a
+// direct MinTree call, and the plane rows must pass checkPlaneRows.
 func FuzzPlaneClassify(f *testing.F) {
 	net, err := topology.Waxman(topology.DefaultWaxman(24), rng.New(3))
 	if err != nil {
@@ -419,19 +447,7 @@ func FuzzPlaneClassify(f *testing.F) {
 					t.Fatalf("round %d oracle %d: result differs from direct call", round, i)
 				}
 			}
-			pl := r.plane
-			for row := 0; row < pl.NumSources(); row++ {
-				if pl.valid[row] != pl.stamp || !pl.exact[row] {
-					continue
-				}
-				sp.ShortestPathsInto(g, pl.Source(row), ls.Values(), dist, parent)
-				for v := range dist {
-					if math.Float64bits(dist[v]) != math.Float64bits(pl.dists[row][v]) || parent[v] != pl.parents[row][v] {
-						t.Fatalf("round %d row %d (src %d): node %d is (%.17g, %d), fresh fill (%.17g, %d)",
-							round, row, pl.Source(row), v, pl.dists[row][v], pl.parents[row][v], dist[v], parent[v])
-					}
-				}
-			}
+			checkPlaneRows(t, fmt.Sprintf("round %d", round), r, ls, sp, dist, parent)
 			factor := 1 + (float64(c)+1)/256
 			for j, res := range results {
 				if b&(1<<j) == 0 {
