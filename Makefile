@@ -88,8 +88,8 @@ bench-smoke:
 # Large-instance scale tier: solver benches (1,000-10,000 nodes, per-scenario
 # instances), the Waxman topology-generation benches, the Allocator v2
 # warm-start churn acceptance pair, the overcastd admin-socket churn
-# replay, and the fault-churn damping pair (flap suppression vs the raw
-# trace). Takes minutes at default -benchtime; CI passes
+# replay, and the fault-churn damping pair (the warm-churn replay under
+# a link flap trace, damped vs raw). Takes minutes at default -benchtime; CI passes
 # BENCHFLAGS="-short -benchtime 1x".
 bench-scale:
 	$(GO) test -run '^$$' -bench 'BenchmarkScale|BenchmarkWaxman|BenchmarkChurnWarmStart|BenchmarkDaemonChurn|BenchmarkFaultChurn' -benchmem -timeout 3600s $(BENCHFLAGS) . ./internal/topology/

@@ -165,8 +165,8 @@ type AllocatorStats struct {
 // re-solved incrementally under churn: joins are caught up to the anchored
 // fair share and departures are rolled back exactly, with a bounded number
 // of repair phases restoring the Garg–Könemann stop criterion, falling back
-// to a cold solve only when the repair budget is exhausted or the length
-// ledger reports non-monotone drift.
+// to a cold solve only when the repair budget is exhausted or an underlay
+// fault changed a capacity.
 //
 // An Allocator is not safe for concurrent use. Close releases the repair
 // worker pool when the allocator is no longer needed.
@@ -234,16 +234,23 @@ func (a *Allocator) slot(id SessionID) (int, error) {
 // and permanently under the online algorithm (incumbents are never
 // rerouted), and becomes part of the next Snapshot/Rebalance allocation.
 // The returned placement carries the session's handle, the online tree, and
-// the session's current feasible rate under the online population.
+// the session's current feasible rate under the online population. A member
+// outside the network, a repeated member, fewer than two members or a
+// non-positive demand is an error and admits nothing.
 func (a *Allocator) Join(s Session) (Placement, error) {
 	if a.closed {
 		return Placement{}, fmt.Errorf("overcast: allocator is closed")
+	}
+	g := a.net.inner.Graph
+	for _, m := range s.Members {
+		if m < 0 || m >= g.NumNodes() {
+			return Placement{}, fmt.Errorf("overcast: member %d outside graph", m)
+		}
 	}
 	os, err := overlay.NewSession(a.nextID, s.Members, s.Demand)
 	if err != nil {
 		return Placement{}, err
 	}
-	g := a.net.inner.Graph
 	var oracle overlay.TreeOracle
 	if a.opts.Routing == RoutingArbitrary {
 		// The dynamic oracle routes under the allocator's lengths; building a
@@ -430,13 +437,11 @@ type LinkFault struct {
 }
 
 // Fault applies an underlay fault to the network and returns the link's
-// resulting capacity. The capacity change is mirrored onto the live length
-// ledger (capacity and dual price move inversely: a failure is a monotone
-// price growth, a recovery a non-monotone shrink, which downstream consumers
-// detect via the ledger's monotonicity tracking), and the next
-// Snapshot/Rebalance re-solves from cold — fault arithmetic invalidates the
-// warm anchor. A redundant event (recovering a healthy link) still returns
-// the current capacity but mutates nothing. Unknown links are errors.
+// resulting capacity. An effective change latches the next
+// Snapshot/Rebalance onto a cold re-solve under the new capacities — fault
+// arithmetic invalidates the warm anchor and its length ledger. A redundant
+// event (recovering a healthy link) still returns the current capacity but
+// mutates nothing. Unknown links are errors.
 func (a *Allocator) Fault(f LinkFault) (float64, error) {
 	if a.closed {
 		return 0, fmt.Errorf("overcast: allocator is closed")
@@ -463,11 +468,10 @@ func (a *Allocator) Fault(f LinkFault) (float64, error) {
 	if a.faults == nil {
 		a.faults = underlay.NewState(g)
 	}
-	factor, changed := a.faults.Apply(ev)
-	if !changed {
+	if _, changed := a.faults.Apply(ev); !changed {
 		return g.Edges[e].Capacity, nil
 	}
-	if err := a.warm.Fault(e, factor); err != nil {
+	if err := a.warm.Fault(e); err != nil {
 		return 0, err
 	}
 	a.epoch++

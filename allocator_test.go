@@ -5,12 +5,14 @@ package overcast_test
 // allocation view, and the warm-start churn replay
 // (quality vs the cold baseline and determinism across worker counts).
 // The engine-level warm-start properties — catch-up/re-grow quality
-// cross-checked against the internal/exact LP, budget fallback, and
-// non-monotone (external shrink) fallback — are pinned by the
-// internal/core warm tests; these stay at the public-surface level.
+// cross-checked against the internal/exact LP, budget fallback, and the
+// fault-before-leave fallback ordering — are pinned by the internal/core
+// warm tests; these stay at the public-surface level.
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"overcast"
@@ -173,6 +175,31 @@ func TestSessionRateErrorContract(t *testing.T) {
 	}
 }
 
+// TestJoinRejectsMemberOutsideGraph: a member outside [0, n) is an error
+// under both routing modes, and nothing is admitted.
+func TestJoinRejectsMemberOutsideGraph(t *testing.T) {
+	net, err := overcast.WaxmanNetwork(16, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, routing := range []overcast.Routing{overcast.RoutingIP, overcast.RoutingArbitrary} {
+		for _, member := range []int{-1, 16} {
+			a, err := overcast.NewAllocator(net, overcast.AllocatorOptions{Routing: routing})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = a.Join(overcast.Session{Members: []int{2, member}, Demand: 1})
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("member %d outside graph", member)) {
+				t.Errorf("routing %v, member %d: err %v, want member outside graph", routing, member, err)
+			}
+			if a.Active() != 0 {
+				t.Errorf("routing %v, member %d: %d sessions admitted", routing, member, a.Active())
+			}
+			a.Close()
+		}
+	}
+}
+
 // TestOverlayTreeStaysIntact pins the OverlayTree aliasing contract's
 // guarantee side: a placement's trees are private copies, so they stay
 // bitwise intact through any amount of later allocator activity.
@@ -230,7 +257,7 @@ func TestOverlayTreeStaysIntact(t *testing.T) {
 // snapshot throughput and the warm/cold refresh split — is bit-identical
 // across worker counts 1, 2, and 8.
 func TestWarmChurnReplayQualityAndDeterminism(t *testing.T) {
-	cfg := experiments.WarmChurnConfig{Nodes: 60, Horizon: 12}
+	cfg := experiments.WarmChurnConfig{ChurnTrace: experiments.ChurnTrace{Nodes: 60, Horizon: 12}}
 	warm, cold, err := experiments.WarmChurnPair(2004, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -676,7 +676,7 @@ func BenchmarkChurnWarmStart(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				rep, err := experiments.WarmChurnRun(2004, experiments.WarmChurnConfig{
-					Nodes: 120, ColdBaseline: mode == "cold",
+					ChurnTrace: experiments.ChurnTrace{Nodes: 120}, ColdBaseline: mode == "cold",
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -706,7 +706,7 @@ func BenchmarkDaemonChurn(b *testing.B) {
 	b.ReportAllocs()
 	var ops float64
 	for i := 0; i < b.N; i++ {
-		rep, err := experiments.DaemonChurnRun(2004, experiments.DaemonChurnConfig{Nodes: 120})
+		rep, err := experiments.DaemonChurnRun(2004, experiments.DaemonChurnConfig{ChurnTrace: experiments.ChurnTrace{Nodes: 120}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -727,8 +727,9 @@ func BenchmarkDaemonChurn(b *testing.B) {
 // README documents), and the suppressed metric shows the damper actually
 // held recoveries rather than passing the trace through.
 func BenchmarkFaultChurn(b *testing.B) {
-	cfg := experiments.FaultChurnConfig{
-		Nodes: 64, ArrivalRate: 1.5, MeanLifetime: 5, Horizon: 10,
+	cfg := experiments.WarmChurnConfig{
+		ChurnTrace: experiments.ChurnTrace{Nodes: 64, ArrivalRate: 1.5, MeanLifetime: 5, Horizon: 10},
+		Arbitrary:  true, SnapshotEvery: 4,
 		FaultEdges: 6, FailRate: 3, MeanRepair: 0.2,
 	}
 	for _, mode := range []string{"undamped", "damped"} {
@@ -738,7 +739,7 @@ func BenchmarkFaultChurn(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				run := cfg
 				run.Damped = mode == "damped"
-				rep, err := experiments.FaultChurnRun(2004, run)
+				rep, err := experiments.WarmChurnRun(2004, run)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -255,7 +255,7 @@ func main() {
 	// End-to-end warm churn replay fingerprint (counters and final
 	// allocation only — the per-event trace is huge).
 	wrep, err := experiments.WarmChurnRun(2030, experiments.WarmChurnConfig{
-		Nodes: 80, SolverOptions: solver,
+		ChurnTrace: experiments.ChurnTrace{Nodes: 80}, SolverOptions: solver,
 	})
 	if err != nil {
 		panic(err)

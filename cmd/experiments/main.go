@@ -47,23 +47,27 @@
 //	experiments warmchurn
 //	experiments -nodes 400 -workers 8 warmchurn
 //
-// The faultchurn experiment replays the same kind of churn trace
-// interleaved with a seeded link flap trace (Poisson failures, exponential
-// repairs) through the v2 Allocator's public Fault surface — once raw and
-// once filtered through the route-flap damper — and prints both rows plus
-// the damper's suppression bound on fault-forced cold re-solves:
+// The faultchurn experiment runs the warmchurn replay (arbitrary routing,
+// a snapshot every 4 events) interleaved with a seeded link flap trace on 8
+// links (Poisson failures, exponential repairs) through the v2 Allocator's
+// public Fault surface — once raw and once filtered through the route-flap
+// damper — and prints both rows plus the damper's suppression bound on
+// fault-forced cold re-solves:
 //
 //	experiments faultchurn
 //	experiments -nodes 600 -workers 8 faultchurn
 //
 // The daemonchurn experiment boots an in-process overcastd admin server on
-// a unix socket and replays the same kind of trace through a concurrent
+// a unix socket and replays the same trace through a concurrent
 // synthetic client fleet speaking the wire protocol (joins, leaves, cached
 // and refreshing snapshot reads), printing the sustained admin ops/sec —
 // the daemon-path counterpart of warmchurn:
 //
 //	experiments daemonchurn
 //	experiments -nodes 400 -workers 8 daemonchurn
+//
+// All three replay one trace shape on -nodes nodes, 120 by default (600 at
+// -scale paper or large).
 //
 // -scale small (default) runs reduced instances in seconds; -scale paper
 // reproduces the paper's instance sizes (100-node Waxman, 10x100 two-level
@@ -271,6 +275,19 @@ func (r *runner) onlineTrials() int {
 		return 100
 	}
 	return 5
+}
+
+// churnTrace is the default trace of the warmchurn, faultchurn and
+// daemonchurn replays: -nodes, else 120 nodes (600 at -scale paper|large).
+func (r *runner) churnTrace() experiments.ChurnTrace {
+	nodes := r.nodes
+	if nodes == 0 {
+		nodes = 120
+		if r.scale == "paper" || r.scale == "large" {
+			nodes = 600
+		}
+	}
+	return experiments.ChurnTrace{Nodes: nodes}
 }
 
 func (r *runner) run(exp string) error {
@@ -517,14 +534,7 @@ func (r *runner) run(exp string) error {
 		fmt.Println("Report tier: MF vs MCF per workload scenario (which allocation wins where)")
 		fmt.Print(experiments.RenderReport(rows))
 	case "warmchurn":
-		nodes := r.nodes
-		if nodes == 0 {
-			nodes = 120
-			if r.scale == "paper" || r.scale == "large" {
-				nodes = 600
-			}
-		}
-		cfg := experiments.WarmChurnConfig{Nodes: nodes, SolverOptions: r.solver}
+		cfg := experiments.WarmChurnConfig{ChurnTrace: r.churnTrace(), SolverOptions: r.solver}
 		warm, cold, err := experiments.WarmChurnPair(r.seed, cfg)
 		if err != nil {
 			return err
@@ -541,15 +551,16 @@ func (r *runner) run(exp string) error {
 				q, 1/(1+warm.Config.Epsilon))
 		}
 	case "faultchurn":
-		nodes := r.nodes
-		if nodes == 0 {
-			nodes = 120
-			if r.scale == "paper" || r.scale == "large" {
-				nodes = 600
-			}
+		cfg := experiments.WarmChurnConfig{
+			ChurnTrace: r.churnTrace(), Arbitrary: true, SolverOptions: r.solver,
+			SnapshotEvery: 4, FaultEdges: 8,
 		}
-		cfg := experiments.FaultChurnConfig{Nodes: nodes, SolverOptions: r.solver}
-		undamped, damped, err := experiments.FaultChurnPair(r.seed, cfg)
+		undamped, err := experiments.WarmChurnRun(r.seed, cfg)
+		if err != nil {
+			return err
+		}
+		cfg.Damped = true
+		damped, err := experiments.WarmChurnRun(r.seed, cfg)
 		if err != nil {
 			return err
 		}
@@ -563,15 +574,8 @@ func (r *runner) run(exp string) error {
 				float64(undamped.ColdSolves)/float64(max(damped.ColdSolves, 1)))
 		}
 	case "daemonchurn":
-		nodes := r.nodes
-		if nodes == 0 {
-			nodes = 120
-			if r.scale == "paper" || r.scale == "large" {
-				nodes = 600
-			}
-		}
 		rep, err := experiments.DaemonChurnRun(r.seed, experiments.DaemonChurnConfig{
-			Nodes: nodes, Workers: r.solver.Workers,
+			ChurnTrace: r.churnTrace(), Workers: r.solver.Workers,
 		})
 		if err != nil {
 			return err

@@ -150,8 +150,8 @@ func (s *Server) logf(format string, args ...any) {
 // last persisted) until the next refresh recomputes it. Returns the number
 // of sessions restored; a missing state file restores zero and is not an
 // error. A file whose session tokens are zero, repeated or above its
-// next_token is rejected before any session rejoins. Must be called before
-// Listen.
+// next_token is rejected before any session rejoins, and one whose session
+// fails to rejoin leaves no session joined. Must be called before Listen.
 func (s *Server) Restore() (int, error) {
 	if s.opts.StatePath == "" {
 		return 0, nil
@@ -182,12 +182,24 @@ func (s *Server) Restore() (int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	ids := make([]overcast.SessionID, 0, len(st.Sessions))
 	for _, ps := range st.Sessions {
 		p, err := s.alloc.Join(overcast.Session{Members: ps.Members, Demand: ps.Demand})
 		if err != nil {
-			return 0, fmt.Errorf("admin: restore: rejoin session %d: %w", ps.Token, err)
+			// Roll back the sessions already rejoined: a bad file restores
+			// nothing.
+			err = fmt.Errorf("admin: restore: rejoin session %d: %w", ps.Token, err)
+			for _, id := range ids {
+				if lerr := s.alloc.Leave(id); lerr != nil {
+					err = errors.Join(err, lerr)
+				}
+			}
+			return 0, err
 		}
-		s.sessions[ps.Token] = &sessionEntry{id: p.Session, members: append([]int(nil), ps.Members...), demand: ps.Demand}
+		ids = append(ids, p.Session)
+	}
+	for i, ps := range st.Sessions {
+		s.sessions[ps.Token] = &sessionEntry{id: ids[i], members: append([]int(nil), ps.Members...), demand: ps.Demand}
 		s.order = append(s.order, ps.Token)
 	}
 	s.nextToken = st.NextToken

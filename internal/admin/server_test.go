@@ -25,7 +25,13 @@ type testHarness struct {
 
 func startHarness(t *testing.T, dir string, opts Options, allocOpts overcast.AllocatorOptions) *testHarness {
 	t.Helper()
-	net, err := overcast.WaxmanNetwork(32, 0, 7)
+	return startHarnessOn(t, 32, dir, opts, allocOpts)
+}
+
+// startHarnessOn starts a daemon on an n-node Waxman network.
+func startHarnessOn(t *testing.T, n int, dir string, opts Options, allocOpts overcast.AllocatorOptions) *testHarness {
+	t.Helper()
+	net, err := overcast.WaxmanNetwork(n, 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,6 +398,27 @@ func TestServerRejectsBadFrames(t *testing.T) {
 	h.drainAndWait(c)
 }
 
+// TestJoinMemberOutsideGraph: a join frame naming a node outside the
+// daemon's network is answered bad-params, and the daemon keeps serving.
+func TestJoinMemberOutsideGraph(t *testing.T) {
+	h := startHarnessOn(t, 16, t.TempDir(), Options{}, overcast.AllocatorOptions{})
+	c := h.dial()
+	defer c.Close()
+	_, err := c.Join([]int{2, 99}, 1)
+	var rpcErr *RPCError
+	if !errors.As(err, &rpcErr) || rpcErr.Code != ErrCodeBadParams {
+		t.Fatalf("join naming node 99 on 16 nodes: %v, want %s", err, ErrCodeBadParams)
+	}
+	if _, err := c.Ping(); err != nil {
+		t.Fatalf("ping after the rejected join: %v", err)
+	}
+	mustJoin(t, c, []int{2, 9}, 1)
+	if n := h.alloc.Active(); n != 1 {
+		t.Fatalf("allocator holds %d sessions, want 1", n)
+	}
+	h.drainAndWait(c)
+}
+
 // TestConcurrentReadsDuringMutation: cached snapshot reads on one connection
 // proceed while another connection holds the mutation path busy; every read
 // serves a coherent materialized allocation.
@@ -497,11 +524,14 @@ func TestRestoreMissingAndCorruptState(t *testing.T) {
 		t.Fatal("future-versioned state restored silently")
 	}
 
-	// Bad tokens: each file must be rejected before any session rejoins.
+	// Bad tokens, and a valid first session followed by one that cannot
+	// rejoin: each file must be rejected with no session left joined.
 	for name, body := range map[string]string{
-		"above-next": `{"v":1,"next_token":0,"sessions":[{"token":1,"members":[0,1],"demand":1}]}`,
-		"zero":       `{"v":1,"next_token":2,"sessions":[{"token":0,"members":[0,1],"demand":1}]}`,
-		"duplicate":  `{"v":1,"next_token":2,"sessions":[{"token":1,"members":[0,1],"demand":1},{"token":1,"members":[2,3],"demand":1}]}`,
+		"above-next":      `{"v":1,"next_token":0,"sessions":[{"token":1,"members":[0,1],"demand":1}]}`,
+		"zero":            `{"v":1,"next_token":2,"sessions":[{"token":0,"members":[0,1],"demand":1}]}`,
+		"duplicate":       `{"v":1,"next_token":2,"sessions":[{"token":1,"members":[0,1],"demand":1},{"token":1,"members":[2,3],"demand":1}]}`,
+		"negative-demand": `{"v":1,"next_token":2,"sessions":[{"token":1,"members":[0,1],"demand":1},{"token":2,"members":[2,3],"demand":-1}]}`,
+		"member-outside":  `{"v":1,"next_token":2,"sessions":[{"token":1,"members":[0,1],"demand":1},{"token":2,"members":[2,16],"demand":1}]}`,
 	} {
 		path := filepath.Join(dir, name+".json")
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
@@ -509,10 +539,10 @@ func TestRestoreMissingAndCorruptState(t *testing.T) {
 		}
 		srv := newSrv(path)
 		if n, err := srv.Restore(); err == nil {
-			t.Fatalf("%s token: restored %d sessions silently", name, n)
+			t.Fatalf("%s: restored %d sessions silently", name, n)
 		}
-		if alloc.Active() != 0 || len(srv.sessions) != 0 {
-			t.Fatalf("%s token: rejected file left %d allocator sessions, %d server sessions", name, alloc.Active(), len(srv.sessions))
+		if alloc.Active() != 0 || len(srv.sessions) != 0 || len(srv.order) != 0 {
+			t.Fatalf("%s: rejected file left %d allocator sessions, %d server sessions", name, alloc.Active(), len(srv.sessions))
 		}
 	}
 }

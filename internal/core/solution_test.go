@@ -97,7 +97,7 @@ func TestSolverFlowsHoldDistinctTrees(t *testing.T) {
 			// A fault latches a cold re-anchor, which maps slots 2..4 to
 			// dense sessions 1..3; the join after it is repaired warm on top
 			// of the new anchor's flows.
-			if err := w.Fault(0, 1); err != nil {
+			if err := w.Fault(0); err != nil {
 				t.Fatal(err)
 			}
 			snap("re-anchor", false)

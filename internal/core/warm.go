@@ -50,17 +50,18 @@ import (
 //
 // Falling back to cold is always sound (the warm state is simply discarded
 // and re-anchored) and happens when the per-refresh repair budget is
-// exhausted, when the ledger reports a shrink the allocator did not perform
-// itself (LengthStore.MonotoneSince — external mutation invalidates the bump
-// attribution), or when every anchored session has departed (the fair-share
-// ratio is gone). Additionally, once the repair work accumulated since the
-// anchor exceeds what a cold solve would cost (≈ phases·k session-phases),
-// the next refresh re-anchors voluntarily: each warm refresh perturbs the
-// anchor's primal/dual balance by its churned demand share, and re-anchoring
-// on this amortized schedule bounds both the compounded drift (the ε-quality
-// of snapshots between anchors) and the total work at a constant factor of
-// the cold baseline's — while refreshes stay ~k/(churned sessions) times
-// cheaper than re-solving.
+// exhausted, when an underlay fault changed a capacity (Fault — the bump
+// attribution refers to the old capacities), or when every anchored session
+// has departed (the fair-share ratio is gone). The warm path is the ledger's
+// only writer: a fault does not touch it, since nothing routes on it before
+// the cold re-anchor replaces it. Additionally, once the repair work
+// accumulated since the anchor exceeds what a cold solve would cost
+// (≈ phases·k session-phases), the next refresh re-anchors voluntarily:
+// each warm refresh perturbs the anchor's primal/dual balance by its churned
+// demand share, and re-anchoring on this amortized schedule bounds both the
+// compounded drift (the ε-quality of snapshots between anchors) and the
+// total work at a constant factor of the cold baseline's — while refreshes
+// stay ~k/(churned sessions) times cheaper than re-solving.
 
 // WarmOptions configures a Warm allocator.
 type WarmOptions struct {
@@ -89,7 +90,7 @@ type WarmStats struct {
 	WarmRefreshes int
 	// WarmFallbacks counts refreshes that attempted the warm path and fell
 	// back to a cold solve mid-repair (budget exhausted, or the anchored
-	// fair-share level gone) — scheduled re-anchors and external-drift colds
+	// fair-share level gone) — scheduled re-anchors and fault-latched colds
 	// are not fallbacks. Admission control keys off this: a join whose probe
 	// refresh could not be repaired within RepairPhaseBudget is rejectable.
 	WarmFallbacks int
@@ -142,7 +143,6 @@ type Warm struct {
 	dem      []float64     // per slot: scaled per-phase demand
 	demScale float64       // dem_i / demand_i at the anchor (uniform)
 	phases   int           // anchor phase count (catch-up chunk granularity)
-	shrinkOK graph.Epoch   // ledger epoch of the last self-inflicted shrink
 
 	pendingJoins []int // slots joined since the last refresh, ascending
 	// pendingLeaveDem accumulates the demand of sessions rolled back since
@@ -150,7 +150,7 @@ type Warm struct {
 	// capacity a departure frees is actually re-packed (see warmRepair).
 	pendingLeaveDem float64
 	dirty           bool // allocation state changed since the last refresh
-	forceCold       bool // external ledger drift detected; next refresh re-anchors
+	forceCold       bool // an underlay fault changed a capacity; next refresh re-anchors
 	repairSpent     int  // session-phases of warm repair since the anchor (drift proxy)
 
 	stats WarmStats
@@ -241,14 +241,10 @@ func (w *Warm) Leave(slot int) error {
 			return nil
 		}
 	}
-	// Rolling back Sets edges, which advances shrinkOK — it must not launder
-	// an *earlier* external shrink past the monotonicity check. If the
-	// ledger is already dirty — an external shrink, or a fault already
-	// latched the cold re-anchor (capacities changed under the recorded
-	// bumps) — skip the rollback (the bump attribution is untrustworthy
-	// anyway) and keep the cold latch.
-	if w.forceCold || !w.gk.d.MonotoneSince(w.shrinkOK) {
-		w.forceCold = true
+	// A fault already latched the cold re-anchor (capacities changed under
+	// the recorded bumps): skip the rollback, the bump attribution is
+	// untrustworthy and the ledger is about to be replaced.
+	if w.forceCold {
 		return nil
 	}
 	w.rollback(slot)
@@ -301,37 +297,21 @@ func (w *Warm) rollback(slot int) {
 	gk.index[slot] = nil
 	gk.logs[slot] = applyLog{}
 	w.dem[slot] = 0
-	// The Sets above are self-inflicted shrinks: sanction them so the next
-	// monotonicity check only trips on *external* ledger mutation. The plane
-	// repair sees the shrink through the ledger journal regardless and
-	// refills the affected rows.
-	w.shrinkOK = gk.d.Epoch()
 }
 
-// Fault records an underlay capacity mutation on edge e. The caller has
-// already rewritten the graph's capacity (see internal/underlay.State);
-// lengthFactor is the matching multiplicative length move old/new — > 1 for a
-// failure or downward drift (capacity fell, the dual price 1/c_e rose), < 1
-// for a recovery or upward drift.
-//
-// When anchored, the move is mirrored onto the live ledger with Bump so every
-// ledger consumer sees it immediately and honestly: a shrink flips
-// MonotoneSince for the plane's skip/repair rows (degrading them to full
-// refill). Regardless of the move's direction the next Refresh is latched
-// cold — the anchored dual objective D = Σ_e c_e·d_e and the per-session
-// bump attribution were computed under the old capacities, so incremental
-// repair arithmetic is no longer trustworthy even for a monotone move.
-func (w *Warm) Fault(e graph.EdgeID, lengthFactor float64) error {
-	if e < 0 || (w.gk != nil && e >= graph.EdgeID(w.gk.d.Len())) || e >= graph.EdgeID(w.g.NumEdges()) {
+// Fault records an underlay capacity change on edge e; the caller has
+// already rewritten the graph's capacity (see internal/underlay.State). It
+// counts the event and latches the next Refresh cold, whichever way the
+// capacity moved: the anchored dual objective D = Σ_e c_e·d_e and the
+// per-session bump attribution were computed under the old capacities, so
+// incremental repair arithmetic is no longer trustworthy. The ledger is left
+// alone: nothing routes on it before the cold anchor replaces it, and the
+// runner's plane resets with the new ledger.
+func (w *Warm) Fault(e graph.EdgeID) error {
+	if e < 0 || e >= graph.EdgeID(w.g.NumEdges()) {
 		return fmt.Errorf("core: warm fault: edge %d out of range", e)
 	}
-	if lengthFactor <= 0 {
-		return fmt.Errorf("core: warm fault: length factor %v must be positive", lengthFactor)
-	}
 	w.stats.UnderlayEvents++
-	if w.gk != nil && lengthFactor != 1 {
-		w.gk.d.Bump(e, lengthFactor)
-	}
 	w.forceCold = true
 	w.dirty = true
 	return nil
@@ -347,9 +327,6 @@ func (w *Warm) Active(slot int) bool {
 
 // ActiveSessions returns the number of sessions that have not left.
 func (w *Warm) ActiveSessions() int { return w.nActive }
-
-// Anchored reports whether a cold anchor solve has run yet.
-func (w *Warm) Anchored() bool { return w.gk != nil }
 
 // Stats returns a snapshot of the allocator's counters.
 func (w *Warm) Stats() WarmStats {
@@ -370,7 +347,7 @@ func (w *Warm) Refresh() error {
 	if !w.dirty && w.gk != nil {
 		return nil
 	}
-	if w.gk == nil || w.opts.RepairPhaseBudget < 0 || w.forceCold || !w.gk.d.MonotoneSince(w.shrinkOK) {
+	if w.gk == nil || w.opts.RepairPhaseBudget < 0 || w.forceCold {
 		return w.cold()
 	}
 	// Amortized re-anchor: once warm repair has cost a couple of cold solves'
@@ -542,7 +519,6 @@ func (w *Warm) cold() error {
 	// Warm repair routes subsets of the slots: it neither certifies nor
 	// double-counts the anchor's oracle calls.
 	w.gk.cert, w.gk.ops = nil, 0
-	w.shrinkOK = w.gk.d.Epoch()
 	w.pendingJoins = w.pendingJoins[:0]
 	w.pendingLeaveDem = 0
 	w.dirty = false

@@ -11,62 +11,8 @@ import (
 	"overcast/internal/topology"
 )
 
-// An external (non-self-inflicted) shrink of the ledger invalidates the bump
-// attribution; the next refresh must re-anchor cold rather than trust the
-// warm state. Internal test: it reaches into the unexported ledger to
-// simulate the drift.
-func TestWarmExternalShrinkForcesColdResolve(t *testing.T) {
-	net, err := topology.Waxman(topology.DefaultWaxman(25), rng.New(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := net.Graph
-	w, err := NewWarm(g, WarmOptions{Epsilon: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	for i, members := range [][]int{{0, 5, 9}, {2, 11, 17}, {4, 20, 23}} {
-		s, err := overlay.NewSession(i, members, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o, err := overlay.NewArbitraryOracle(g, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Join(s, o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := w.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if w.stats.ColdSolves != 1 {
-		t.Fatalf("cold solves %d, want 1", w.stats.ColdSolves)
-	}
-
-	// Simulate external drift: shrink an edge behind the allocator's back,
-	// then dirty the allocation so the next snapshot must refresh.
-	w.gk.d.Set(0, w.base[0])
-	if err := w.Leave(2); err != nil {
-		t.Fatal(err)
-	}
-	sol, err := w.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := w.Stats()
-	if st.ColdSolves != 2 || st.WarmRefreshes != 0 {
-		t.Fatalf("stats %+v, want external shrink to force a cold re-anchor", st)
-	}
-	if err := sol.CheckFeasible(1e-9); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestWarmFaultBeforeLeaveFallsBackColdFirst pins the fallback *ordering*: an
-// underlay fault (here a recovery — capacity up, length shrink) arriving
+// underlay fault (here a recovery — capacity up) arriving
 // between the anchor and the next refresh must latch the cold fallback BEFORE
 // any rollback replay runs. A Leave after the fault must not touch the ledger
 // at all (the recorded bump attribution refers to the old capacities), and
@@ -106,12 +52,11 @@ func TestWarmFaultBeforeLeaveFallsBackColdFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Underlay recovery on edge 3: capacity doubles, so the mirrored length
-	// move is a shrink (factor 1/2). Warm.Fault's contract is that the caller
-	// already rewrote the capacity.
+	// Underlay recovery on edge 3: capacity doubles. Warm.Fault's contract is
+	// that the caller already rewrote the capacity.
 	g.Edges[3].Capacity *= 2
 	defer func() { g.Edges[3].Capacity /= 2 }()
-	if err := w.Fault(3, 0.5); err != nil {
+	if err := w.Fault(3); err != nil {
 		t.Fatal(err)
 	}
 	if !w.forceCold {
@@ -241,7 +186,7 @@ func TestWarmColdAnchorReusesBetas(t *testing.T) {
 						// Warm.Fault expects the caller to have rewritten it.
 						e := usedEdge(t, w)
 						g.Edges[e].Capacity /= 2
-						if err := w.Fault(e, 2); err != nil {
+						if err := w.Fault(e); err != nil {
 							t.Fatal(err)
 						}
 						join()

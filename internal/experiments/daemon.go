@@ -20,18 +20,11 @@ import (
 	"overcast"
 	"overcast/internal/admin"
 	"overcast/internal/churn"
-	"overcast/internal/rng"
 )
 
 // DaemonChurnConfig describes one daemon churn replay.
 type DaemonChurnConfig struct {
-	Nodes int // Waxman topology size
-	// Arrival process, as in WarmChurnConfig.
-	ArrivalRate      float64
-	MeanLifetime     float64
-	Horizon          float64
-	SizeMin, SizeMax int
-	Demand           float64
+	ChurnTrace
 	// Clients is the synthetic client-fleet size; sessions are partitioned
 	// across connections and replayed concurrently (default 4).
 	Clients int
@@ -47,26 +40,8 @@ type DaemonChurnConfig struct {
 }
 
 func (c *DaemonChurnConfig) normalize() error {
-	if c.Nodes < 8 {
-		return fmt.Errorf("experiments: daemon churn run needs >=8 nodes, got %d", c.Nodes)
-	}
-	if c.ArrivalRate <= 0 {
-		c.ArrivalRate = 2
-	}
-	if c.MeanLifetime <= 0 {
-		c.MeanLifetime = 12
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 25
-	}
-	if c.SizeMin < 2 {
-		c.SizeMin = 3
-	}
-	if c.SizeMax < c.SizeMin {
-		c.SizeMax = c.SizeMin + 3
-	}
-	if c.Demand <= 0 {
-		c.Demand = 1
+	if err := c.ChurnTrace.normalize(); err != nil {
+		return err
 	}
 	if c.Clients <= 0 {
 		c.Clients = 4
@@ -120,19 +95,7 @@ func DaemonChurnRun(seed uint64, cfg DaemonChurnConfig) (*DaemonChurnReport, err
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	net, err := overcast.WaxmanNetwork(cfg.Nodes, 0, seed)
-	if err != nil {
-		return nil, err
-	}
-	trace, err := churn.Generate(churn.Config{
-		Nodes:        cfg.Nodes,
-		ArrivalRate:  cfg.ArrivalRate,
-		MeanLifetime: cfg.MeanLifetime,
-		Horizon:      cfg.Horizon,
-		SizeMin:      cfg.SizeMin,
-		SizeMax:      cfg.SizeMax,
-		Demand:       cfg.Demand,
-	}, rng.New(seed+1))
+	net, trace, err := cfg.generate(seed)
 	if err != nil {
 		return nil, err
 	}

@@ -109,13 +109,18 @@ func TestFaultSolveDeterministicReplay(t *testing.T) {
 // the undamped replay — bounding the fault-forced cold re-solve work — while
 // both replays survive the full trace and end with a verified allocation.
 func TestFaultChurnDampingBoundsRepairWork(t *testing.T) {
-	cfg := FaultChurnConfig{
-		Nodes: 32, ArrivalRate: 1.5, MeanLifetime: 5, Horizon: 10,
-		SnapshotEvery: 4,
+	cfg := WarmChurnConfig{
+		ChurnTrace: ChurnTrace{Nodes: 32, ArrivalRate: 1.5, MeanLifetime: 5, Horizon: 10},
+		Arbitrary:  true, SnapshotEvery: 4,
 		// A hard-oscillating regime: 4 links flapping ~3x per time unit.
 		FaultEdges: 4, FailRate: 3, MeanRepair: 0.2,
 	}
-	undamped, damped, err := FaultChurnPair(21, cfg)
+	undamped, err := WarmChurnRun(21, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Damped = true
+	damped, err := WarmChurnRun(21, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +142,7 @@ func TestFaultChurnDampingBoundsRepairWork(t *testing.T) {
 	if damped.ColdSolves > undamped.ColdSolves {
 		t.Fatalf("damping increased cold solves: %d vs %d", damped.ColdSolves, undamped.ColdSolves)
 	}
-	for _, rep := range []*FaultChurnReport{undamped, damped} {
+	for _, rep := range []*WarmChurnReport{undamped, damped} {
 		if rep.Snapshots == 0 || rep.Throughput <= 0 {
 			t.Fatalf("replay produced no usable allocation: %+v", rep)
 		}

@@ -129,7 +129,8 @@ func TestReportDeterministicAndSane(t *testing.T) {
 func TestWarmChurnArbitraryPlaneIndependent(t *testing.T) {
 	run := func(plane overlay.PlaneMode) []float64 {
 		rep, err := WarmChurnRun(5, WarmChurnConfig{
-			Nodes: 50, Arbitrary: true, Epsilon: 0.5, Horizon: 30, SnapshotEvery: 2,
+			ChurnTrace: ChurnTrace{Nodes: 50, Horizon: 30},
+			Arbitrary:  true, Epsilon: 0.5, SnapshotEvery: 2,
 			SolverOptions: core.SolverOptions{Plane: plane},
 		})
 		if err != nil {

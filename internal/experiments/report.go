@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"overcast/internal/core"
+	"overcast/internal/stats"
 	"overcast/internal/workload"
 )
 
@@ -56,23 +57,6 @@ type ReportRow struct {
 	Fairness float64
 }
 
-// JainFairness returns Jain's fairness index (Σx)²/(n·Σx²) of xs (1 when xs
-// is empty or all-zero, by convention 0 length -> 1).
-func JainFairness(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
-	sum, sumSq := 0.0, 0.0
-	for _, x := range xs {
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
 // reportRow summarizes one solved instance into a row.
 func reportRow(scenario, tier, solver string, si *ScaleInstance, sol *core.Solution) ReportRow {
 	ratios := make([]float64, len(si.Sessions))
@@ -94,7 +78,7 @@ func reportRow(scenario, tier, solver string, si *ScaleInstance, sol *core.Solut
 	return ReportRow{
 		Scenario: scenario, Tier: tier, Edges: si.Net.Graph.NumEdges(), Solver: solver,
 		Throughput: sol.OverallThroughput(), MinRatio: minRatio,
-		MeanUtil: meanUtil, Fairness: JainFairness(ratios),
+		MeanUtil: meanUtil, Fairness: stats.JainIndex(ratios),
 	}
 }
 

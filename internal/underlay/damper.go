@@ -72,21 +72,12 @@ func NewDamper(g *graph.Graph, cfg DamperConfig) *Damper {
 	}
 }
 
-// Config returns the damper's normalized constants.
-func (d *Damper) Config() DamperConfig { return d.cfg }
-
 // decay advances e's penalty to time t.
 func (d *Damper) decay(e graph.EdgeID, t float64) {
 	if dt := t - d.lastT[e]; dt > 0 {
 		d.penalty[e] *= math.Exp2(-dt / d.cfg.HalfLife)
 		d.lastT[e] = t
 	}
-}
-
-// Penalty returns e's penalty decayed to time t.
-func (d *Damper) Penalty(e graph.EdgeID, t float64) float64 {
-	d.decay(e, t)
-	return d.penalty[e]
 }
 
 // releaseDue emits LinkUp events (stamped t) for every held link whose

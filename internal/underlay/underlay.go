@@ -1,8 +1,9 @@
-// Package underlay generates and applies seeded underlay fault workloads:
-// link failure/recovery traces, capacity drift walks, and correlated AS-level
-// outages. Every scenario elsewhere in the library mutates sessions; this
-// package mutates the *network* — the paper's setting is an overlay competing
-// for underlay capacity, and real underlays fail, recover, and drift.
+// Package underlay models underlay faults — link failure, recovery and
+// capacity drift — generates seeded per-link failure/recovery traces, and
+// applies fault events to a graph. Every scenario elsewhere in the library
+// mutates sessions; this package mutates the *network* — the paper's setting
+// is an overlay competing for underlay capacity, and real underlays fail,
+// recover, and drift.
 //
 // The bridge to the solvers is the length ledger: Garg–Könemann lengths are
 // dual prices d_e ∝ 1/c_e, so a capacity change by factor f mirrors onto a
@@ -10,9 +11,10 @@
 // is a monotone length growth — exactly the mutation shape the plane's
 // dirty-source repair already tolerates — while a recovery or an upward drift
 // *shrinks* a length, which is precisely what LengthStore.MonotoneSince was
-// built to detect: repair-capable consumers must degrade to full refills and
-// the warm engine must fall back cold. State computes those factors; the
-// consumers' hardening lives with the consumers.
+// built to detect: repair-capable consumers must degrade to full refills.
+// (The warm engine falls back cold on any capacity change and mirrors
+// nothing.) State computes those factors; the consumers' hardening lives
+// with the consumers.
 //
 // A Damper implements BGP-style route-flap damping over an event stream:
 // every recovery charges a per-link penalty that decays exponentially in
@@ -30,7 +32,6 @@ import (
 
 	"overcast/internal/graph"
 	"overcast/internal/rng"
-	"overcast/internal/topology"
 )
 
 // EventKind discriminates underlay fault events.
@@ -41,8 +42,8 @@ const (
 	LinkDown EventKind = iota
 	// LinkUp recovers a failed link to its (drift-adjusted) capacity.
 	LinkUp
-	// Drift multiplies a link's capacity by Event.Factor (a seeded
-	// multiplicative walk models slow congestion/provisioning drift).
+	// Drift multiplies a link's capacity by Event.Factor (slow
+	// congestion/provisioning drift).
 	Drift
 )
 
@@ -113,18 +114,6 @@ func sortEvents(evs []Event) {
 	})
 }
 
-// Merge combines traces into one canonically sorted trace.
-func Merge(traces ...*Trace) *Trace {
-	out := &Trace{}
-	for _, t := range traces {
-		if t != nil {
-			out.Events = append(out.Events, t.Events...)
-		}
-	}
-	sortEvents(out.Events)
-	return out
-}
-
 // FailureConfig parametrizes an independent per-link fail/repair process.
 type FailureConfig struct {
 	// Edges restricts the process to these links (nil = every edge of g).
@@ -170,129 +159,6 @@ func GenerateFailures(g *graph.Graph, cfg FailureConfig, r *rng.RNG) (*Trace, er
 				break
 			}
 			tr.Events = append(tr.Events, Event{Time: t, Kind: LinkUp, Edge: e})
-		}
-	}
-	sortEvents(tr.Events)
-	return tr, nil
-}
-
-// DriftConfig parametrizes a multiplicative capacity drift walk.
-type DriftConfig struct {
-	// Edges restricts the walk to these links (nil = every edge of g).
-	Edges []graph.EdgeID
-	// Steps is the number of sweeps; each sweep emits one Drift event per
-	// edge. Interval is the time between sweeps (the first sweep lands at
-	// Interval).
-	Steps    int
-	Interval float64
-	// Sigma is the per-step lognormal volatility: each step multiplies the
-	// capacity by exp(Sigma·N(0,1)).
-	Sigma float64
-	// Min/Max clamp the cumulative drift factor relative to the base
-	// capacity (defaults 0.25 and 4).
-	Min, Max float64
-}
-
-// GenerateDrift materializes a seeded multiplicative capacity walk: Steps
-// sweeps over the edge set, each edge stepping by an independent lognormal
-// factor clamped so the cumulative drift stays within [Min, Max] of base.
-func GenerateDrift(g *graph.Graph, cfg DriftConfig, r *rng.RNG) (*Trace, error) {
-	if cfg.Steps <= 0 || cfg.Interval <= 0 || cfg.Sigma <= 0 {
-		return nil, fmt.Errorf("underlay: drift steps, interval, and sigma must be positive")
-	}
-	if cfg.Min <= 0 {
-		cfg.Min = 0.25
-	}
-	if cfg.Max <= cfg.Min {
-		cfg.Max = 4
-	}
-	edges := cfg.Edges
-	if edges == nil {
-		edges = make([]graph.EdgeID, g.NumEdges())
-		for e := range edges {
-			edges[e] = e
-		}
-	}
-	cum := make(map[graph.EdgeID]float64, len(edges))
-	tr := &Trace{}
-	for s := 0; s < cfg.Steps; s++ {
-		t := float64(s+1) * cfg.Interval
-		for _, e := range edges {
-			if e < 0 || e >= g.NumEdges() {
-				return nil, fmt.Errorf("underlay: drift edge %d outside graph", e)
-			}
-			c := cum[e]
-			if c == 0 {
-				c = 1
-			}
-			// Per-(edge, step) child stream keeps the walk independent of
-			// sweep iteration order.
-			f := math.Exp(cfg.Sigma * r.Split(uint64(e)).Split(uint64(s)).NormFloat64())
-			if c*f > cfg.Max {
-				f = cfg.Max / c
-			} else if c*f < cfg.Min {
-				f = cfg.Min / c
-			}
-			cum[e] = c * f
-			tr.Events = append(tr.Events, Event{Time: t, Kind: Drift, Edge: e, Factor: f})
-		}
-	}
-	sortEvents(tr.Events)
-	return tr, nil
-}
-
-// OutageConfig parametrizes correlated AS-level outages on a two-level
-// topology: a whole AS (every link with an endpoint inside it, inter-AS
-// border links included) fails and recovers together.
-type OutageConfig struct {
-	// Rate is the Poisson intensity of AS outages (outages per time unit,
-	// across the whole network); MeanRepair the exponential mean outage
-	// duration; Horizon the trace length.
-	Rate       float64
-	MeanRepair float64
-	Horizon    float64
-}
-
-// GenerateASOutages materializes a correlated outage trace on net, which must
-// carry an AS partition (topology.TwoLevel's Network.ASOf). Overlapping
-// outages of one AS are legal: State counts down events per link, so a link
-// recovers only when every outage covering it has recovered.
-func GenerateASOutages(net *topology.Network, cfg OutageConfig, r *rng.RNG) (*Trace, error) {
-	if cfg.Rate <= 0 || cfg.MeanRepair <= 0 || cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("underlay: outage rate, repair time, and horizon must be positive")
-	}
-	if len(net.ASOf) != net.Graph.NumNodes() {
-		return nil, fmt.Errorf("underlay: AS outages need an AS-labeled network (topology.TwoLevel)")
-	}
-	ases := 0
-	for _, a := range net.ASOf {
-		if a+1 > ases {
-			ases = a + 1
-		}
-	}
-	// asEdges[a] lists the links with at least one endpoint in AS a.
-	asEdges := make([][]graph.EdgeID, ases)
-	for e, edge := range net.Graph.Edges {
-		au, av := net.ASOf[edge.U], net.ASOf[edge.V]
-		asEdges[au] = append(asEdges[au], e)
-		if av != au {
-			asEdges[av] = append(asEdges[av], e)
-		}
-	}
-	tr := &Trace{}
-	t := 0.0
-	for {
-		t += r.ExpFloat64() / cfg.Rate
-		if t >= cfg.Horizon {
-			break
-		}
-		a := r.Intn(ases)
-		d := r.ExpFloat64() * cfg.MeanRepair
-		for _, e := range asEdges[a] {
-			tr.Events = append(tr.Events, Event{Time: t, Kind: LinkDown, Edge: e})
-			if t+d < cfg.Horizon {
-				tr.Events = append(tr.Events, Event{Time: t + d, Kind: LinkUp, Edge: e})
-			}
 		}
 	}
 	sortEvents(tr.Events)
@@ -350,9 +216,6 @@ func (s *State) capacity(e graph.EdgeID) float64 {
 	}
 	return c
 }
-
-// Down reports whether the link is currently failed.
-func (s *State) Down(e graph.EdgeID) bool { return s.down[e] > 0 }
 
 // Apply executes one event: it updates the down/drift state, rewrites the
 // link's capacity, and returns the length factor old/new (the Bump factor

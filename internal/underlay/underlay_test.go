@@ -6,7 +6,6 @@ import (
 
 	"overcast/internal/graph"
 	"overcast/internal/rng"
-	"overcast/internal/topology"
 )
 
 // ring builds an n-node ring with a few chords, capacity 100.
@@ -66,96 +65,6 @@ func TestGenerateFailuresDeterministicAndValid(t *testing.T) {
 			}
 			down[ev.Edge] = false
 		}
-	}
-}
-
-func TestGenerateDriftClampsAndIsDeterministic(t *testing.T) {
-	g := ring(t, 12)
-	cfg := DriftConfig{Steps: 50, Interval: 0.5, Sigma: 0.4, Min: 0.5, Max: 2}
-	a, err := GenerateDrift(g, cfg, rng.New(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if want := 50 * g.NumEdges(); len(a.Events) != want {
-		t.Fatalf("drift trace has %d events, want %d", len(a.Events), want)
-	}
-	cum := make([]float64, g.NumEdges())
-	for e := range cum {
-		cum[e] = 1
-	}
-	for _, ev := range a.Events {
-		cum[ev.Edge] *= ev.Factor
-		if cum[ev.Edge] < cfg.Min-1e-12 || cum[ev.Edge] > cfg.Max+1e-12 {
-			t.Fatalf("cumulative drift %v of edge %d escapes [%v,%v]", cum[ev.Edge], ev.Edge, cfg.Min, cfg.Max)
-		}
-	}
-	b, _ := GenerateDrift(g, cfg, rng.New(11))
-	for i := range a.Events {
-		if a.Events[i] != b.Events[i] {
-			t.Fatalf("drift trace not deterministic at event %d", i)
-		}
-	}
-}
-
-func TestGenerateASOutagesCorrelated(t *testing.T) {
-	net, err := topology.TwoLevel(topology.DefaultTwoLevel(4, 8), rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := GenerateASOutages(net, OutageConfig{Rate: 0.5, MeanRepair: 2, Horizon: 30}, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Events) == 0 {
-		t.Fatal("outage trace is empty")
-	}
-	if err := tr.Validate(net.Graph); err != nil {
-		t.Fatal(err)
-	}
-	// Every LinkDown burst at one timestamp must cover exactly the edge set
-	// incident to a single AS.
-	byTime := map[float64][]graph.EdgeID{}
-	for _, ev := range tr.Events {
-		if ev.Kind == LinkDown {
-			byTime[ev.Time] = append(byTime[ev.Time], ev.Edge)
-		}
-	}
-	for tm, edges := range byTime {
-		ases := map[int]bool{}
-		for _, e := range edges {
-			edge := net.Graph.Edges[e]
-			ases[net.ASOf[edge.U]] = true
-		}
-		// All failed edges of one burst touch a common AS: intersect the
-		// candidate AS sets of every edge.
-		common := map[int]bool{}
-		first := net.Graph.Edges[edges[0]]
-		common[net.ASOf[first.U]] = true
-		common[net.ASOf[first.V]] = true
-		for _, e := range edges[1:] {
-			edge := net.Graph.Edges[e]
-			next := map[int]bool{}
-			for _, a := range []int{net.ASOf[edge.U], net.ASOf[edge.V]} {
-				if common[a] {
-					next[a] = true
-				}
-			}
-			common = next
-		}
-		if len(common) == 0 {
-			t.Fatalf("outage burst at t=%v is not AS-correlated", tm)
-		}
-	}
-	// Unlabeled networks are rejected.
-	flat, err := topology.Waxman(topology.DefaultWaxman(16), rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := GenerateASOutages(flat, OutageConfig{Rate: 1, MeanRepair: 1, Horizon: 1}, rng.New(1)); err == nil {
-		t.Fatal("AS outages on an unlabeled network should fail")
 	}
 }
 
@@ -290,23 +199,5 @@ func TestDamperSuppressesOscillation(t *testing.T) {
 	if applied2 != applied || d2.Suppressed != d.Suppressed {
 		t.Fatalf("damper not deterministic: applied %d vs %d, suppressed %d vs %d",
 			applied2, applied, d2.Suppressed, d.Suppressed)
-	}
-}
-
-func TestMergeCanonicalOrder(t *testing.T) {
-	a := &Trace{Events: []Event{{Time: 2, Kind: LinkDown, Edge: 1}, {Time: 5, Kind: LinkUp, Edge: 1}}}
-	b := &Trace{Events: []Event{{Time: 2, Kind: LinkDown, Edge: 0}, {Time: 3, Kind: Drift, Edge: 2, Factor: 0.5}}}
-	m := Merge(a, b)
-	n := Merge(b, a)
-	if len(m.Events) != 4 {
-		t.Fatalf("merged %d events, want 4", len(m.Events))
-	}
-	for i := range m.Events {
-		if m.Events[i] != n.Events[i] {
-			t.Fatalf("Merge is order-dependent at event %d", i)
-		}
-	}
-	if m.Events[0].Edge != 0 || m.Events[1].Edge != 1 {
-		t.Fatal("equal-time events must sort by edge")
 	}
 }
